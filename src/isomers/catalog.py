@@ -32,6 +32,7 @@ __all__ = [
     "DiagramNode",
     "GeneticDiagram",
     "SkeletonSpec",
+    "assign_letters",
     "builtin",
     "emit_dot",
     "genetic_diagram",
@@ -174,7 +175,7 @@ def orbit_name(letter: str, shape: Partition) -> str:
     return f"{letter}_({format_partition(shape)})"
 
 
-def _assign_letters(
+def assign_letters(
     space: OrbitSpace,
     pinned: tuple[tuple[str, Dissection], ...] | None,
 ) -> dict[Orbit, str]:
@@ -202,8 +203,8 @@ def korner_relations() -> list[tuple[str, str]]:
     mu = Partition([4, 2], 6)
     lower = orbit_space(spec.group, lam)
     upper = orbit_space(spec.group, mu)
-    lower_names = _assign_letters(lower, spec.letters.get(lam))
-    upper_names = _assign_letters(upper, spec.letters.get(mu))
+    lower_names = assign_letters(lower, spec.letters.get(lam))
+    upper_names = assign_letters(upper, spec.letters.get(mu))
     out = []
     for a in lower.orbits:
         for b in upper.orbits:
@@ -289,7 +290,7 @@ def genetic_diagram(spec: SkeletonSpec, shapes: Sequence[Partition] | None = Non
     names: dict[Partition, dict[Orbit, str]] = {}
     for lam in shapes:
         pinned = spec.letters.get(lam) if spec.letters else None
-        names[lam] = _assign_letters(spaces[lam], pinned)
+        names[lam] = assign_letters(spaces[lam], pinned)
 
     chiral: dict[str, bool] = {}
     if spec.extended is not None:
@@ -305,7 +306,7 @@ def genetic_diagram(spec: SkeletonSpec, shapes: Sequence[Partition] | None = Non
         for lam in shapes:
             coarse = orbit_space(spec.structural, lam)
             pinned = spec.structural_letters.get(lam) if spec.structural_letters else None
-            coarse_names = _assign_letters(coarse, pinned)
+            coarse_names = assign_letters(coarse, pinned)
             for c, fines in refine(coarse, spaces[lam]).items():
                 cname = orbit_name(coarse_names[c], lam)
                 members = tuple(orbit_name(names[lam][f], lam) for f in fines)

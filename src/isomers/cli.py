@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .catalog import BUILTIN_NAMES, SkeletonSpec, builtin, emit_dot, genetic_diagram, orbit_name
+from .catalog import BUILTIN_NAMES, SkeletonSpec, assign_letters, builtin, emit_dot, genetic_diagram, orbit_name
 from .counting import BRUTE_FORCE_DEGREE_CAP, build_report
 from .orbits import classify_chiral, orbit_cover, orbit_leq, orbit_space
 from .partitions import Partition, all_partitions, dominance_leq, format_partition, parse_partition
@@ -184,10 +184,8 @@ def cmd_orbits(args) -> int:
 
 
 def _diagram_names(spec: SkeletonSpec, lam: Partition, space) -> dict:
-    from .catalog import _assign_letters
-
     pinned = spec.letters.get(lam) if spec.letters else None
-    letters = _assign_letters(space, pinned)
+    letters = assign_letters(space, pinned)
     return {orbit: orbit_name(letters[orbit], lam) for orbit in space}
 
 
@@ -195,13 +193,16 @@ def cmd_poset(args) -> int:
     _reject_dot(args)
     spec = resolve_skeleton(args, args.cap)
     d = spec.degree
-    if args.shape and ":" in args.shape:
-        lo_text, hi_text = args.shape.split(":", 1)
-        shapes = [parse_partition(lo_text, d), parse_partition(hi_text, d)]
-    elif args.shape:
-        shapes = [parse_partition(args.shape, d)]
-    else:
-        shapes = all_partitions(d)
+    try:
+        if args.shape and ":" in args.shape:
+            lo_text, hi_text = args.shape.split(":", 1)
+            shapes = [parse_partition(lo_text, d), parse_partition(hi_text, d)]
+        elif args.shape:
+            shapes = [parse_partition(args.shape, d)]
+        else:
+            shapes = all_partitions(d)
+    except ValueError as exc:
+        raise UsageError(f"bad shape {args.shape!r}: {exc}") from None
     spaces = {lam: orbit_space(spec.group, lam) for lam in shapes}
     names = {}
     for lam in shapes:

@@ -24,7 +24,7 @@ from .partitions import (
     centralizer_order,
     dominance_leq,
 )
-from .perms import LinearCharacter, PermGroup, sign_product_character
+from .perms import LinearCharacter, PermGroup, sign_product_character, unit_character
 
 __all__ = [
     "CountReport",
@@ -432,14 +432,10 @@ def count_brute(
     if chi is None and theta is None:
         return len(space)
     if chi is None:
-        chi = _unit_on(group)
+        chi = unit_character(group)
     if theta is None:
         theta = sign_product_character(lam, [False] * len(lam.trimmed()), lam.d)
     return sum(1 for orbit in space if is_character_orbit(orbit, chi, theta))
-
-
-def _unit_on(group: PermGroup) -> LinearCharacter:
-    return LinearCharacter(group, 1, fn=lambda p: 0)
 
 
 # -- cross-validation and order properties ------------------------------------

@@ -36,6 +36,7 @@ __all__ = [
     "leq_dissection",
     "lift_shape",
     "parse_tabloid",
+    "prefix_mask",
     "raise_into",
     "raise_set",
     "raising_moves",
@@ -211,6 +212,22 @@ def leq_dissection(a: Dissection, b: Dissection) -> bool:
         if not seen_a <= seen_b:
             return False
     return True
+
+
+def prefix_mask(a: Dissection) -> int:
+    """The prefix unions of a, except the last, packed into one integer.
+
+    Prefix union k sits in bits k*(d+1) + x for its points x, so that
+    ``leq_dissection(a, b)`` holds exactly when
+    ``prefix_mask(a) & ~prefix_mask(b) == 0``.
+    """
+    width = a.degree + 1
+    union = mask = 0
+    for k, comp in enumerate(a.components[:-1]):
+        for x in comp:
+            union |= 1 << x
+        mask |= union << (k * width)
+    return mask
 
 
 def raise_into(i: int, s: int, a: Dissection) -> Dissection:
@@ -425,8 +442,13 @@ def _diff_pair(a: Dissection, b: Dissection) -> tuple[int, int] | None:
 
 
 @lru_cache(maxsize=None)
-def _partition_tuples(d: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(p.parts for p in all_partitions(d))
+def _shapes_between(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The partitions of len(lam) strictly between lam and mu in dominance."""
+    return tuple(
+        nu
+        for nu in (p.parts for p in all_partitions(len(lam)))
+        if nu not in (lam, mu) and dominance_leq(lam, nu) and dominance_leq(nu, mu)
+    )
 
 
 def is_cover_tabloid(a: Dissection, b: Dissection) -> bool:
@@ -442,10 +464,4 @@ def is_cover_tabloid(a: Dissection, b: Dissection) -> bool:
         raise ValueError("both arguments must be tabloids")
     if a == b or not leq_dissection(a, b):
         return False
-    lam, mu = a.shape(), b.shape()
-    for nu in _partition_tuples(a.degree):
-        if nu in (lam, mu):
-            continue
-        if dominance_leq(lam, nu) and dominance_leq(nu, mu) and shape_feasible(a, b, nu):
-            return False
-    return True
+    return not any(shape_feasible(a, b, nu) for nu in _shapes_between(a.shape(), b.shape()))

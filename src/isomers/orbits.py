@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .dissections import (
     Dissection,
     all_tabloids,
     is_cover_tabloid,
-    leq_dissection,
+    prefix_mask,
     standard_tabloid,
 )
 from .partitions import Partition, dominance_leq, all_partitions
@@ -47,7 +48,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Orbit:
-    """A W-orbit of tabloids; the representative is the minimal member."""
+    """A W-orbit of tabloids; members are sorted, the representative is the first."""
 
     group: PermGroup
     shape: Partition
@@ -57,6 +58,11 @@ class Orbit:
     @property
     def size(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """prefix_mask of each member, in member order; built on first comparison."""
+        return tuple(prefix_mask(m) for m in self.members)
 
     def __contains__(self, a: Dissection) -> bool:
         return a in self.members
@@ -128,18 +134,24 @@ def transporter(a: Dissection) -> Permutation:
     return Permutation(images)
 
 
-def orbit_leq(a: Orbit, b: Orbit) -> bool:
-    """Factored dominance: some group translate of a's representative precedes b's."""
-    if a.group != b.group:
+def _require_same_group(a: Orbit, b: Orbit) -> None:
+    if a.group is not b.group and a.group != b.group:
         raise ValueError("orbits belong to different groups")
-    ra, rb = a.representative, b.representative
-    return any(leq_dissection(ra.acted_by(g), rb) for g in a.group.elements)
+
+
+def orbit_leq(a: Orbit, b: Orbit) -> bool:
+    """Factored dominance: some group translate of a's representative precedes b's.
+
+    The translates are exactly a's members, so the test runs on their masks.
+    """
+    _require_same_group(a, b)
+    outside_b = ~b.masks[0]
+    return any(not m & outside_b for m in a.masks)
 
 
 def orbit_adjacent(a: Orbit, b: Orbit) -> bool:
     """a < b with shapes one raising operator apart."""
-    if a.group != b.group:
-        raise ValueError("orbits belong to different groups")
+    _require_same_group(a, b)
     if not _shapes_adjacent(a.shape, b.shape):
         return False
     return a != b and orbit_leq(a, b)
@@ -159,15 +171,14 @@ def orbit_cover(a: Orbit, b: Orbit) -> bool:
     orbits are neighbours exactly when every comparable translate pair is a
     tabloid cover (and at least one comparable translate exists).
     """
-    if a.group != b.group:
-        raise ValueError("orbits belong to different groups")
+    _require_same_group(a, b)
     if a == b:
         return False
-    ra, rb = a.representative, b.representative
+    rb = b.representative
+    outside_b = ~b.masks[0]
     found = False
-    for g in a.group.elements:
-        t = ra.acted_by(g)
-        if leq_dissection(t, rb):
+    for t, m in zip(a.members, a.masks):
+        if not m & outside_b:
             if not is_cover_tabloid(t, rb):
                 return False
             found = True

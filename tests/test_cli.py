@@ -133,6 +133,11 @@ class TestPoset:
         assert code == 0
         assert "a_(2,1^2) < a_(3,1)  [comparable]" in out
 
+    def test_bad_shape_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "poset", "--builtin", "benzene", "--shape", "9:1")
+        assert code == 2 and out == ""
+        assert err.startswith("error[usage]: bad shape")
+
 
 class TestDiagram:
     def test_dot_output(self, capsys):

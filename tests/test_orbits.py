@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from isomers.catalog import builtin
 from isomers.dissections import (
     Dissection,
+    _shapes_between,
     all_tabloids,
     is_cover_dissection,
     is_cover_tabloid,
@@ -37,9 +39,11 @@ from isomers.perms import (
 
 from oracles import (
     burnside_count,
+    leq_composition,
     random_permutation,
     random_subgroup,
     raw_orbits,
+    raw_partitions,
     raw_tabloids_of_shape,
     symmetric_group,
 )
@@ -345,6 +349,53 @@ class TestOrbitAdjacentAndCovers:
                     if a is b:
                         continue
                     assert orbit_cover(a, b) == ((id(a), id(b)) in covers)
+
+
+class TestMaskComparisonsMatchTranslates:
+    """orbit_leq and orbit_cover against their definitions over the translates g.ra."""
+
+    @staticmethod
+    def _check_pair(a, b):
+        rb = b.representative
+        translates = [a.representative.acted_by(g) for g in a.group.elements]
+        comparable = [t for t in translates if leq_dissection(t, rb)]
+        assert orbit_leq(a, b) == bool(comparable)
+        expected_cover = a != b and bool(comparable) and all(is_cover_tabloid(t, rb) for t in comparable)
+        assert orbit_cover(a, b) == expected_cover
+
+    @pytest.mark.parametrize("name", ["ethene", "benzene"])
+    def test_every_comparable_shape_pair(self, name):
+        w = builtin(name).group
+        shapes = all_partitions(w.degree)
+        for lam in shapes:
+            for mu in shapes:
+                if not (dominance_leq(lam, mu) or dominance_leq(mu, lam)):
+                    continue
+                for a in orbit_space(w, lam):
+                    for b in orbit_space(w, mu):
+                        self._check_pair(a, b)
+
+    @pytest.mark.parametrize("cover", ["4,3,1:4,4", "5,1,1,1:5,2,1"])
+    def test_naphthalene_cover(self, cover):
+        w = builtin("naphthalene").group
+        lo, hi = (orbit_space(w, parse_partition(text, 8)) for text in cover.split(":"))
+        for lower, upper in ((lo, hi), (hi, lo)):
+            for a in lower:
+                for b in upper:
+                    self._check_pair(a, b)
+
+    def test_cached_shapes_between(self):
+        for d in range(1, 9):
+            shapes = raw_partitions(d)
+            for lam in shapes:
+                for mu in shapes:
+                    direct = {
+                        nu
+                        for nu in shapes
+                        if nu not in (lam, mu) and leq_composition(lam, nu) and leq_composition(nu, mu)
+                    }
+                    between = _shapes_between(lam, mu)
+                    assert len(between) == len(direct) and set(between) == direct
 
 
 class TestOrbitInterval:
