@@ -19,12 +19,12 @@ from .orbits import (
     Orbit,
     OrbitSpace,
     classify_chiral,
+    comparable_pairs,
     orbit_cover,
-    orbit_leq,
     orbit_space,
     refine,
 )
-from .partitions import Partition, all_partitions, dominance_leq, format_partition
+from .partitions import Partition, all_partitions, format_partition, raising_pair
 from .perms import PermGroup, generate, parse_cycles
 
 __all__ = [
@@ -201,16 +201,10 @@ def korner_relations() -> list[tuple[str, str]]:
     spec = builtin("benzene")
     lam = Partition([3, 3], 6)
     mu = Partition([4, 2], 6)
-    lower = orbit_space(spec.group, lam)
-    upper = orbit_space(spec.group, mu)
-    lower_names = assign_letters(lower, spec.letters.get(lam))
-    upper_names = assign_letters(upper, spec.letters.get(mu))
-    out = []
-    for a in lower.orbits:
-        for b in upper.orbits:
-            if orbit_leq(a, b):
-                out.append((orbit_name(lower_names[a], lam), orbit_name(upper_names[b], mu)))
-    return sorted(out)
+    pairs = comparable_pairs(spec.group, [lam, mu])
+    lower_names = assign_letters(orbit_space(spec.group, lam), spec.letters.get(lam))
+    upper_names = assign_letters(orbit_space(spec.group, mu), spec.letters.get(mu))
+    return sorted((orbit_name(lower_names[a], lam), orbit_name(upper_names[b], mu)) for a, b in pairs)
 
 
 @dataclass(frozen=True)
@@ -262,17 +256,6 @@ class GeneticDiagram:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _adjacent_shape_pairs(shapes: Sequence[Partition]) -> list[tuple[Partition, Partition]]:
-    pairs = []
-    for lam in shapes:
-        for mu in shapes:
-            diff = [m - l for l, m in zip(lam, mu)]
-            nz = [k for k, v in enumerate(diff) if v != 0]
-            if len(nz) == 2 and diff[nz[0]] == 1 and diff[nz[1]] == -1:
-                pairs.append((lam, mu))
-    return pairs
-
-
 def genetic_diagram(spec: SkeletonSpec, shapes: Sequence[Partition] | None = None) -> GeneticDiagram:
     """Build the full reaction diagram of a skeleton's orbits.
 
@@ -286,6 +269,7 @@ def genetic_diagram(spec: SkeletonSpec, shapes: Sequence[Partition] | None = Non
     if shapes is None:
         shapes = all_partitions(spec.degree)
     shapes = sorted(shapes, key=lambda p: p.parts, reverse=True)
+    pairs = comparable_pairs(group, shapes)
     spaces = {lam: orbit_space(group, lam) for lam in shapes}
     names: dict[Partition, dict[Orbit, str]] = {}
     for lam in shapes:
@@ -330,22 +314,14 @@ def genetic_diagram(spec: SkeletonSpec, shapes: Sequence[Partition] | None = Non
                 )
             )
 
-    adjacent = set(_adjacent_shape_pairs(shapes))
     edges = []
     extras = []
-    for lam in shapes:
-        for mu in shapes:
-            if lam == mu or not dominance_leq(lam.parts, mu.parts):
-                continue
-            for a in spaces[lam].orbits:
-                for b in spaces[mu].orbits:
-                    if not orbit_leq(a, b):
-                        continue
-                    pair = (orbit_name(names[lam][a], lam), orbit_name(names[mu][b], mu))
-                    if orbit_cover(a, b):
-                        edges.append(pair)
-                    elif (lam, mu) in adjacent:
-                        extras.append(pair)
+    for a, b in pairs:
+        pair = (orbit_name(names[a.shape][a], a.shape), orbit_name(names[b.shape][b], b.shape))
+        if orbit_cover(a, b):
+            edges.append(pair)
+        elif raising_pair(a.shape, b.shape) is not None:
+            extras.append(pair)
     return GeneticDiagram(
         skeleton=spec.name,
         degree=spec.degree,

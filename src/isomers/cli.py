@@ -14,8 +14,8 @@ from pathlib import Path
 
 from .catalog import BUILTIN_NAMES, SkeletonSpec, assign_letters, builtin, emit_dot, genetic_diagram, orbit_name
 from .counting import BRUTE_FORCE_DEGREE_CAP, build_report
-from .orbits import classify_chiral, orbit_cover, orbit_leq, orbit_space
-from .partitions import Partition, all_partitions, dominance_leq, format_partition, parse_partition
+from .orbits import classify_chiral, comparable_pairs, orbit_cover, orbit_space
+from .partitions import Partition, all_partitions, format_partition, parse_partition
 from .perms import LinearCharacter, PermGroup, generate, linear_characters, parse_cycles, sign_product_character
 from .verify import verify_skeleton
 
@@ -203,21 +203,14 @@ def cmd_poset(args) -> int:
             shapes = all_partitions(d)
     except ValueError as exc:
         raise UsageError(f"bad shape {args.shape!r}: {exc}") from None
-    spaces = {lam: orbit_space(spec.group, lam) for lam in shapes}
+    try:
+        pairs = comparable_pairs(spec.group, shapes)
+    except ValueError as exc:
+        raise CapError(str(exc)) from None
     names = {}
-    for lam in shapes:
-        names.update(_diagram_names(spec, lam, spaces[lam]))
-    lines = []
-    for lam in shapes:
-        for mu in shapes:
-            if lam == mu or not dominance_leq(lam, mu):
-                continue
-            for a in spaces[lam]:
-                for b in spaces[mu]:
-                    if orbit_leq(a, b):
-                        tag = "cover" if orbit_cover(a, b) else "comparable"
-                        lines.append(f"{names[a]} < {names[b]}  [{tag}]")
-    lines.sort()
+    for lam in {orbit.shape for pair in pairs for orbit in pair}:
+        names.update(_diagram_names(spec, lam, orbit_space(spec.group, lam)))
+    lines = sorted(f"{names[a]} < {names[b]}  [{'cover' if orbit_cover(a, b) else 'comparable'}]" for a, b in pairs)
     _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
     return EXIT_OK
 

@@ -20,7 +20,7 @@ from .partitions import (
     common_prefix_len,
     dominance_leq,
     in_M,
-    raising_op,
+    raising_pair,
 )
 from .perms import Permutation
 
@@ -376,7 +376,7 @@ def substitution_chain(a: Dissection, b: Dissection) -> list[tuple[int, int]]:
     if a.degree != b.degree:
         raise ValueError("degree mismatch")
     l, m = a.shape(), b.shape()
-    pair = _adjacency_pair(l, m)
+    pair = raising_pair(l, m)
     if pair is None or a == b or not leq_dissection(a, b):
         raise ValueError("shapes are not adjacent with a < b")
     i, j = pair
@@ -405,15 +405,6 @@ def substitution_chain(a: Dissection, b: Dissection) -> list[tuple[int, int]]:
     if result != b:
         raise RuntimeError("substitution chain fails to reach the target")
     return moves
-
-
-def _adjacency_pair(l: Sequence[int], m: Sequence[int]) -> tuple[int, int] | None:
-    """(i, j) with m equal to the i<-j raise of l, if any."""
-    diff = [bm - al for al, bm in zip(l, m)]
-    nz = [k for k, v in enumerate(diff) if v != 0]
-    if len(nz) == 2 and diff[nz[0]] == 1 and diff[nz[1]] == -1:
-        return nz[0] + 1, nz[1] + 1
-    return None
 
 
 def is_cover_dissection(a: Dissection, b: Dissection) -> bool:

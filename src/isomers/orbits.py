@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 from .dissections import (
     Dissection,
@@ -19,7 +20,7 @@ from .dissections import (
     prefix_mask,
     standard_tabloid,
 )
-from .partitions import Partition, dominance_leq, all_partitions
+from .partitions import Partition, all_partitions, dominance_leq, raising_pair
 from .perms import (
     LinearCharacter,
     PermGroup,
@@ -29,10 +30,12 @@ from .perms import (
 )
 
 __all__ = [
+    "POSET_PAIR_CAP",
     "ChiralReport",
     "Orbit",
     "OrbitSpace",
     "classify_chiral",
+    "comparable_pairs",
     "is_character_orbit",
     "orbit_adjacent",
     "orbit_cover",
@@ -44,6 +47,9 @@ __all__ = [
     "stabilizer",
     "transporter",
 ]
+
+# comparable_pairs refuses requests with more orbit pairs than this to compare
+POSET_PAIR_CAP = 250_000
 
 
 @dataclass(frozen=True)
@@ -152,15 +158,9 @@ def orbit_leq(a: Orbit, b: Orbit) -> bool:
 def orbit_adjacent(a: Orbit, b: Orbit) -> bool:
     """a < b with shapes one raising operator apart."""
     _require_same_group(a, b)
-    if not _shapes_adjacent(a.shape, b.shape):
+    if raising_pair(a.shape, b.shape) is None:
         return False
     return a != b and orbit_leq(a, b)
-
-
-def _shapes_adjacent(lam: Partition, mu: Partition) -> bool:
-    diff = [m - l for l, m in zip(lam, mu)]
-    nz = [k for k, v in enumerate(diff) if v != 0]
-    return len(nz) == 2 and diff[nz[0]] == 1 and diff[nz[1]] == -1
 
 
 def orbit_cover(a: Orbit, b: Orbit) -> bool:
@@ -204,17 +204,42 @@ def orbit_interval(a: Orbit, b: Orbit, spaces: dict[Partition, OrbitSpace] | Non
     return out
 
 
+def _fewest_orbits(group: PermGroup, lam: Partition) -> int:
+    """A lower bound on the orbit count of shape lam: no orbit outgrows the group."""
+    tabloids = math.factorial(lam.d) // math.prod(math.factorial(k) for k in lam)
+    return -(-tabloids // group.order)
+
+
+def comparable_pairs(group: PermGroup, shapes: Sequence[Partition]) -> list[tuple[Orbit, Orbit]]:
+    """Every orbit pair a < b between distinct, dominance-comparable shapes.
+
+    Shapes are visited in the given order, lower shape outermost, and the
+    orbits of each in representative order.  Before any orbit space is
+    built, a lower bound on the orbit pairs to compare is checked against
+    POSET_PAIR_CAP.
+    """
+    steps = [(lam, mu) for lam in shapes for mu in shapes if lam != mu and dominance_leq(lam, mu)]
+    bound = sum(_fewest_orbits(group, lam) * _fewest_orbits(group, mu) for lam, mu in steps)
+    if bound > POSET_PAIR_CAP:
+        raise ValueError(
+            f"at least {bound} orbit pairs to compare, above the poset cap of {POSET_PAIR_CAP}; request fewer shapes"
+        )
+    pairs = []
+    for lam, mu in steps:
+        upper = orbit_space(group, mu)
+        pairs.extend((a, b) for a in orbit_space(group, lam) for b in upper if orbit_leq(a, b))
+    return pairs
+
+
 def reaction_pairs(group: PermGroup, lam: Partition, mu: Partition) -> list[tuple[Orbit, Orbit]]:
     """All orbit pairs (a, b) with a < b across two adjacent shapes.
 
     Their number is the count of simple substitution reactions between the
     two empirical formulas.
     """
-    if not _shapes_adjacent(lam, mu):
+    if raising_pair(lam, mu) is None:
         raise ValueError(f"shapes {lam} and {mu} are not adjacent")
-    lower = orbit_space(group, lam)
-    upper = orbit_space(group, mu)
-    return [(a, b) for a in lower for b in upper if orbit_leq(a, b)]
+    return comparable_pairs(group, [lam, mu])
 
 
 def is_character_orbit(orbit: Orbit, chi: LinearCharacter, theta: LinearCharacter) -> bool:

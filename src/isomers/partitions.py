@@ -29,6 +29,7 @@ __all__ = [
     "parse_partition",
     "prefix_gaps",
     "raising_op",
+    "raising_pair",
 ]
 
 
@@ -229,27 +230,30 @@ def adjacent_raising_chain(l: Sequence[int], m: Sequence[int]) -> list[int]:
     return chain
 
 
-def is_cover_composition(l: Sequence[int], m: Sequence[int]) -> bool:
-    """Covering relation in M_d: m is one adjacent raise above l."""
+def raising_pair(l: Sequence[int], m: Sequence[int]) -> tuple[int, int] | None:
+    """(i, j) with i < j when m is l with one unit moved from part j to part i."""
     l, m = _parts(l), _parts(m)
     _check_same_d(l, m)
-    if not (in_M(l) and in_M(m)):
-        return False
     diff = [b - a for a, b in zip(l, m)]
     nz = [k for k, v in enumerate(diff) if v != 0]
-    return len(nz) == 2 and nz[1] == nz[0] + 1 and diff[nz[0]] == 1 and diff[nz[1]] == -1
+    if len(nz) == 2 and diff[nz[0]] == 1 and diff[nz[1]] == -1:
+        return nz[0] + 1, nz[1] + 1
+    return None
+
+
+def is_cover_composition(l: Sequence[int], m: Sequence[int]) -> bool:
+    """Covering relation in M_d: m is one adjacent raise above l."""
+    pair = raising_pair(l, m)
+    return pair is not None and pair[1] == pair[0] + 1 and in_M(l) and in_M(m)
 
 
 def is_cover_partition(lam: Partition, mu: Partition) -> bool:
     """Covering relation in P_d: one box moves up, minimally."""
-    l, m = _parts(lam), _parts(mu)
-    _check_same_d(l, m)
-    diff = [b - a for a, b in zip(l, m)]
-    nz = [k for k, v in enumerate(diff) if v != 0]
-    if len(nz) != 2 or diff[nz[0]] != 1 or diff[nz[1]] != -1:
+    pair = raising_pair(lam, mu)
+    if pair is None:
         return False
-    i, j = nz[0] + 1, nz[1] + 1
-    return j == i + 1 or l[i - 1] == l[j - 1]
+    i, j = pair
+    return j == i + 1 or lam[i - 1] == lam[j - 1]
 
 
 def all_partitions(d: int) -> list[Partition]:

@@ -179,19 +179,10 @@ def parse_cycles(text: str, d: int) -> Permutation:
                 raise ValueError(f"bad cycle entry {inner!r}")
             points = [int(ch) for ch in inner]
         cycles.append(points)
-    perm = Permutation.identity(d)
-    images = list(perm.images)
-    seen: set[int] = set()
-    for cyc in cycles:
-        for p in cyc:
-            if not (1 <= p <= d):
-                raise ValueError(f"point {p} outside [1,{d}] in {text!r}")
-            if p in seen:
-                raise ValueError(f"point {p} repeated in {text!r}")
-            seen.add(p)
-        for a, b in zip(cyc, cyc[1:] + [cyc[0]]):
-            images[a - 1] = b
-    return Permutation(images)
+    try:
+        return Permutation.from_cycles(cycles, d)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {text!r}") from None
 
 
 class PermGroup:

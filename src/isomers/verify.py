@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .catalog import SkeletonSpec
 from .counting import build_report, count_types, monotonicity_check
-from .orbits import Orbit, orbit_cover, orbit_leq, orbit_space
+from .orbits import Orbit, comparable_pairs, orbit_cover, orbit_leq, orbit_space
 from .partitions import Partition, all_partitions, dominance_leq
 from .perms import PermGroup, linear_characters
 
@@ -49,16 +49,16 @@ def verify_monotonicity(group: PermGroup, result: VerifyResult):
         result.check(f"monotone counts for character {k} (order {chi.order})", not violations)
 
 
-def _cover_oracle(lower: list[Orbit], upper: list[Orbit], middles: list[list[Orbit]]) -> set[tuple[int, int]]:
+def _cover_oracle(lower: list[Orbit], upper: list[Orbit], middles: list[list[Orbit]]) -> set[tuple[Orbit, Orbit]]:
     """Definitional covers between two strata: comparable, no strict middle."""
     out = set()
-    for i, a in enumerate(lower):
-        for j, b in enumerate(upper):
+    for a in lower:
+        for b in upper:
             if not orbit_leq(a, b):
                 continue
             blocked = any(orbit_leq(a, c) and orbit_leq(c, b) for stratum in middles for c in stratum)
             if not blocked:
-                out.add((i, j))
+                out.add((a, b))
     return out
 
 
@@ -91,9 +91,7 @@ def verify_covers(group: PermGroup, result: VerifyResult):
                 list(orbit_space(group, nu).orbits) for nu in between if nu not in (lam, mu)
             ]
             oracle = _cover_oracle(lower, upper, middles)
-            claimed = {
-                (i, j) for i, a in enumerate(lower) for j, b in enumerate(upper) if orbit_cover(a, b)
-            }
+            claimed = {(a, b) for a, b in comparable_pairs(group, [lam, mu]) if orbit_cover(a, b)}
             result.check(f"cover oracle {lam} vs {mu}: {len(oracle)} covers", claimed == oracle)
 
 

@@ -138,6 +138,11 @@ class TestPoset:
         assert code == 2 and out == ""
         assert err.startswith("error[usage]: bad shape")
 
+    def test_full_naphthalene_is_capped(self, capsys):
+        code, out, err = run(capsys, "poset", "--builtin", "naphthalene")
+        assert code == 3 and out == ""
+        assert err.startswith("error[cap]:")
+
 
 class TestDiagram:
     def test_dot_output(self, capsys):
@@ -155,6 +160,11 @@ class TestDiagram:
         code, out, _ = run(capsys, "diagram", "--builtin", "ethene", "--format", "dot", "--out", str(target))
         assert code == 0 and out == ""
         assert target.read_text().startswith("digraph")
+
+    def test_full_naphthalene_is_capped(self, capsys):
+        code, out, err = run(capsys, "diagram", "--builtin", "naphthalene")
+        assert code == 3 and out == ""
+        assert err.startswith("error[cap]:")
 
 
 class TestChiral:

@@ -17,6 +17,7 @@ from isomers.dissections import (
 )
 from isomers.orbits import (
     classify_chiral,
+    comparable_pairs,
     is_character_orbit,
     orbit_adjacent,
     orbit_cover,
@@ -38,8 +39,10 @@ from isomers.perms import (
 )
 
 from oracles import (
+    act_raw,
     burnside_count,
     leq_composition,
+    leq_dissection_raw,
     random_permutation,
     random_subgroup,
     raw_orbits,
@@ -396,6 +399,36 @@ class TestMaskComparisonsMatchTranslates:
                     }
                     between = _shapes_between(lam, mu)
                     assert len(between) == len(direct) and set(between) == direct
+
+
+class TestComparablePairs:
+    """comparable_pairs against the definition on raw tabloids and raw dominance."""
+
+    @pytest.mark.parametrize("name", ["ethene", "benzene"])
+    def test_matches_definition(self, name):
+        w = builtin(name).group
+        shapes = all_partitions(w.degree)
+        pairs = comparable_pairs(w, shapes)
+        assert all(a.shape != b.shape for a, b in pairs)
+        assert len(set(pairs)) == len(pairs)
+        expected = set()
+        for lam in shapes:
+            for mu in shapes:
+                if lam == mu or not leq_composition(lam.parts, mu.parts):
+                    continue
+                for a in orbit_space(w, lam):
+                    translates = {act_raw(g.images, a.representative.components) for g in w.elements}
+                    for b in orbit_space(w, mu):
+                        rb = b.representative.components
+                        if any(leq_dissection_raw(t, rb) for t in translates):
+                            expected.add((a, b))
+        assert set(pairs) == expected
+
+    def test_cap_refuses_before_building(self):
+        w = generate([], degree=8)
+        with pytest.raises(ValueError, match="poset cap"):
+            comparable_pairs(w, all_partitions(8))
+        assert not [key for key in w._memo if key[0] == "orbit_space"]
 
 
 class TestOrbitInterval:

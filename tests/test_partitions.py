@@ -19,6 +19,7 @@ from isomers.partitions import (
     parse_partition,
     prefix_gaps,
     raising_op,
+    raising_pair,
 )
 
 from oracles import covers_from_leq, leq_composition, raw_compositions, symmetric_group
@@ -179,6 +180,30 @@ class TestCovers:
         for l in parts:
             for m in parts:
                 assert is_cover_partition(Partition(l), Partition(m)) == ((l, m) in oracle)
+
+
+class TestRaisingPair:
+    """raising_pair against its definition: m is l plus one unit at i, minus one at j > i."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_vs_unit_moves(self, d):
+        univ = raw_compositions(d)
+        for l in univ:
+            moves = {}
+            for i in range(d):
+                for j in range(i + 1, d):
+                    m = list(l)
+                    m[i] += 1
+                    m[j] -= 1
+                    moves[tuple(m)] = (i + 1, j + 1)
+            for m in set(univ) | set(moves):
+                assert raising_pair(l, m) == moves.get(m)
+
+    def test_partitions_and_length_mismatch(self):
+        assert raising_pair(P("3,3", 6), P("4,2", 6)) == (1, 2)
+        assert raising_pair(P("4,2", 6), P("3,3", 6)) is None
+        with pytest.raises(ValueError):
+            raising_pair((2, 1), (3, 0, 0))
 
 
 class TestEnumeration:

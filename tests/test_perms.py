@@ -45,6 +45,10 @@ class TestParseCycles:
         with pytest.raises(ValueError):
             parse_cycles("(12", 6)
 
+    def test_error_names_the_input(self):
+        with pytest.raises(ValueError, match=r"\(17\)"):
+            parse_cycles("(17)", 6)
+
     def test_str_roundtrip(self):
         rng = random.Random(3)
         for _ in range(50):
