@@ -40,7 +40,6 @@ __all__ = [
     "korner_relations",
 ]
 
-DIAGRAM_DEGREE_CAP = 10
 BUILTIN_NAMES = ("benzene", "ethene", "naphthalene")
 
 
@@ -263,8 +262,6 @@ def genetic_diagram(spec: SkeletonSpec, shapes: Sequence[Partition] | None = Non
     Chiral flags come from the extended group when present with index 2;
     structural classes from refining against the structural group.
     """
-    if spec.degree > DIAGRAM_DEGREE_CAP:
-        raise ValueError(f"degree {spec.degree} exceeds the diagram cap of {DIAGRAM_DEGREE_CAP}")
     group = spec.group
     if shapes is None:
         shapes = all_partitions(spec.degree)

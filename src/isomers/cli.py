@@ -13,10 +13,10 @@ import sys
 from pathlib import Path
 
 from .catalog import BUILTIN_NAMES, SkeletonSpec, assign_letters, builtin, emit_dot, genetic_diagram, orbit_name
-from .counting import BRUTE_FORCE_DEGREE_CAP, build_report
-from .orbits import classify_chiral, comparable_pairs, orbit_cover, orbit_space
+from .counting import build_report
+from .orbits import check_tabloid_cap, classify_chiral, comparable_pairs, orbit_cover, orbit_space
 from .partitions import Partition, all_partitions, format_partition, parse_partition
-from .perms import LinearCharacter, PermGroup, generate, linear_characters, parse_cycles, sign_product_character
+from .perms import CapExceeded, LinearCharacter, PermGroup, generate, linear_characters, parse_cycles, sign_product_character
 from .verify import verify_skeleton
 
 EXIT_OK = 0
@@ -26,10 +26,6 @@ EXIT_CAP = 3
 
 
 class UsageError(Exception):
-    pass
-
-
-class CapError(Exception):
     pass
 
 
@@ -55,10 +51,7 @@ def load_group_file(path: str, cap: int) -> PermGroup:
         gens = [parse_cycles(ln, d) for ln in content[1:]]
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
-    try:
-        return generate(gens, degree=d, cap=cap)
-    except ValueError as exc:
-        raise CapError(str(exc)) from None
+    return generate(gens, degree=d, cap=cap)
 
 
 def resolve_skeleton(args, cap: int) -> SkeletonSpec:
@@ -74,12 +67,14 @@ def resolve_skeleton(args, cap: int) -> SkeletonSpec:
 
 def resolve_shapes(args, d: int) -> list[Partition]:
     if getattr(args, "all_shapes", False) or not args.shape:
-        return all_partitions(d)
-    try:
-        lam = parse_partition(args.shape, d)
-    except ValueError as exc:
-        raise UsageError(f"bad shape {args.shape!r}: {exc}") from None
-    return [lam]
+        shapes = all_partitions(d)
+    else:
+        try:
+            shapes = [parse_partition(args.shape, d)]
+        except ValueError as exc:
+            raise UsageError(f"bad shape {args.shape!r}: {exc}") from None
+    check_tabloid_cap(shapes)
+    return shapes
 
 
 def resolve_chi(args, group: PermGroup) -> tuple[LinearCharacter | None, str]:
@@ -89,9 +84,9 @@ def resolve_chi(args, group: PermGroup) -> tuple[LinearCharacter | None, str]:
     if sel.startswith("kernel:"):
         try:
             gens = [parse_cycles(t, group.degree) for t in sel[len("kernel:") :].split(";") if t.strip()]
-            kernel = generate(gens, degree=group.degree)
         except ValueError as exc:
             raise UsageError(f"bad kernel spec: {exc}") from None
+        kernel = generate(gens, degree=group.degree, cap=args.cap)
         matches = [c for c in linear_characters(group) if set(c.kernel_elements()) == set(kernel.elements)]
         if not matches:
             raise UsageError(f"no linear character has kernel {sel[len('kernel:'):]!r}")
@@ -135,8 +130,6 @@ def cmd_count(args) -> int:
     _reject_dot(args)
     spec = resolve_skeleton(args, args.cap)
     group = spec.group
-    if group.degree > BRUTE_FORCE_DEGREE_CAP:
-        raise CapError(f"degree {group.degree} exceeds the counting cap {BRUTE_FORCE_DEGREE_CAP}")
     chi, chi_label = resolve_chi(args, group)
     reports = []
     for lam in resolve_shapes(args, group.degree):
@@ -203,10 +196,7 @@ def cmd_poset(args) -> int:
             shapes = all_partitions(d)
     except ValueError as exc:
         raise UsageError(f"bad shape {args.shape!r}: {exc}") from None
-    try:
-        pairs = comparable_pairs(spec.group, shapes)
-    except ValueError as exc:
-        raise CapError(str(exc)) from None
+    pairs = comparable_pairs(spec.group, shapes)
     names = {}
     for lam in {orbit.shape for pair in pairs for orbit in pair}:
         names.update(_diagram_names(spec, lam, orbit_space(spec.group, lam)))
@@ -221,10 +211,7 @@ def cmd_diagram(args) -> int:
         shapes = None if not args.shape else [parse_partition(t, spec.degree) for t in args.shape.split(":")]
     except ValueError as exc:
         raise UsageError(f"bad shape {args.shape!r}: {exc}") from None
-    try:
-        diagram = genetic_diagram(spec, shapes)
-    except ValueError as exc:
-        raise CapError(str(exc)) from None
+    diagram = genetic_diagram(spec, shapes)
     if args.format == "json":
         _emit(diagram.to_json(), args.out)
     else:
@@ -301,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CapError as exc:
+    except CapExceeded as exc:
         print(f"error[cap]: {exc}", file=sys.stderr)
         return EXIT_CAP
     except ValueError as exc:  # defensive: surface library rejections uniformly

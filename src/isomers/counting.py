@@ -43,9 +43,6 @@ __all__ = [
     "scalar_product",
 ]
 
-BRUTE_FORCE_DEGREE_CAP = 10
-
-
 # -- exact root-of-unity sums -------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -216,7 +213,7 @@ class PowerSumPoly:
 
 def _is_zero(v) -> bool:
     if isinstance(v, RootOfUnitySum):
-        return v.as_fraction() == 0 if v.as_fraction() is not None else False
+        return v.as_fraction() == 0
     return v == 0
 
 
@@ -426,8 +423,6 @@ def count_brute(
     theta: LinearCharacter | None = None,
 ) -> int:
     """Definitional count: enumerate tabloids, form orbits, filter by characters."""
-    if group.degree > BRUTE_FORCE_DEGREE_CAP:
-        raise ValueError(f"degree {group.degree} exceeds the brute-force cap")
     space = orbit_space(group, lam)
     if chi is None and theta is None:
         return len(space)

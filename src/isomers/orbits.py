@@ -22,6 +22,7 @@ from .dissections import (
 )
 from .partitions import Partition, all_partitions, dominance_leq, raising_pair
 from .perms import (
+    CapExceeded,
     LinearCharacter,
     PermGroup,
     Permutation,
@@ -31,9 +32,11 @@ from .perms import (
 
 __all__ = [
     "POSET_PAIR_CAP",
+    "TABLOID_CAP",
     "ChiralReport",
     "Orbit",
     "OrbitSpace",
+    "check_tabloid_cap",
     "classify_chiral",
     "comparable_pairs",
     "is_character_orbit",
@@ -50,6 +53,8 @@ __all__ = [
 
 # comparable_pairs refuses requests with more orbit pairs than this to compare
 POSET_PAIR_CAP = 250_000
+# orbit_space refuses shapes with more tabloids than this
+TABLOID_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -98,6 +103,13 @@ class OrbitSpace:
         raise ValueError(f"{a} is not a tabloid of shape {self.shape}")
 
 
+def check_tabloid_cap(shapes: Sequence[Partition]):
+    """Refuse, before any enumeration, a shape with more than TABLOID_CAP tabloids."""
+    for lam in shapes:
+        if (tabloids := _tabloid_count(lam)) > TABLOID_CAP:
+            raise CapExceeded(f"shape {lam} has {tabloids} tabloids, above the tabloid cap of {TABLOID_CAP}")
+
+
 def orbit_space(group: PermGroup, lam: Partition) -> OrbitSpace:
     """Partition the tabloids of shape lam into group orbits (memoized)."""
     if lam.d != group.degree:
@@ -105,6 +117,7 @@ def orbit_space(group: PermGroup, lam: Partition) -> OrbitSpace:
     cached = group._memo.get(("orbit_space", lam))
     if cached is not None:
         return cached
+    check_tabloid_cap([lam])
     orbits = []
     seen: set[Dissection] = set()
     for a in all_tabloids(lam):
@@ -204,10 +217,14 @@ def orbit_interval(a: Orbit, b: Orbit, spaces: dict[Partition, OrbitSpace] | Non
     return out
 
 
+def _tabloid_count(lam: Partition) -> int:
+    """The multinomial d!/prod(lam_i!): the number of tabloids of shape lam."""
+    return math.factorial(lam.d) // math.prod(math.factorial(k) for k in lam)
+
+
 def _fewest_orbits(group: PermGroup, lam: Partition) -> int:
     """A lower bound on the orbit count of shape lam: no orbit outgrows the group."""
-    tabloids = math.factorial(lam.d) // math.prod(math.factorial(k) for k in lam)
-    return -(-tabloids // group.order)
+    return -(-_tabloid_count(lam) // group.order)
 
 
 def comparable_pairs(group: PermGroup, shapes: Sequence[Partition]) -> list[tuple[Orbit, Orbit]]:
@@ -221,7 +238,7 @@ def comparable_pairs(group: PermGroup, shapes: Sequence[Partition]) -> list[tupl
     steps = [(lam, mu) for lam in shapes for mu in shapes if lam != mu and dominance_leq(lam, mu)]
     bound = sum(_fewest_orbits(group, lam) * _fewest_orbits(group, mu) for lam, mu in steps)
     if bound > POSET_PAIR_CAP:
-        raise ValueError(
+        raise CapExceeded(
             f"at least {bound} orbit pairs to compare, above the poset cap of {POSET_PAIR_CAP}; request fewer shapes"
         )
     pairs = []

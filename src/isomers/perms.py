@@ -8,6 +8,7 @@ exponents of a primitive root of unity, never as floats.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from functools import lru_cache
@@ -16,6 +17,7 @@ from typing import Callable, Iterable, Sequence
 from .partitions import Partition
 
 __all__ = [
+    "CapExceeded",
     "ConjugacyClass",
     "LinearCharacter",
     "PermGroup",
@@ -30,6 +32,10 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 100_000
+
+
+class CapExceeded(ValueError):
+    """A request refused before it builds more than a size cap allows."""
 
 
 class Permutation:
@@ -297,7 +303,7 @@ def generate(generators: Sequence[Permutation], degree: int | None = None, cap: 
                     elements.add(y)
                     nxt.append(y)
                     if len(elements) > cap:
-                        raise ValueError(f"closure exceeds cap of {cap} elements")
+                        raise CapExceeded(f"closure exceeds cap of {cap} elements")
         frontier = nxt
     return PermGroup(degree, gens, sorted(elements))
 
@@ -325,14 +331,15 @@ def elements_of_cycle_type(group: PermGroup, alpha: Partition) -> list[Permutati
 
 @lru_cache(maxsize=None)
 def _young_cached(trimmed: tuple[int, ...], d: int) -> PermGroup:
-    gens = []
-    start = 1
-    for part in trimmed:
-        for a in range(start, start + part - 1):
-            gens.append(Permutation.from_cycles([[a, a + 1]], d))
-        start += part
-    group = generate(gens, degree=d, cap=max(DEFAULT_CAP, math.prod(math.factorial(k) for k in trimmed)))
-    return group
+    if (order := math.prod(math.factorial(k) for k in trimmed)) > DEFAULT_CAP:
+        lam = Partition(trimmed, d)
+        raise CapExceeded(f"Young subgroup of {lam} has {order} elements, above the cap of {DEFAULT_CAP}")
+    gens = [
+        Permutation.from_cycles([[a, a + 1]], d)
+        for block in young_blocks(Partition(trimmed, d))
+        for a in block[:-1]
+    ]
+    return generate(gens, degree=d)
 
 
 def young_subgroup(lam: Partition, d: int | None = None) -> PermGroup:
@@ -423,66 +430,50 @@ def unit_character(group: PermGroup) -> LinearCharacter:
     return LinearCharacter(group, 1, fn=lambda p: 0)
 
 
-def _word_table(group: PermGroup) -> dict[Permutation, tuple[int, ...]]:
-    """Express each element as a product of generators (BFS word)."""
-    words = {group.identity: ()}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, g in enumerate(group.generators):
-                y = x * g
-                if y not in words:
-                    words[y] = words[x] + (gi,)
-                    nxt.append(y)
-        frontier = nxt
-    if len(words) != group.order:
-        raise ValueError("stored generators do not generate the group")
-    return words
-
-
 def linear_characters(group: PermGroup) -> list[LinearCharacter]:
-    """All homomorphisms into roots of unity, by exhaustive search.
+    """All homomorphisms into roots of unity, found on the Cayley graph.
 
     Candidate exponents are assigned to the generators (each consistent
-    with its element order) and checked for multiplicativity against the
-    whole multiplication table.  The unit character is always first.
+    with its element order) and spread from the identity along the edges
+    x -> x*g_i as e(x*g_i) = e(x) + e_i; an assignment is a character
+    exactly when no edge disagrees.  The unit character is always first.
     """
     if not group.generators:
         return [unit_character(group)]
-    words = _word_table(group)
+    elements = [group.identity]
+    index = {group.identity: 0}
+    edges = []
+    for a, x in enumerate(elements):  # breadth-first: the list grows while it is walked
+        for i, g in enumerate(group.generators):
+            y = x * g
+            b = index.get(y)
+            if b is None:
+                b = index[y] = len(elements)
+                elements.append(y)
+            edges.append((a, i, b))
+    if len(elements) != group.order:
+        raise ValueError("stored generators do not generate the group")
     n = math.lcm(*(g.order() for g in group.elements))
     gen_choices = []
     for g in group.generators:
         step = n // math.gcd(n, g.order())
         gen_choices.append(range(0, n, step))
 
+    # a character is fixed by its generator values, so no two assignments give the same one
     found: list[LinearCharacter] = []
-    seen_keys: set[tuple] = set()
-
-    def assignments(idx: int, acc: list[int]):
-        if idx == len(gen_choices):
-            yield tuple(acc)
-            return
-        for e in gen_choices[idx]:
-            acc.append(e)
-            yield from assignments(idx + 1, acc)
-            acc.pop()
-
-    elements = group.elements
-    for assign in assignments(0, []):
-        table = {el: sum(assign[gi] for gi in w) % n for el, w in words.items()}
-        if any(table[a * b] != (table[a] + table[b]) % n for a in elements for b in elements):
-            continue
-        g = math.gcd(n, *table.values())
-        order = n // g
-        reduced = {el: e // g for el, e in table.items()}
-        char = LinearCharacter(group, max(order, 1), table=reduced)
-        k = char.key()
-        if k not in seen_keys:
-            seen_keys.add(k)
-            found.append(char)
-    found.sort(key=lambda c: tuple(c.exponent(g) * (n // c.order) for g in elements))
+    for assign in itertools.product(*gen_choices):
+        exps = [0] + [None] * (len(elements) - 1)
+        for a, i, b in edges:
+            e = (exps[a] + assign[i]) % n
+            if exps[b] is None:
+                exps[b] = e
+            elif exps[b] != e:
+                break
+        else:
+            common = math.gcd(n, *exps)
+            table = {el: e // common for el, e in zip(elements, exps)}
+            found.append(LinearCharacter(group, n // common, table=table))
+    found.sort(key=lambda c: tuple(c.exponent(g) * (n // c.order) for g in group.elements))
     return found
 
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .catalog import SkeletonSpec
+from .catalog import SkeletonSpec, genetic_diagram, kauffmann_count, korner_relations
 from .counting import build_report, count_types, monotonicity_check
-from .orbits import Orbit, comparable_pairs, orbit_cover, orbit_leq, orbit_space
+from .orbits import Orbit, check_tabloid_cap, comparable_pairs, orbit_cover, orbit_leq, orbit_space
 from .partitions import Partition, all_partitions, dominance_leq
 from .perms import PermGroup, linear_characters
 
@@ -138,23 +138,15 @@ ETHENE_MERGES = {
 def verify_references(spec: SkeletonSpec, result: VerifyResult):
     """Pinned reference facts for the shipped skeletons."""
     if spec.name == "benzene":
-        from .catalog import korner_relations
-
         result.check("the six genetic relations, exactly", korner_relations() == KORNER_SET)
         sizes42 = sorted(o.size for o in orbit_space(spec.group, Partition((4, 2), 6)))
         sizes33 = sorted(o.size for o in orbit_space(spec.group, Partition((3, 3), 6)))
         result.check("di-substitution orbit sizes 3,6,6", sizes42 == [3, 6, 6])
         result.check("tri-substitution orbit sizes 2,6,12", sizes33 == [2, 6, 12])
     elif spec.name == "naphthalene":
-        from .catalog import kauffmann_count
-        from .counting import count_types
-
         ok = all(kauffmann_count(lam) == count_types(spec.group, lam) for lam in all_partitions(8))
         result.check("closed-form counts match on all 22 shapes", ok)
     elif spec.name == "ethene":
-        from .catalog import genetic_diagram
-        from .counting import count_types
-
         counts = [count_types(spec.group, lam) for lam in all_partitions(4)]
         result.check("substitution counts 1,1,3,3,6", counts == [1, 1, 3, 3, 6])
         structural = [count_types(spec.structural, lam) for lam in all_partitions(4)]
@@ -167,6 +159,7 @@ def verify_references(spec: SkeletonSpec, result: VerifyResult):
 
 def verify_skeleton(spec: SkeletonSpec, covers: bool = True) -> VerifyResult:
     """The full suite for one skeleton's substitution group."""
+    check_tabloid_cap(all_partitions(spec.degree))
     result = VerifyResult()
     verify_counts(spec.group, result)
     verify_monotonicity(spec.group, result)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -94,6 +95,63 @@ class TestGroupFile:
         code, _, err = run(capsys, "count", "--group-file", str(path), "--shape", "7", "--cap", "100")
         assert code == 3 and err.startswith("error[cap]:")
 
+    def test_orbits_above_tabloid_cap(self, capsys, tmp_path):
+        path = tmp_path / "c12.grp"
+        path.write_text("degree 12\n(1 2 3 4 5 6 7 8 9 10 11 12)\n")
+        code, out, err = run(capsys, "orbits", "--group-file", str(path), "--shape", "1^12")
+        assert code == 3 and out == ""
+        assert err.startswith("error[cap]:")
+
+    def test_count_above_tabloid_cap(self, capsys, tmp_path):
+        path = tmp_path / "c10.grp"
+        path.write_text("degree 10\n(1 2 3 4 5 6 7 8 9 10)\n")
+        code, out, err = run(capsys, "count", "--group-file", str(path), "--shape", "1^10")
+        assert code == 3 and out == ""
+        assert err.startswith("error[cap]:")
+
+    def test_count_one_tabloid_at_degree_twelve(self, capsys, tmp_path):
+        path = tmp_path / "c12.grp"
+        path.write_text("degree 12\n(1 2 3 4 5 6 7 8 9 10 11 12)\n")
+        code, out, _ = run(capsys, "count", "--group-file", str(path), "--shape", "12")
+        assert code == 0 and "n=1" in out
+
+    @pytest.mark.parametrize("extra", [("--chi", "0"), ("--theta", "1")])
+    def test_count_one_tabloid_with_character_above_young_cap(self, capsys, tmp_path, extra):
+        path = tmp_path / "c12.grp"
+        path.write_text("degree 12\n(1 2 3 4 5 6 7 8 9 10 11 12)\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "--group-file", str(path), "--shape", "12", *extra)
+        assert time.perf_counter() - start < 5.0
+        assert code == 3 and out == ""
+        assert err.startswith("error[cap]: Young subgroup")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--shape", "2,1^7"),
+            ("count", "--shape", "1^9"),
+            ("count", "--all-shapes"),
+            ("orbits",),
+            ("verify",),
+        ],
+    )
+    def test_degree_nine_refused_before_any_shape(self, capsys, tmp_path, argv):
+        path = tmp_path / "c9.grp"
+        path.write_text("degree 9\n(123456789)\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv[0], "--group-file", str(path), *argv[1:])
+        assert time.perf_counter() - start < 5.0
+        assert code == 3 and out == ""
+        assert err.startswith("error[cap]: shape ") and "tabloid cap" in err
+
+    def test_kernel_closure_obeys_cap(self, capsys, tmp_path):
+        path = tmp_path / "c4.grp"
+        path.write_text("degree 4\n(1234)\n")
+        kernel = "kernel:(12);(1234)"
+        code, out, err = run(capsys, "count", "--group-file", str(path), "--shape", "2,2", "--chi", kernel, "--cap", "10")
+        assert code == 3 and out == ""
+        assert err.startswith("error[cap]: closure exceeds cap of 10")
+
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.grp"
         path.write_text("(123)\n")
@@ -181,6 +239,13 @@ class TestChiral:
 class TestVerify:
     def test_ethene(self, capsys):
         code, out, _ = run(capsys, "verify", "--builtin", "ethene")
+        assert code == 0
+        assert "FAIL" not in out and "ok " in out
+
+    def test_symmetric_six_group_file(self, capsys, tmp_path):
+        path = tmp_path / "s6.grp"
+        path.write_text("degree 6\n(123456)\n(12)\n")
+        code, out, _ = run(capsys, "verify", "--group-file", str(path))
         assert code == 0
         assert "FAIL" not in out and "ok " in out
 

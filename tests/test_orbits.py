@@ -16,6 +16,7 @@ from isomers.dissections import (
     standard_tabloid,
 )
 from isomers.orbits import (
+    TABLOID_CAP,
     classify_chiral,
     comparable_pairs,
     is_character_orbit,
@@ -31,6 +32,7 @@ from isomers.orbits import (
 )
 from isomers.partitions import Partition, all_partitions, dominance_leq, parse_partition
 from isomers.perms import (
+    CapExceeded,
     generate,
     linear_characters,
     parse_cycles,
@@ -125,6 +127,14 @@ class TestOrbitSpace:
             got = {frozenset(m.components for m in o.members) for o in orbit_space(w, lam)}
             raw = {frozenset(t) for t in raw_orbits(w, raw_tabloids_of_shape(lam.trimmed()))}
             assert got == raw
+
+    def test_tabloid_cap_refuses_before_building(self):
+        w = generate([], degree=9)
+        assert math.factorial(9) > TABLOID_CAP >= math.factorial(8)
+        with pytest.raises(CapExceeded, match="tabloid cap"):
+            orbit_space(w, parse_partition("1^9", 9))
+        assert not [key for key in w._memo if key[0] == "orbit_space"]
+        assert len(orbit_space(w, parse_partition("5,1^4", 9))) == math.factorial(9) // math.factorial(5)
 
 
 class TestStabilizer:

@@ -1,10 +1,13 @@
 import math
 import random
+import time
 
 import pytest
 
 from isomers.partitions import Partition, all_partitions, parse_partition
 from isomers.perms import (
+    CapExceeded,
+    PermGroup,
     Permutation,
     commutator_subgroup,
     conjugacy_classes,
@@ -188,6 +191,13 @@ class TestYoungSubgroup:
     def test_single_block_is_full(self):
         assert young_subgroup(parse_partition("5", 5)).order == 120
 
+    def test_cap_refuses_before_closure(self):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="Young subgroup of 12 has 479001600 elements"):
+            young_subgroup(parse_partition("12", 12))
+        assert time.perf_counter() - start < 1.0
+        assert young_subgroup(parse_partition("8,1", 9)).order == math.factorial(8)
+
     @pytest.mark.parametrize("text,d", [("3,2", 5), ("2,2,1", 5), ("4,2", 6)])
     def test_order_formula(self, text, d):
         lam = parse_partition(text, d)
@@ -236,7 +246,24 @@ class TestLinearCharacters:
             if w.order > 100:
                 continue
             derived = commutator_subgroup(w)
-            assert len(linear_characters(w)) == w.order // derived.order
+            chars = linear_characters(w)
+            assert len(chars) == w.order // derived.order
+            assert len({c.key() for c in chars}) == len(chars)
+
+    def test_symmetric_seven_is_unit_and_sign(self):
+        s7 = generate([parse_cycles("(1234567)", 7), parse_cycles("(12)", 7)])
+        start = time.perf_counter()
+        chars = linear_characters(s7)
+        assert time.perf_counter() - start < 5.0
+        assert [c.order for c in chars] == [1, 2]
+        assert all(chars[0].exponent(g) == 0 for g in s7.elements)
+        assert all(chars[1].exponent(g) == (0 if g.sign() == 1 else 1) for g in s7.elements)
+
+    def test_generators_must_generate_the_group(self):
+        s3 = generate([parse_cycles("(123)", 3), parse_cycles("(12)", 3)])
+        group = PermGroup(3, [parse_cycles("(123)", 3)], s3.elements)
+        with pytest.raises(ValueError, match="do not generate"):
+            linear_characters(group)
 
     def test_cyclic_group_has_complex_characters(self):
         c3 = generate([parse_cycles("(123)", 3)])
