@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .partitions import (
     Partition,
@@ -44,6 +44,7 @@ __all__ = [
     "shape_feasible",
     "standard_tabloid",
     "substitution_chain",
+    "tabloid_words",
 ]
 
 
@@ -63,6 +64,13 @@ class Dissection:
         if sorted(flat) != list(range(1, d + 1)):
             raise ValueError(f"components do not dissect [1,{d}]: {comps}")
         object.__setattr__(self, "components", tuple(comps))
+
+    @classmethod
+    def _trusted(cls, components: tuple[tuple[int, ...], ...]) -> "Dissection":
+        """Wrap components this package built as sorted tuples dissecting [1,d], unchecked."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "components", components)
+        return a
 
     def __setattr__(self, *a):
         raise AttributeError("Dissection is immutable")
@@ -90,8 +98,13 @@ class Dissection:
                 return k
         raise ValueError(f"point {s} outside [1,{self.degree}]")
 
-    def index_map(self) -> dict[int, int]:
-        return {s: k for k, comp in enumerate(self.components, start=1) for s in comp}
+    def row_word(self) -> tuple[int, ...]:
+        """The tuple w with w[x-1] the (1-based) component holding point x."""
+        word = [0] * self.degree
+        for k, comp in enumerate(self.components, start=1):
+            for x in comp:
+                word[x - 1] = k
+        return tuple(word)
 
     def prefix_union(self, i: int) -> frozenset[int]:
         out: set[int] = set()
@@ -164,30 +177,36 @@ def all_dissections(d: int) -> list[Dissection]:
     return sorted(out)
 
 
+def tabloid_words(lam: Partition) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """Each tabloid of shape lam as (row-word, components), in canonical order.
+
+    Components are chosen first to last as combinations of the points still
+    free, so the component tuples come out in lexicographic order.
+    """
+    sizes = lam.trimmed()
+    last = len(sizes) - 1
+    tail = ((),) * (lam.d - len(sizes))
+    word = [0] * lam.d
+
+    def rec(k: int, remaining: tuple[int, ...], comps: tuple[tuple[int, ...], ...]):
+        if k == last:  # the last part takes every point left
+            for x in remaining:
+                word[x - 1] = k + 1
+            yield tuple(word), comps + (remaining,) + tail
+            return
+        for chosen in combinations(remaining, sizes[k]):
+            for x in chosen:
+                word[x - 1] = k + 1
+            yield from rec(k + 1, tuple(x for x in remaining if x not in chosen), comps + (chosen,))
+
+    if last < 0:  # the empty shape of degree 0
+        return iter([((), ())])
+    return rec(0, tuple(range(1, lam.d + 1)), ())
+
+
 def all_tabloids(lam: Partition) -> list[Dissection]:
     """All tabloids of shape lam, in canonical (lexicographic) order."""
-    d = lam.d
-    sizes = lam.parts
-    out = []
-
-    def rec(k: int, remaining: tuple[int, ...], comps: list[tuple[int, ...]]):
-        if k == d:
-            out.append(Dissection(comps))
-            return
-        size = sizes[k]
-        if size == 0:
-            comps.append(())
-            rec(k + 1, remaining, comps)
-            comps.pop()
-            return
-        for chosen in combinations(remaining, size):
-            rest = tuple(x for x in remaining if x not in chosen)
-            comps.append(chosen)
-            rec(k + 1, rest, comps)
-            comps.pop()
-
-    rec(0, tuple(range(1, d + 1)), [])
-    return sorted(out)
+    return [Dissection._trusted(comps) for _, comps in tabloid_words(lam)]
 
 
 def standard_tabloid(lam: Partition) -> Dissection:
@@ -265,23 +284,22 @@ def shape_assignment(a: Dissection, b: Dissection, n: Sequence[int]) -> Dissecti
         raise ValueError(f"{n} is not a non-negative composition of {d}")
     if not leq_dissection(a, b):
         return None
-    alpha = a.index_map()
-    beta = b.index_map()
+    alpha = a.row_word()
     arrivals: list[list[int]] = [[] for _ in range(d + 1)]
-    for x in range(1, d + 1):
-        arrivals[beta[x]].append(x)
+    for x, beta in enumerate(b.row_word(), start=1):
+        arrivals[beta].append(x)
     pool: list[int] = []
     comps: list[tuple[int, ...]] = []
     for v in range(1, d + 1):
         pool.extend(arrivals[v])
-        pool.sort(key=lambda x: (alpha[x], x))
+        pool.sort(key=lambda x: (alpha[x - 1], x))
         if len(pool) < n[v - 1]:
             return None
         chosen, pool = pool[: n[v - 1]], pool[n[v - 1] :]
-        if any(alpha[x] < v for x in chosen) or any(alpha[x] <= v for x in pool):
+        if any(alpha[x - 1] < v for x in chosen) or any(alpha[x - 1] <= v for x in pool):
             return None  # an element passed its deadline
         comps.append(tuple(sorted(chosen)))
-    return Dissection(comps)
+    return Dissection._trusted(tuple(comps))
 
 
 def shape_feasible(a: Dissection, b: Dissection, n: Sequence[int]) -> bool:

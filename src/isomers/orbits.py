@@ -15,10 +15,10 @@ from typing import Sequence
 
 from .dissections import (
     Dissection,
-    all_tabloids,
     is_cover_tabloid,
     prefix_mask,
     standard_tabloid,
+    tabloid_words,
 )
 from .partitions import Partition, all_partitions, dominance_leq, raising_pair
 from .perms import (
@@ -96,11 +96,16 @@ class OrbitSpace:
     def __iter__(self):
         return iter(self.orbits)
 
+    @cached_property
+    def positions(self) -> dict[Dissection, int]:
+        """The position in ``orbits`` of the orbit holding each tabloid; built on first lookup."""
+        return {m: k for k, orbit in enumerate(self.orbits) for m in orbit.members}
+
     def orbit_of(self, a: Dissection) -> Orbit:
-        for orbit in self.orbits:
-            if a in orbit:
-                return orbit
-        raise ValueError(f"{a} is not a tabloid of shape {self.shape}")
+        k = self.positions.get(a)
+        if k is None:
+            raise ValueError(f"{a} is not a tabloid of shape {self.shape}")
+        return self.orbits[k]
 
 
 def check_tabloid_cap(shapes: Sequence[Partition]):
@@ -110,23 +115,42 @@ def check_tabloid_cap(shapes: Sequence[Partition]):
             raise CapExceeded(f"shape {lam} has {tabloids} tabloids, above the tabloid cap of {TABLOID_CAP}")
 
 
+def _images(group: PermGroup) -> tuple[tuple[int, ...], ...]:
+    """The 0-based image tuples of group.elements, in element order (memoized per group)."""
+    images = group._memo.get("images")
+    if images is None:
+        images = group._memo["images"] = tuple(tuple(x - 1 for x in g.images) for g in group.elements)
+    return images
+
+
 def orbit_space(group: PermGroup, lam: Partition) -> OrbitSpace:
-    """Partition the tabloids of shape lam into group orbits (memoized)."""
+    """Partition the tabloids of shape lam into group orbits (memoized).
+
+    Tabloids are row-words on this path, numbered in canonical order.  A
+    group element g sends the word w to the word w∘g; as g runs over the
+    group this gives the orbit of w under the action on components.  The
+    first tabloid not yet placed is the least of its orbit, so orbits come
+    out in representative order with sorted members.
+    """
     if lam.d != group.degree:
         raise ValueError("shape degree differs from group degree")
     cached = group._memo.get(("orbit_space", lam))
     if cached is not None:
         return cached
     check_tabloid_cap([lam])
+    words, comps = zip(*tabloid_words(lam))
+    index = {w: k for k, w in enumerate(words)}
+    images = _images(group)
+    placed = bytearray(len(words))
     orbits = []
-    seen: set[Dissection] = set()
-    for a in all_tabloids(lam):
-        if a in seen:
+    for k, w in enumerate(words):
+        if placed[k]:
             continue
-        members = sorted({a.acted_by(g) for g in group.elements})
-        seen.update(members)
-        orbits.append(Orbit(group, lam, members[0], tuple(members)))
-    orbits.sort(key=lambda o: o.representative.components)
+        at = sorted({index[tuple(map(w.__getitem__, p))] for p in images})
+        for j in at:
+            placed[j] = 1
+        members = tuple(Dissection._trusted(comps[j]) for j in at)
+        orbits.append(Orbit(group, lam, members[0], members))
     space = OrbitSpace(group, lam, tuple(orbits))
     group._memo[("orbit_space", lam)] = space
     return space
@@ -137,7 +161,10 @@ def stabilizer(group: PermGroup, a: Dissection) -> PermGroup:
     cached = group._memo.get(("stabilizer", a))
     if cached is not None:
         return cached
-    fixed = [g for g in group.elements if a.acted_by(g) == a]
+    if a.degree != group.degree:
+        raise ValueError("degree mismatch")
+    w = a.row_word()
+    fixed = [g for g, p in zip(group.elements, _images(group)) if tuple(map(w.__getitem__, p)) == w]
     sub = PermGroup(group.degree, tuple(fixed), tuple(fixed))
     group._memo[("stabilizer", a)] = sub
     return sub
@@ -289,7 +316,7 @@ def refine(coarse: OrbitSpace, fine: OrbitSpace) -> dict[Orbit, tuple[Orbit, ...
         raise ValueError("fine group is not a subgroup of the coarse group")
     if fine.shape != coarse.shape:
         raise ValueError("orbit spaces have different shapes")
-    holder_of = {m: k for k, c in enumerate(coarse.orbits) for m in c.members}
+    holder_of = coarse.positions
     buckets: list[list[Orbit]] = [[] for _ in coarse.orbits]
     for f in fine.orbits:
         buckets[holder_of[f.representative]].append(f)

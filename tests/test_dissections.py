@@ -21,6 +21,7 @@ from isomers.dissections import (
     raising_moves,
     standard_tabloid,
     substitution_chain,
+    tabloid_words,
 )
 from isomers.partitions import Partition, all_partitions, dominance_leq, parse_partition
 from isomers.perms import parse_cycles
@@ -32,6 +33,7 @@ from oracles import (
     leq_composition,
     leq_dissection_raw,
     random_permutation,
+    raw_tabloids_of_shape,
 )
 
 
@@ -273,6 +275,7 @@ class TestLiftShape:
             }
             if n in realizable:
                 x = lift_shape(a, b, n)
+                assert Dissection(x.components) == x  # built unchecked, so validate it here
                 assert x.shape() == tuple(n)
                 assert leq_dissection(a, x) and leq_dissection(x, b)
             else:
@@ -530,8 +533,20 @@ class TestAllTabloids:
                 assert len(all_tabloids(lam)) == expected
 
     def test_canonical_order(self):
-        tabs = all_tabloids(parse_partition("2,2", 4))
-        assert tabs == sorted(tabs)
+        # the enumerator emits canonical order without a final sort, and its
+        # unchecked components are the ones the validating constructor stores
+        for d in range(1, 8):
+            for lam in all_partitions(d):
+                tabs = all_tabloids(lam)
+                assert tabs == sorted(tabs)
+                assert [t.components for t in tabs] == raw_tabloids_of_shape(lam.trimmed())
+                assert all(Dissection(t.components).components == t.components for t in tabs)
+
+    def test_row_words(self):
+        for lam in all_partitions(5):
+            for (word, comps), t in zip(tabloid_words(lam), all_tabloids(lam), strict=True):
+                assert comps == t.components
+                assert word == t.row_word() == tuple(t.component_of(x) for x in range(1, 6))
 
 
 class TestTextFormat:

@@ -137,6 +137,54 @@ class TestOrbitSpace:
         assert len(orbit_space(w, parse_partition("5,1^4", 9))) == math.factorial(9) // math.factorial(5)
 
 
+def _definitional_cases():
+    """(group, shape) pairs for the definitional orbit and stabilizer checks."""
+    cases = []
+    for name in ("ethene", "benzene"):
+        w = builtin(name).group
+        cases += [(w, lam) for lam in all_partitions(w.degree)]
+    w = builtin("naphthalene").group
+    for lam in all_partitions(8):
+        if math.factorial(8) // math.prod(map(math.factorial, lam)) <= 2520:
+            cases.append((w, lam))
+    rng = random.Random(35)
+    for _ in range(12):
+        w = random_subgroup(rng, rng.randint(2, 6))
+        cases.append((w, rng.choice(all_partitions(w.degree))))
+    return cases
+
+
+class TestDefinitionalOrbits:
+    """orbit_space and stabilizer against the definitional action on raw tabloids."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return _definitional_cases()
+
+    def test_orbits_match_raw_orbits(self, cases):
+        for w, lam in cases:
+            raw = raw_orbits(w, raw_tabloids_of_shape(lam.trimmed()))
+            got = [tuple(m.components for m in o.members) for o in orbit_space(w, lam)]
+            # same member sets, members sorted, orbits in representative order
+            assert got == [tuple(sorted(o)) for o in raw], (w, lam)
+
+    def test_stabilizers_match_fixed_elements(self, cases):
+        for w, lam in cases:
+            for o in orbit_space(w, lam):
+                for a in (o.representative, o.members[-1]):
+                    fixed = {g for g in w.elements if act_raw(g.images, a.components) == a.components}
+                    assert set(stabilizer(w, a).elements) == fixed, (w, a)
+
+    def test_orbit_of_reads_every_member(self, cases):
+        for w, lam in cases:
+            space = orbit_space(w, lam)
+            for o in space:
+                assert all(space.orbit_of(m) is o for m in o.members)
+        other = next(mu for mu in all_partitions(w.degree) if mu != lam)
+        with pytest.raises(ValueError, match="not a tabloid of shape"):
+            space.orbit_of(standard_tabloid(other))
+
+
 class TestStabilizer:
     def test_paired_blocks(self):
         g = klein_group()
