@@ -1,8 +1,10 @@
 """Command-line front end: counts, orbit listings, posets, diagrams, checks.
 
 Deterministic by construction: identical invocations produce byte-identical
-output.  Errors go to stderr with an ``error[<code>]:`` prefix; exit codes
-are 0 (ok), 1 (verification failure), 2 (usage), 3 (resource cap).
+output.  Each subcommand takes only the flags it reads.  Errors go to stderr
+with an ``error[<code>]:`` prefix; exit codes are 0 (ok), 1 (verification
+failure), 2 (usage), 3 (resource cap) and 4 (internal error: a bug, never
+bad input).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
@@ -38,7 +41,7 @@ def load_group_file(path: str, cap: int) -> PermGroup:
     """Group-spec text: ``degree <d>`` then one generator per line; # comments."""
     try:
         lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read group file {path}: {exc}") from None
     content = [ln.strip() for ln in lines if ln.strip() and not ln.strip().startswith("#")]
     if not content or not content[0].lower().startswith("degree"):
@@ -47,6 +50,8 @@ def load_group_file(path: str, cap: int) -> PermGroup:
         d = int(content[0].split()[1])
     except (IndexError, ValueError):
         raise UsageError(f"{path}: malformed degree line {content[0]!r}") from None
+    if d < 1:
+        raise UsageError(f"{path}: degree must be positive, got {d}")
     try:
         gens = [parse_cycles(ln, d) for ln in content[1:]]
     except ValueError as exc:
@@ -60,19 +65,27 @@ def resolve_skeleton(args, cap: int) -> SkeletonSpec:
     if args.builtin:
         if args.builtin not in BUILTIN_NAMES:
             raise UsageError(f"unknown builtin {args.builtin!r}; choose from {', '.join(BUILTIN_NAMES)}")
-        return builtin(args.builtin)
+        spec = builtin(args.builtin)
+        if spec.group.order > cap:
+            raise CapExceeded(f"builtin {spec.name} has a group of order {spec.group.order}, above the cap of {cap}")
+        return spec
     group = load_group_file(args.group_file, cap)
     return SkeletonSpec(name=Path(args.group_file).stem, degree=group.degree, group=group)
 
 
-def resolve_shapes(args, d: int) -> list[Partition]:
-    if getattr(args, "all_shapes", False) or not args.shape:
-        shapes = all_partitions(d)
-    else:
-        try:
-            shapes = [parse_partition(args.shape, d)]
-        except ValueError as exc:
-            raise UsageError(f"bad shape {args.shape!r}: {exc}") from None
+def resolve_shapes(text: str | None, d: int) -> list[Partition]:
+    """The shapes of ``--shape SHAPE[:SHAPE...]`` in the order given, or every shape of degree d.
+
+    The tabloid cap is checked before any shape is used; for every shape it
+    suffices to check the finest, 1^d, which has the most tabloids.
+    """
+    if text is None:
+        check_tabloid_cap([Partition((1,) * d, d)])
+        return all_partitions(d)
+    try:
+        shapes = list(dict.fromkeys(parse_partition(t, d) for t in text.split(":")))
+    except ValueError as exc:
+        raise UsageError(f"bad shape {text!r}: {exc}") from None
     check_tabloid_cap(shapes)
     return shapes
 
@@ -115,24 +128,21 @@ def resolve_theta(args, lam: Partition) -> tuple[LinearCharacter | None, str]:
 
 
 def _emit(text: str, out: str | None):
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
-
-
-def _reject_dot(args):
-    if args.format == "dot":
-        raise UsageError("dot output is only available for the diagram command")
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from None
 
 
 def cmd_count(args) -> int:
-    _reject_dot(args)
     spec = resolve_skeleton(args, args.cap)
     group = spec.group
     chi, chi_label = resolve_chi(args, group)
     reports = []
-    for lam in resolve_shapes(args, group.degree):
+    for lam in resolve_shapes(args.shape, group.degree):
         theta, theta_label = resolve_theta(args, lam)
         reports.append(build_report(group, lam, chi, theta, chi_label, theta_label))
     if args.format == "json":
@@ -150,28 +160,26 @@ def cmd_count(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    _reject_dot(args)
     spec = resolve_skeleton(args, args.cap)
-    lines = []
-    payload = []
-    for lam in resolve_shapes(args, spec.degree):
+    named = []
+    for lam in resolve_shapes(args.shape, spec.degree):
         space = orbit_space(spec.group, lam)
         names = _diagram_names(spec, lam, space)
-        for orbit in space:
-            nm = names[orbit]
-            lines.append(f"{nm:>14}  size={orbit.size:<4} rep={orbit.representative}")
-            payload.append(
-                {
-                    "name": nm,
-                    "shape": str(lam),
-                    "size": orbit.size,
-                    "representative": str(orbit.representative),
-                    "members": [str(m) for m in orbit.members],
-                }
-            )
+        named.extend((names[orbit], orbit) for orbit in space)
     if args.format == "json":
+        payload = [
+            {
+                "name": nm,
+                "shape": str(orbit.shape),
+                "size": orbit.size,
+                "representative": str(orbit.representative),
+                "members": [str(m) for m in orbit.members],
+            }
+            for nm, orbit in named
+        ]
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
+        lines = [f"{nm:>14}  size={orbit.size:<4} rep={orbit.representative}" for nm, orbit in named]
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -183,20 +191,8 @@ def _diagram_names(spec: SkeletonSpec, lam: Partition, space) -> dict:
 
 
 def cmd_poset(args) -> int:
-    _reject_dot(args)
     spec = resolve_skeleton(args, args.cap)
-    d = spec.degree
-    try:
-        if args.shape and ":" in args.shape:
-            lo_text, hi_text = args.shape.split(":", 1)
-            shapes = [parse_partition(lo_text, d), parse_partition(hi_text, d)]
-        elif args.shape:
-            shapes = [parse_partition(args.shape, d)]
-        else:
-            shapes = all_partitions(d)
-    except ValueError as exc:
-        raise UsageError(f"bad shape {args.shape!r}: {exc}") from None
-    pairs = comparable_pairs(spec.group, shapes)
+    pairs = comparable_pairs(spec.group, resolve_shapes(args.shape, spec.degree))
     names = {}
     for lam in {orbit.shape for pair in pairs for orbit in pair}:
         names.update(_diagram_names(spec, lam, orbit_space(spec.group, lam)))
@@ -207,26 +203,18 @@ def cmd_poset(args) -> int:
 
 def cmd_diagram(args) -> int:
     spec = resolve_skeleton(args, args.cap)
-    try:
-        shapes = None if not args.shape else [parse_partition(t, spec.degree) for t in args.shape.split(":")]
-    except ValueError as exc:
-        raise UsageError(f"bad shape {args.shape!r}: {exc}") from None
-    diagram = genetic_diagram(spec, shapes)
-    if args.format == "json":
-        _emit(diagram.to_json(), args.out)
-    else:
-        _emit(emit_dot(diagram), args.out)
+    diagram = genetic_diagram(spec, resolve_shapes(args.shape, spec.degree))
+    _emit(diagram.to_json() if args.format == "json" else emit_dot(diagram), args.out)
     return EXIT_OK
 
 
 def cmd_chiral(args) -> int:
-    _reject_dot(args)
     spec = resolve_skeleton(args, args.cap)
     if spec.extended is None:
         raise UsageError(f"skeleton {spec.name!r} has no stereoisomerism group")
     lines = []
     payload = []
-    for lam in resolve_shapes(args, spec.degree):
+    for lam in resolve_shapes(args.shape, spec.degree):
         report = classify_chiral(spec.group, spec.extended, lam)
         for entry in report.entries:
             kind = "pair" if entry.is_pair else "single"
@@ -248,36 +236,46 @@ def cmd_chiral(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _reject_dot(args)
     spec = resolve_skeleton(args, args.cap)
     result = verify_skeleton(spec)
     _emit("\n".join(result.lines) + "\n", args.out)
     return EXIT_OK if result.ok else EXIT_VERIFY
 
 
+SHAPE_HELP = "SHAPE[:SHAPE...], each a partition such as 4,2 or 2^2,1^2 (default: every shape of the degree)"
+
+
 def build_parser() -> _Parser:
+    """Each subcommand gets only the flags its command reads; any other flag is a usage error."""
+    source = _Parser(add_help=False)
+    source.add_argument("--builtin", help=f"builtin skeleton: {', '.join(BUILTIN_NAMES)}")
+    source.add_argument("--group-file", help="path to a group-spec text file")
+    source.add_argument("--cap", type=int, default=100_000, help="largest group order allowed (closure, builtins)")
+    source.add_argument("--out", help="write output to this path instead of stdout")
+    shape = _Parser(add_help=False)
+    shape.add_argument("--shape", help=SHAPE_HELP)
+
     parser = _Parser(prog="isomers", description="substitution-isomer enumeration from skeleton symmetry groups")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, extra in [
-        ("count", cmd_count, "count orbits per shape along every route"),
-        ("orbits", cmd_orbits, "list orbit representatives and sizes"),
-        ("poset", cmd_poset, "print comparabilities and covers between orbits"),
-        ("diagram", cmd_diagram, "emit the genetic diagram as DOT or JSON"),
-        ("chiral", cmd_chiral, "split extended-group orbits into pairs and singles"),
-        ("verify", cmd_verify, "run the agreement, monotonicity, and cover suites"),
-    ]:
-        p = sub.add_parser(name, help=extra)
+
+    def command(name, fn, summary, parents, formats=()):
+        p = sub.add_parser(name, help=summary, parents=parents)
         p.set_defaults(fn=fn)
-        p.add_argument("--builtin", help=f"builtin skeleton: {', '.join(BUILTIN_NAMES)}")
-        p.add_argument("--group-file", help="path to a group-spec text file")
-        p.add_argument("--shape", help="partition such as 4,2 or 2^2,1^2 (poset also accepts low:high)")
-        p.add_argument("--chi", help="character index (0 is the unit) or kernel:<cycles;cycles>")
-        p.add_argument("--theta", help="0/1 sign mask over the shape's parts")
-        p.add_argument("--format", default="text", choices=["text", "json", "dot"])
-        p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--cap", type=int, default=100_000, help="group-size cap for closure")
-        if name == "count":
-            p.add_argument("--all-shapes", action="store_true", help="report every partition of the degree")
+        if formats:
+            p.add_argument("--format", default=formats[0], choices=formats)
+        return p
+
+    count = command("count", cmd_count, "count orbits per shape along every route", [source], ("text", "json"))
+    shapes = count.add_mutually_exclusive_group()
+    shapes.add_argument("--shape", help=SHAPE_HELP)
+    shapes.add_argument("--all-shapes", action="store_true", help="report every partition of the degree (the default)")
+    count.add_argument("--chi", help="character index (0 is the unit) or kernel:<cycles;cycles>")
+    count.add_argument("--theta", help="0/1 sign mask over the shape's parts")
+    command("orbits", cmd_orbits, "list orbit representatives and sizes", [source, shape], ("text", "json"))
+    command("poset", cmd_poset, "print comparabilities and covers between orbits", [source, shape])
+    command("diagram", cmd_diagram, "emit the genetic diagram as DOT or JSON", [source, shape], ("dot", "json"))
+    command("chiral", cmd_chiral, "split extended-group orbits into pairs and singles", [source, shape], ("text", "json"))
+    command("verify", cmd_verify, "run the agreement, monotonicity, and cover suites", [source])
     return parser
 
 
@@ -291,9 +289,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error[cap]: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except ValueError as exc:  # defensive: surface library rejections uniformly
-        print(f"error[usage]: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:  # a bug, not bad input: user input is checked where it enters
+        print(f"error[internal]: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -57,9 +57,14 @@ POSET_PAIR_CAP = 250_000
 TABLOID_CAP = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Orbit:
-    """A W-orbit of tabloids; members are sorted, the representative is the first."""
+    """A W-orbit of tabloids; members are sorted, the representative is the first.
+
+    Equality and hashing are by identity: orbit spaces are memoized per
+    group, so each orbit exists once, and dicts keyed by orbit never hash
+    its members.
+    """
 
     group: PermGroup
     shape: Partition
@@ -112,7 +117,9 @@ def check_tabloid_cap(shapes: Sequence[Partition]):
     """Refuse, before any enumeration, a shape with more than TABLOID_CAP tabloids."""
     for lam in shapes:
         if (tabloids := _tabloid_count(lam)) > TABLOID_CAP:
-            raise CapExceeded(f"shape {lam} has {tabloids} tabloids, above the tabloid cap of {TABLOID_CAP}")
+            bits = tabloids.bit_length()  # past 2^64 the magnitude: str() refuses ints over 4300 digits
+            shown = tabloids if bits <= 64 else f"over 10^{int((bits - 1) * math.log10(2))}"
+            raise CapExceeded(f"shape {lam} has {shown} tabloids, above the tabloid cap of {TABLOID_CAP}")
 
 
 def _images(group: PermGroup) -> tuple[tuple[int, ...], ...]:
@@ -343,14 +350,6 @@ class ChiralReport:
     extended_group: PermGroup
     shape: Partition
     entries: tuple[ChiralEntry, ...]
-
-    @property
-    def pairs(self) -> tuple[ChiralEntry, ...]:
-        return tuple(e for e in self.entries if e.is_pair)
-
-    @property
-    def singles(self) -> tuple[ChiralEntry, ...]:
-        return tuple(e for e in self.entries if not e.is_pair)
 
 
 def classify_chiral(group: PermGroup, extended: PermGroup, lam: Partition) -> ChiralReport:

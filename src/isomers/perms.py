@@ -129,9 +129,6 @@ class Permutation:
     def order(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles(include_fixed=True)))
 
-    def is_identity(self) -> bool:
-        return all(self.images[i] == i + 1 for i in range(self.degree))
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -397,18 +394,6 @@ class LinearCharacter:
 
     def is_one(self, perm: Permutation) -> bool:
         return self.exponent(perm) % self.order == 0
-
-    @property
-    def is_unit(self) -> bool:
-        return self.order == 1
-
-    def value_str(self, perm: Permutation) -> str:
-        e = self.exponent(perm) % self.order
-        if e == 0:
-            return "1"
-        if 2 * e == self.order:
-            return "-1"
-        return f"zeta{self.order}^{e}"
 
     def kernel_elements(self) -> list[Permutation]:
         return [g for g in self.group.elements if self.is_one(g)]

@@ -1,9 +1,15 @@
 import json
+import re
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
+import isomers.cli
 from isomers.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -264,3 +270,126 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second and first
+
+
+class TestContract:
+    FLAGS = {
+        "count": {"--builtin", "--group-file", "--cap", "--out", "--shape", "--all-shapes", "--chi", "--theta", "--format"},
+        "orbits": {"--builtin", "--group-file", "--cap", "--out", "--shape", "--format"},
+        "chiral": {"--builtin", "--group-file", "--cap", "--out", "--shape", "--format"},
+        "poset": {"--builtin", "--group-file", "--cap", "--out", "--shape"},
+        "diagram": {"--builtin", "--group-file", "--cap", "--out", "--shape", "--format"},
+        "verify": {"--builtin", "--group-file", "--cap", "--out"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_help_lists_only_the_flags_read(self, capsys, command):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == self.FLAGS[command] | {"--help"}
+
+    def test_internal_error_is_not_usage(self, capsys, monkeypatch):
+        def broken(*_):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(isomers.cli, "orbit_space", broken)
+        code, out, err = run(capsys, "orbits", "--builtin", "ethene", "--shape", "4")
+        assert code == 4 and out == ""
+        assert err == "error[internal]: RuntimeError: boom\n"
+
+    def test_cap_bounds_builtins(self, capsys):
+        code, out, err = run(capsys, "count", "--builtin", "benzene", "--cap", "11")
+        assert code == 3 and out == ""
+        assert err.startswith("error[cap]: builtin benzene has a group of order 12")
+        assert run(capsys, "count", "--builtin", "benzene", "--shape", "6", "--cap", "12")[0] == 0
+
+    def test_one_shape_grammar(self, capsys):
+        _, listed, _ = run(capsys, "count", "--builtin", "benzene", "--shape", "6:4,2:6")
+        _, first, _ = run(capsys, "count", "--builtin", "benzene", "--shape", "6")
+        _, second, _ = run(capsys, "count", "--builtin", "benzene", "--shape", "4,2")
+        assert listed == first + second
+        code, out, _ = run(capsys, "poset", "--builtin", "benzene", "--shape", "3^2:4,2:6")
+        assert code == 0 and "a_(3^2) < a_(4,2)  [cover]" in out and "_(6)  [" in out
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run(capsys, "orbits", "--builtin", "ethene", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error[usage]: cannot write {target}")
+
+    def test_readme_examples_run(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        examples = [shlex.split(line) for line in README.read_text().splitlines() if line.startswith("isomers ")]
+        assert len(examples) >= 8
+        for argv in examples:
+            code, _, err = run(capsys, *argv[1:])
+            assert code == 0, (argv, err)
+
+
+GROUP_FILES = {
+    "d0.grp": "degree 0\n",
+    "d60.grp": "degree 60\n",
+    "badcycle.grp": "degree 4\n(12\n",
+    "repeated.grp": "degree 4\n(12)(23)\n",
+    "header.grp": "order 4\n(12)\n",
+    "d2000.grp": "degree 2000\n",
+}
+
+# (argv, exit code): the probes of malformed input, the flags a subcommand
+# does not read, and inputs whose refusal must come before any enumeration.
+CORPUS = [
+    (("count", "--builtin", "ethene", "--shape", "2^2", "--theta", "12"), 2),
+    (("count", "--builtin", "ethene", "--shape", "2^2", "--chi", "9"), 2),
+    (("count", "--builtin", "benzene", "--shape", "4;2"), 2),
+    (("count", "--builtin", "benzene", "--shape", "4,3"), 2),
+    (("count", "--builtin", "benzene", "--shape", "2,4"), 2),
+    (("poset", "--builtin", "benzene", "--shape", "9:1"), 2),
+    (("count", "--group-file", "d0.grp"), 2),
+    (("count", "--group-file", "badcycle.grp"), 2),
+    (("count", "--group-file", "repeated.grp"), 2),
+    (("count", "--group-file", "header.grp"), 2),
+    (("count", "--builtin", "benzene", "--cap", "0"), 3),
+    (("poset", "--builtin", "benzene", "--shape", "4,2:4,2"), 0),
+    (("diagram", "--builtin", "ethene", "--shape", "4"), 0),
+    (("orbits", "--builtin", "benzene", "--chi", "1"), 2),
+    (("orbits", "--builtin", "benzene", "--theta", "1"), 2),
+    (("poset", "--builtin", "benzene", "--chi", "1"), 2),
+    (("poset", "--builtin", "benzene", "--theta", "1"), 2),
+    (("poset", "--builtin", "benzene", "--format", "json"), 2),
+    (("diagram", "--builtin", "ethene", "--chi", "1"), 2),
+    (("diagram", "--builtin", "ethene", "--theta", "1"), 2),
+    (("chiral", "--builtin", "ethene", "--chi", "1"), 2),
+    (("chiral", "--builtin", "ethene", "--theta", "1"), 2),
+    (("verify", "--builtin", "ethene", "--chi", "1"), 2),
+    (("verify", "--builtin", "ethene", "--theta", "1"), 2),
+    (("verify", "--builtin", "ethene", "--shape", "4"), 2),
+    (("verify", "--builtin", "ethene", "--format", "json"), 2),
+    (("diagram", "--builtin", "ethene", "--format", "text"), 2),
+    (("count", "--builtin", "benzene", "--all-shapes", "--shape", "4,2"), 2),
+    (("count", "--builtin", "benzene", "--shape", "1^9999999"), 2),
+    (("count", "--group-file", "d60.grp"), 3),
+    (("verify", "--group-file", "d60.grp"), 3),
+    (("poset", "--group-file", "d60.grp"), 3),
+    (("diagram", "--group-file", "d60.grp"), 3),
+    (("orbits", "--group-file", "d60.grp"), 3),
+    (("count", "--group-file", "d2000.grp"), 3),
+    (("verify", "--group-file", "d2000.grp"), 3),
+    (("count", "--group-file", "binary.grp"), 2),
+    (("orbits", "--builtin", "ethene", "--out", "missing/x"), 2),
+]
+
+
+@pytest.mark.parametrize("argv,expected", CORPUS, ids=[" ".join(argv) for argv, _ in CORPUS])
+def test_robustness_corpus(capsys, monkeypatch, tmp_path, argv, expected):
+    for name, text in GROUP_FILES.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "binary.grp").write_bytes(b"degree 4\n\xe7\xff\n")
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5.0
+    assert code == expected and code in (0, 1, 2, 3)
+    assert "Traceback" not in out + err
+    if code:
+        assert err.startswith("error[") and out == ""

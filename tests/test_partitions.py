@@ -296,3 +296,7 @@ class TestTextFormat:
             parse_partition("4,,2", 6)
         with pytest.raises(ValueError):
             Partition((1, 2, 1))
+
+    def test_refuses_a_long_exponent_before_expanding_it(self):
+        with pytest.raises(ValueError, match=r"more than 6 parts in partition '3,1\^9999999'"):
+            parse_partition("3,1^9999999", 6)
