@@ -15,10 +15,10 @@ import sys
 from pathlib import Path
 
 from .catalog import BUILTIN_NAMES, SkeletonSpec, assign_letters, builtin, emit_dot, genetic_diagram, orbit_name
-from .counting import build_report
+from .counting import build_report, check_scalar_cap
 from .orbits import check_tabloid_cap, classify_chiral, comparable_pairs, orbit_cover, orbit_space
 from .partitions import Partition, all_partitions, format_partition, parse_partition
-from .perms import CapExceeded, LinearCharacter, PermGroup, generate, linear_characters, parse_cycles, sign_product_character
+from .perms import CapExceeded, LinearCharacter, PermGroup, generate, linear_characters, parse_cycles
 from .verify import verify_skeleton
 
 EXIT_OK = 0
@@ -114,7 +114,7 @@ def resolve_chi(args, group: PermGroup) -> tuple[LinearCharacter | None, str]:
     return chars[idx], str(idx)
 
 
-def resolve_theta(args, lam: Partition) -> tuple[LinearCharacter | None, str]:
+def resolve_theta(args, lam: Partition) -> tuple[tuple[bool, ...] | None, str]:
     mask_text = args.theta
     if mask_text is None:
         return None, "1"
@@ -123,8 +123,7 @@ def resolve_theta(args, lam: Partition) -> tuple[LinearCharacter | None, str]:
     t = len(lam.trimmed())
     if len(mask_text) != t:
         raise UsageError(f"--theta mask length {len(mask_text)} differs from part count {t} of {lam}")
-    mask = tuple(ch == "1" for ch in mask_text)
-    return sign_product_character(lam, mask, lam.d), mask_text
+    return tuple(ch == "1" for ch in mask_text), mask_text
 
 
 def _emit(text: str, out: str | None):
@@ -141,8 +140,10 @@ def cmd_count(args) -> int:
     spec = resolve_skeleton(args, args.cap)
     group = spec.group
     chi, chi_label = resolve_chi(args, group)
+    shapes = resolve_shapes(args.shape, group.degree)
+    check_scalar_cap(shapes)
     reports = []
-    for lam in resolve_shapes(args.shape, group.degree):
+    for lam in shapes:
         theta, theta_label = resolve_theta(args, lam)
         reports.append(build_report(group, lam, chi, theta, chi_label, theta_label))
     if args.format == "json":
@@ -260,7 +261,7 @@ def build_parser() -> _Parser:
 
     def command(name, fn, summary, parents, formats=()):
         p = sub.add_parser(name, help=summary, parents=parents)
-        p.set_defaults(fn=fn)
+        p.set_defaults(run=fn)
         if formats:
             p.add_argument("--format", default=formats[0], choices=formats)
         return p
@@ -282,7 +283,7 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        return args.run(args)
     except UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return EXIT_USAGE

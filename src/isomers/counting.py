@@ -2,7 +2,8 @@
 
 Four independent routes compute the number of group orbits of tabloids per
 shape (optionally filtered by a character pair): the scalar product of the
-generalized cycle index with a complete homogeneous product, a conjugacy
+generalized cycle index with a product of complete homogeneous and
+elementary symmetric functions, a conjugacy
 class formula, its unit-character specialization over cycle types, Ruch's
 double-coset formula, and definitional brute force.  All arithmetic is
 exact: rationals throughout, sums of roots of unity reduced against
@@ -17,22 +18,22 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .orbits import is_character_orbit, orbit_space
+from .orbits import check_theta_mask, is_character_orbit, orbit_space
 from .partitions import (
     Partition,
     all_partitions,
     centralizer_order,
     dominance_leq,
 )
-from .perms import LinearCharacter, PermGroup, sign_product_character, unit_character
+from .perms import DEFAULT_CAP, CapExceeded, LinearCharacter, PermGroup
 
 __all__ = [
     "CountReport",
     "PowerSumPoly",
     "RootOfUnitySum",
     "build_report",
+    "check_scalar_cap",
     "combinatorially_equivalent",
-    "complete_homogeneous",
     "count_brute",
     "count_classes",
     "count_ruch",
@@ -41,6 +42,7 @@ __all__ = [
     "cycle_index",
     "monotonicity_check",
     "scalar_product",
+    "young_character_index",
 ]
 
 # -- exact root-of-unity sums -------------------------------------------------
@@ -231,22 +233,51 @@ def cycle_index(group: PermGroup, chi: LinearCharacter | None = None) -> PowerSu
     return PowerSumPoly(group.degree, {k: v * inv for k, v in coeffs.items()})
 
 
-@lru_cache(maxsize=None)
-def _h_single(n: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """The n-th complete homogeneous function in the power-sum basis."""
-    return tuple(
-        (alpha.trimmed(), Fraction(1, centralizer_order(alpha))) for alpha in all_partitions(n)
-    ) if n else ((tuple(), Fraction(1)),)
+def check_scalar_cap(shapes: Sequence[Partition]):
+    """Refuse, before any expansion, a shape whose scalar route needs more than DEFAULT_CAP power-sum terms.
+
+    The h/e product of a shape multiplies p(n) terms for each part n.  The
+    partition numbers p are built (Euler's pentagonal recurrence) only until
+    one passes the cap, so a huge part costs no more than a small one.
+    """
+    p = [1]
+    while p[-1] <= DEFAULT_CAP:
+        n, total, k = len(p), 0, 1
+        while (g := k * (3 * k - 1) // 2) <= n:
+            pair = p[n - g] + (p[n - g - k] if g + k <= n else 0)
+            total += pair if k % 2 else -pair
+            k += 1
+        p.append(total)
+    for lam in shapes:
+        terms = 1
+        for part in lam.trimmed():
+            terms *= p[min(part, len(p) - 1)]
+            if terms > DEFAULT_CAP:
+                raise CapExceeded(f"shape {lam} expands to more than {DEFAULT_CAP} power-sum terms, the scalar-route cap")
 
 
 @lru_cache(maxsize=None)
-def complete_homogeneous(lam: Partition) -> PowerSumPoly:
-    """Product of complete homogeneous functions over the parts of lam."""
+def _h_or_e(n: int, signed: bool) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """h_n, or e_n when signed, in the power-sum basis: sum of (sign of alpha) p_alpha / z_alpha."""
+    keys = [alpha.trimmed() for alpha in all_partitions(n)]
+    return tuple((k, Fraction(_sign_of_type(k, n) if signed else 1, centralizer_order(k))) for k in keys)
+
+
+@lru_cache(maxsize=None)
+def young_character_index(lam: Partition, theta: tuple[bool, ...] | None = None) -> PowerSumPoly:
+    """Cycle index of the Young subgroup of lam weighted by the sign mask theta.
+
+    The Young subgroup is a product of symmetric groups on the blocks and
+    theta a product of signs on the masked ones, so the index is a product
+    over the parts: the complete homogeneous h_n for an unmasked part n, the
+    elementary e_n for a masked one.  The group is never built.
+    """
+    check_scalar_cap([lam])
     coeffs: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
-    for part in lam.trimmed():
+    for part, masked in zip(lam.trimmed(), check_theta_mask(lam, theta)):
         nxt: dict[tuple[int, ...], Fraction] = {}
         for key, c in coeffs.items():
-            for hkey, hc in _h_single(part):
+            for hkey, hc in _h_or_e(part, masked):
                 merged = tuple(sorted(key + hkey, reverse=True))
                 nxt[merged] = nxt.get(merged, Fraction(0)) + c * hc
         coeffs = nxt
@@ -270,30 +301,18 @@ def scalar_product(f: PowerSumPoly, g: PowerSumPoly):
 
 # -- the four counting routes -------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _young_cycle_index(trimmed: tuple[int, ...], mask: tuple[bool, ...], d: int) -> PowerSumPoly:
-    theta = sign_product_character(Partition(trimmed, d), mask, d)
-    return cycle_index(theta.group, theta)
-
-
 def count_scalar(
     group: PermGroup,
     chi: LinearCharacter | None,
     lam: Partition,
-    theta: LinearCharacter | None = None,
+    theta: tuple[bool, ...] | None = None,
 ) -> int:
     """Orbit count as a pairing of generalized cycle indices.
 
-    With unit theta the second factor collapses to the complete
-    homogeneous product over the shape.
+    W's cycle index weighted by chi is paired with the Young subgroup's
+    weighted by the sign mask theta (None is the unit).
     """
-    if theta is None or theta.order == 1:
-        other = complete_homogeneous(lam)
-    else:
-        if theta.factor_mask is None or theta.shape is None:
-            raise ValueError("theta must be a sign-product character")
-        other = _young_cycle_index(theta.shape.trimmed(), theta.factor_mask, lam.d)
-    value = scalar_product(cycle_index(group, chi), other)
+    value = scalar_product(cycle_index(group, chi), young_character_index(lam, theta))
     return _as_count(value)
 
 
@@ -337,25 +356,20 @@ def count_classes(
     group: PermGroup,
     chi: LinearCharacter | None,
     lam: Partition,
-    theta: LinearCharacter | None = None,
+    theta: tuple[bool, ...] | None = None,
 ) -> int:
     """Orbit count from conjugacy classes and cycle-type splittings.
 
-    theta must be a sign-product character of the Young subgroup of lam
-    (None means the unit character).  The leading term handles the
-    all-fixed type; every other common cycle type contributes its class
-    sums weighted by centralizer ratios and block signs.
+    theta is a sign mask over the parts of lam (None means the unit
+    character).  The leading term handles the all-fixed type; every other
+    common cycle type contributes its class sums weighted by centralizer
+    ratios and block signs.
     """
     d = group.degree
     if lam.d != d:
         raise ValueError("shape degree differs from group degree")
     blocks = lam.trimmed()
-    if theta is None:
-        mask: tuple[bool, ...] = (False,) * len(blocks)
-    else:
-        if theta.factor_mask is None or theta.shape is None or theta.shape.trimmed() != blocks:
-            raise ValueError("theta must be a sign-product character on the shape's Young subgroup")
-        mask = theta.factor_mask
+    mask = check_theta_mask(lam, theta)
     total: Fraction | RootOfUnitySum = Fraction(
         math.factorial(d), group.order * math.prod(math.factorial(k) for k in blocks)
     )
@@ -396,13 +410,8 @@ def count_ruch(group: PermGroup, lam: Partition) -> int:
         raise ValueError("shape degree differs from group degree")
     blocks = lam.trimmed()
     young_order = math.prod(math.factorial(k) for k in blocks)
-    census = group.cycle_type_census()
     total = Fraction(0)
-    for alpha in all_partitions(d):
-        key = alpha.trimmed()
-        w_count = census.get(key, 0)
-        if not w_count:
-            continue
+    for key, w_count in group.cycle_type_census().items():
         young_count = 0
         for split in _split_multiset(key, blocks):
             young_count += math.prod(
@@ -420,16 +429,12 @@ def count_brute(
     group: PermGroup,
     lam: Partition,
     chi: LinearCharacter | None = None,
-    theta: LinearCharacter | None = None,
+    theta: tuple[bool, ...] | None = None,
 ) -> int:
     """Definitional count: enumerate tabloids, form orbits, filter by characters."""
     space = orbit_space(group, lam)
     if chi is None and theta is None:
         return len(space)
-    if chi is None:
-        chi = unit_character(group)
-    if theta is None:
-        theta = sign_product_character(lam, [False] * len(lam.trimmed()), lam.d)
     return sum(1 for orbit in space if is_character_orbit(orbit, chi, theta))
 
 
@@ -472,12 +477,12 @@ def build_report(
     group: PermGroup,
     lam: Partition,
     chi: LinearCharacter | None = None,
-    theta: LinearCharacter | None = None,
+    theta: tuple[bool, ...] | None = None,
     chi_label: str = "1",
     theta_label: str = "1",
 ) -> CountReport:
     """Run every applicable counting route for one shape and compare."""
-    unit_case = (chi is None or chi.order == 1) and (theta is None or theta.order == 1)
+    unit_case = (chi is None or chi.order == 1) and not any(theta or ())
     return CountReport(
         shape=lam,
         chi_label=chi_label,

@@ -17,18 +17,10 @@ from .dissections import (
     Dissection,
     is_cover_tabloid,
     prefix_mask,
-    standard_tabloid,
     tabloid_words,
 )
 from .partitions import Partition, all_partitions, dominance_leq, raising_pair
-from .perms import (
-    CapExceeded,
-    LinearCharacter,
-    PermGroup,
-    Permutation,
-    relative_sign_character,
-    sign_product_character,
-)
+from .perms import CapExceeded, LinearCharacter, PermGroup, relative_sign_character
 
 __all__ = [
     "POSET_PAIR_CAP",
@@ -37,6 +29,7 @@ __all__ = [
     "Orbit",
     "OrbitSpace",
     "check_tabloid_cap",
+    "check_theta_mask",
     "classify_chiral",
     "comparable_pairs",
     "is_character_orbit",
@@ -48,7 +41,6 @@ __all__ = [
     "reaction_pairs",
     "refine",
     "stabilizer",
-    "transporter",
 ]
 
 # comparable_pairs refuses requests with more orbit pairs than this to compare
@@ -114,12 +106,35 @@ class OrbitSpace:
 
 
 def check_tabloid_cap(shapes: Sequence[Partition]):
-    """Refuse, before any enumeration, a shape with more than TABLOID_CAP tabloids."""
+    """Refuse, before any enumeration, a shape with more than TABLOID_CAP tabloids.
+
+    The multinomial d!/prod(lam_i!) is built as a product of binomials, one
+    factor at a time.  The partial products only grow, so the check stops
+    at the first one past the cap and never forms a huge factorial.
+    """
     for lam in shapes:
-        if (tabloids := _tabloid_count(lam)) > TABLOID_CAP:
-            bits = tabloids.bit_length()  # past 2^64 the magnitude: str() refuses ints over 4300 digits
-            shown = tabloids if bits <= 64 else f"over 10^{int((bits - 1) * math.log10(2))}"
-            raise CapExceeded(f"shape {lam} has {shown} tabloids, above the tabloid cap of {TABLOID_CAP}")
+        tabloids, left = 1, lam.d
+        for part in lam.trimmed():
+            k = min(part, left - part)
+            for i in range(1, k + 1):
+                tabloids = tabloids * (left - k + i) // i
+                if tabloids > TABLOID_CAP:
+                    raise CapExceeded(f"shape {lam} has more than {TABLOID_CAP} tabloids, the tabloid cap")
+            left -= part
+
+
+def check_theta_mask(lam: Partition, theta: tuple[bool, ...] | None) -> tuple[bool, ...]:
+    """theta's sign mask over the parts of lam, all False for the unit (None).
+
+    theta(eta) is the product of the signs of eta on the masked blocks of
+    the Young subgroup of lam.
+    """
+    parts = len(lam.trimmed())
+    if theta is None:
+        return (False,) * parts
+    if len(theta) != parts:
+        raise ValueError(f"theta mask length {len(theta)} differs from part count {parts} of {lam}")
+    return theta
 
 
 def _images(group: PermGroup) -> tuple[tuple[int, ...], ...]:
@@ -175,16 +190,6 @@ def stabilizer(group: PermGroup, a: Dissection) -> PermGroup:
     sub = PermGroup(group.degree, tuple(fixed), tuple(fixed))
     group._memo[("stabilizer", a)] = sub
     return sub
-
-
-def transporter(a: Dissection) -> Permutation:
-    """A permutation carrying the standard tabloid of a's shape onto a."""
-    lam = a.shape_partition()
-    images = [0] * a.degree
-    for std_comp, comp in zip(standard_tabloid(lam).components, a.components):
-        for src, dst in zip(std_comp, comp):
-            images[src - 1] = dst
-    return Permutation(images)
 
 
 def _require_same_group(a: Orbit, b: Orbit) -> None:
@@ -293,26 +298,29 @@ def reaction_pairs(group: PermGroup, lam: Partition, mu: Partition) -> list[tupl
     return comparable_pairs(group, [lam, mu])
 
 
-def is_character_orbit(orbit: Orbit, chi: LinearCharacter, theta: LinearCharacter) -> bool:
+def is_character_orbit(
+    orbit: Orbit, chi: LinearCharacter | None, theta: tuple[bool, ...] | None = None
+) -> bool:
     """Whether chi(sigma) * theta(u^-1 sigma u) is 1 on the whole stabilizer.
 
-    Here u carries the standard tabloid onto the orbit representative; the
-    answer does not depend on the representative.  All arithmetic is on
-    exact root-of-unity exponents.
+    Here u carries the standard tabloid onto the orbit representative, and
+    theta is a sign mask over the shape's parts (None, like a None chi, is
+    the unit).  sigma fixes the representative, so each of its cycles lies
+    in one component, and u^-1 sigma u restricted to block k is conjugate
+    to sigma restricted to component k: theta(u^-1 sigma u) is the sign of
+    sigma on the masked components, (-1)^sum(len(c) - 1) over its cycles c
+    there.  All arithmetic is on exact root-of-unity exponents.
     """
     group = orbit.group
-    if chi.group != group:
+    if chi is not None and chi.group != group:
         raise ValueError("chi is not a character of the orbit's group")
-    lam = orbit.shape
-    if theta.shape is not None and theta.shape.trimmed() != lam.trimmed():
-        raise ValueError(f"theta lives on shape {theta.shape}, orbit has shape {lam}")
     a = orbit.representative
-    u = transporter(a)
-    u_inv = u.inverse()
-    n = math.lcm(chi.order, theta.order)
+    masked = {x for comp, flag in zip(a.components, check_theta_mask(orbit.shape, theta)) if flag for x in comp}
+    order = 1 if chi is None else chi.order  # chi(sigma) = zeta^(2e) and -1 = zeta^order, zeta a 2*order-th root
     for sigma in stabilizer(group, a).elements:
-        e = chi.exponent(sigma) * (n // chi.order) + theta.exponent(u_inv * sigma * u) * (n // theta.order)
-        if e % n != 0:
+        flips = sum(len(c) - 1 for c in sigma.cycles() if c[0] in masked) if masked else 0
+        e = (0 if chi is None else 2 * chi.exponent(sigma)) + flips * order
+        if e % (2 * order) != 0:
             return False
     return True
 
@@ -368,7 +376,6 @@ def classify_chiral(group: PermGroup, extended: PermGroup, lam: Partition) -> Ch
     coarse = orbit_space(extended, lam)
     fine = orbit_space(group, lam)
     mapping = refine(coarse, fine)
-    theta = sign_product_character(lam, [False] * len(lam.trimmed()), lam.d)
     chi_e = relative_sign_character(extended, group) if index == 2 else None
     entries = []
     for c in coarse.orbits:
@@ -376,7 +383,7 @@ def classify_chiral(group: PermGroup, extended: PermGroup, lam: Partition) -> Ch
         if index == 1:
             entries.append(ChiralEntry(c, fs, False, False))
             continue
-        flag = is_character_orbit(c, chi_e, theta)
+        flag = is_character_orbit(c, chi_e)
         is_pair = len(fs) == 2
         if is_pair != flag:
             raise AssertionError(f"splitting and character test disagree on {c}")

@@ -12,7 +12,7 @@ import itertools
 import math
 import re
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .partitions import Partition
 
@@ -27,7 +27,6 @@ __all__ = [
     "linear_characters",
     "parse_cycles",
     "relative_sign_character",
-    "sign_product_character",
     "young_subgroup",
 ]
 
@@ -340,7 +339,11 @@ def _young_cached(trimmed: tuple[int, ...], d: int) -> PermGroup:
 
 
 def young_subgroup(lam: Partition, d: int | None = None) -> PermGroup:
-    """Direct product of symmetric groups on consecutive blocks of sizes lam."""
+    """Direct product of symmetric groups on consecutive blocks of sizes lam.
+
+    A reference closure for tests: the library evaluates the characters of
+    this group from their part masks and never builds it.
+    """
     if d is None:
         d = lam.d
     if lam.d != d:
@@ -361,36 +364,20 @@ def young_blocks(lam: Partition) -> list[tuple[int, ...]]:
 class LinearCharacter:
     """A homomorphism from a group into the roots of unity.
 
-    Values are exp(2*pi*i*e/order) with the exponent e kept exactly; the
-    table form stores one exponent per element, the functional form (used
-    for sign products on large Young subgroups) computes it on demand.
+    Values are exp(2*pi*i*e/order) with the exponent e kept exactly, one
+    per element in ``table``.
     """
 
-    def __init__(
-        self,
-        group: PermGroup,
-        order: int,
-        table: dict[Permutation, int] | None = None,
-        fn: Callable[[Permutation], int] | None = None,
-        factor_mask: tuple[bool, ...] | None = None,
-        shape: Partition | None = None,
-    ):
-        if (table is None) == (fn is None):
-            raise ValueError("exactly one of table or fn required")
+    def __init__(self, group: PermGroup, order: int, table: dict[Permutation, int]):
         self.group = group
         self.order = order
         self._table = table
-        self._fn = fn
-        self.factor_mask = factor_mask
-        self.shape = shape
 
     def exponent(self, perm: Permutation) -> int:
-        if self._table is not None:
-            try:
-                return self._table[perm]
-            except KeyError:
-                raise ValueError(f"{perm} outside the character's domain") from None
-        return self._fn(perm) % self.order
+        try:
+            return self._table[perm]
+        except KeyError:
+            raise ValueError(f"{perm} outside the character's domain") from None
 
     def is_one(self, perm: Permutation) -> bool:
         return self.exponent(perm) % self.order == 0
@@ -412,7 +399,7 @@ class LinearCharacter:
 
 
 def unit_character(group: PermGroup) -> LinearCharacter:
-    return LinearCharacter(group, 1, fn=lambda p: 0)
+    return LinearCharacter(group, 1, {g: 0 for g in group.elements})
 
 
 def linear_characters(group: PermGroup) -> list[LinearCharacter]:
@@ -460,38 +447,6 @@ def linear_characters(group: PermGroup) -> list[LinearCharacter]:
             found.append(LinearCharacter(group, n // common, table=table))
     found.sort(key=lambda c: tuple(c.exponent(g) * (n // c.order) for g in group.elements))
     return found
-
-
-def sign_product_character(lam: Partition, mask: Sequence[bool], d: int | None = None) -> LinearCharacter:
-    """Character of the Young subgroup: product of signs on masked blocks.
-
-    mask[k] selects the signature on block k, otherwise the unit character
-    of that factor.  Values are +-1, computed blockwise on demand.
-    """
-    if d is None:
-        d = lam.d
-    lam = Partition(lam.trimmed(), d)
-    mask = tuple(bool(b) for b in mask)
-    if len(mask) != len(lam.trimmed()):
-        raise ValueError(f"mask length {len(mask)} differs from part count {len(lam.trimmed())}")
-    group = young_subgroup(lam, d)
-    blocks = young_blocks(lam)
-    masked = [frozenset(b) for b, flag in zip(blocks, mask) if flag]
-
-    def exponent(perm: Permutation) -> int:
-        if perm.degree != d:
-            raise ValueError("degree mismatch")
-        e = 0
-        for cyc in perm.cycles():
-            block = next((b for b in masked if cyc[0] in b), None)
-            if block is not None:
-                if not all(p in block for p in cyc):
-                    raise ValueError(f"{perm} does not preserve the blocks of {lam}")
-                e += len(cyc) - 1
-        return e % 2
-
-    order = 2 if any(mask) else 1
-    return LinearCharacter(group, order, fn=exponent, factor_mask=mask, shape=lam)
 
 
 def relative_sign_character(big: PermGroup, small: PermGroup) -> LinearCharacter:

@@ -165,6 +165,41 @@ def interval_dissections_raw(x, y, d):
     return found
 
 
+# -- characters of the Young subgroup -------------------------------------------
+
+def restricted_sign_exponent(images, points) -> int:
+    """0 or 1: the parity of the permutation on points, which it must preserve, by counting inversions."""
+    pts = sorted(points)
+    vals = [images[x - 1] for x in pts]
+    assert sorted(vals) == pts
+    return sum(1 for i in range(len(vals)) for j in range(i + 1, len(vals)) if vals[i] > vals[j]) % 2
+
+
+def standard_transporter_raw(tab) -> list[int]:
+    """Images of a u carrying the standard tabloid onto tab: block k, in order, onto component k, sorted."""
+    images = []
+    for comp in tab:
+        images.extend(sorted(comp))
+    return images
+
+
+def conjugated_theta_exponent(images, tab, mask) -> int:
+    """theta(u^-1 sigma u) as an exponent of -1, literally.
+
+    sigma (given by its images) fixes tab; u is standard_transporter_raw(tab)
+    and theta the product of the signs on the masked standard blocks.
+    """
+    u = standard_transporter_raw(tab)
+    u_inv = [0] * len(u)
+    for x, y in enumerate(u, start=1):
+        u_inv[y - 1] = x
+    conj = [u_inv[images[u[x] - 1] - 1] for x in range(len(u))]
+    sizes = [len(comp) for comp in tab if comp]
+    starts = [sum(sizes[:k]) + 1 for k in range(len(sizes))]
+    blocks = [range(start, start + size) for start, size in zip(starts, sizes)]
+    return sum(restricted_sign_exponent(conj, b) for b, flag in zip(blocks, mask) if flag) % 2
+
+
 # -- group sampling ------------------------------------------------------------
 
 def random_permutation(rng: random.Random, d: int) -> Permutation:

@@ -38,7 +38,7 @@ from isomers.partitions import (
     prefix_gaps,
     raising_op,
 )
-from isomers.perms import generate, linear_characters, parse_cycles, sign_product_character
+from isomers.perms import generate, linear_characters, parse_cycles
 
 from oracles import leq_composition, random_permutation, random_subgroup
 
@@ -483,7 +483,7 @@ def test_criterion_7_property_suite():
             kernel = generate(chi.kernel_elements(), degree=w.degree)
             index = w.order // kernel.order
             for lam in all_partitions(w.degree):
-                theta = sign_product_character(lam, [False] * len(lam.trimmed()))
+                theta = (False,) * len(lam.trimmed())
                 mapping = refine(orbit_space(w, lam), orbit_space(kernel, lam))
                 for coarse_orbit, fines in mapping.items():
                     assert len({f.size for f in fines}) == 1

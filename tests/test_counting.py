@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 
 import pytest
 
@@ -10,7 +10,6 @@ from isomers.counting import (
     RootOfUnitySum,
     build_report,
     combinatorially_equivalent,
-    complete_homogeneous,
     count_brute,
     count_classes,
     count_ruch,
@@ -19,11 +18,12 @@ from isomers.counting import (
     cycle_index,
     monotonicity_check,
     scalar_product,
+    young_character_index,
 )
 from isomers.partitions import Partition, all_partitions, centralizer_order, dominance_leq, parse_partition
-from isomers.perms import generate, linear_characters, parse_cycles, sign_product_character
+from isomers.perms import LinearCharacter, generate, linear_characters, parse_cycles, young_subgroup
 
-from oracles import monomial_h_coefficient, random_subgroup, symmetric_group
+from oracles import monomial_h_coefficient, random_subgroup, restricted_sign_exponent, symmetric_group
 
 
 def hexagon_group():
@@ -103,21 +103,37 @@ class TestCycleIndex:
 class TestCompleteHomogeneous:
     def test_all_ones(self):
         for d in (1, 2, 3, 5):
-            h = complete_homogeneous(parse_partition(",".join(["1"] * d), d))
+            h = young_character_index(parse_partition(",".join(["1"] * d), d))
             assert h.coeffs == {(1,) * d: Fraction(1)}
 
     def test_single_two(self):
-        h = complete_homogeneous(parse_partition("2", 2))
+        h = young_character_index(parse_partition("2", 2))
         assert h.coeffs == {(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)}
 
     def test_against_naive_convolution(self):
         for text, d in [("2,2", 4), ("3,2", 5), ("4,2", 6), ("2,2,1", 5)]:
             lam = parse_partition(text, d)
-            h = complete_homogeneous(lam)
+            h = young_character_index(lam)
             for alpha in all_partitions(d):
                 assert h.coefficient(alpha.trimmed()) == monomial_h_coefficient(
                     lam.trimmed(), alpha.trimmed()
                 )
+
+    def test_masks_match_young_subgroup_closure(self):
+        # the h/e product against the cycle index of the closed Young
+        # subgroup weighted by a table of block signs, every mask for d <= 6
+        for d in range(1, 7):
+            for lam in all_partitions(d):
+                group = young_subgroup(lam)
+                ends = list(accumulate(lam.trimmed()))
+                blocks = [range(end - part + 1, end + 1) for part, end in zip(lam.trimmed(), ends)]
+                for mask in iproduct((False, True), repeat=len(blocks)):
+                    table = {
+                        p: sum(restricted_sign_exponent(p.images, b) for b, flag in zip(blocks, mask) if flag) % 2
+                        for p in group.elements
+                    }
+                    weighted = cycle_index(group, LinearCharacter(group, 2, table))
+                    assert young_character_index(lam, mask) == weighted, (lam, mask)
 
 
 class TestScalarProduct:
@@ -138,7 +154,7 @@ class TestScalarProduct:
                 assert scalar_product(pa, pb) == expected
 
     def test_h2_self_pairing(self):
-        h = complete_homogeneous(parse_partition("2", 2))
+        h = young_character_index(parse_partition("2", 2))
         assert scalar_product(h, h) == Fraction(1)
 
     def test_bilinearity(self):
@@ -197,8 +213,8 @@ class TestCountClasses:
         s3 = symmetric_group(3)
         sign = next(c for c in linear_characters(s3) if c.order == 2)
         lam = parse_partition("2,1", 3)
-        theta_unit = sign_product_character(lam, [False, False])
-        theta_sign = sign_product_character(lam, [True, False])
+        theta_unit = (False, False)
+        theta_sign = (True, False)
         assert count_classes(s3, sign, lam, theta_unit) == 0
         assert count_classes(s3, sign, lam, theta_sign) == 1
         assert count_brute(s3, lam, sign, theta_unit) == 0
@@ -216,9 +232,14 @@ class TestCountClasses:
 
     def test_rejects_non_sign_product_theta(self):
         g = klein_group()
-        chi = linear_characters(g)[0]
-        with pytest.raises(ValueError):
-            count_classes(g, None, parse_partition("2,2", 4), chi)
+        lam = parse_partition("2,2", 4)
+        for mask in [(True,), (True, False, False)]:
+            with pytest.raises(ValueError, match="mask length"):
+                count_classes(g, None, lam, mask)
+            with pytest.raises(ValueError, match="mask length"):
+                count_scalar(g, None, lam, mask)
+            with pytest.raises(ValueError, match="mask length"):
+                count_brute(g, lam, None, mask)
 
 
 class TestCountTypes:
@@ -301,8 +322,7 @@ class TestCharacterPairAgreement:
         chars = [c for c in linear_characters(w) if c.order <= 2]
         for lam in all_partitions(w.degree):
             for chi in chars:
-                for mask in effective_masks(lam):
-                    theta = sign_product_character(lam, mask)
+                for theta in effective_masks(lam):
                     formula = count_classes(w, chi, lam, theta)
                     brute = count_brute(w, lam, chi, theta)
                     scalar = count_scalar(w, chi, lam, theta)
@@ -314,8 +334,7 @@ class TestCharacterPairAgreement:
         for text in ["8", "7,1", "6,2", "4,4", "4,2,2", "2^4", "5,2,1"]:
             lam = parse_partition(text, 8)
             for chi in chars:
-                for mask in effective_masks(lam):
-                    theta = sign_product_character(lam, mask)
+                for theta in effective_masks(lam):
                     assert count_classes(w, chi, lam, theta) == count_brute(w, lam, chi, theta)
 
 

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -28,21 +30,21 @@ from isomers.orbits import (
     reaction_pairs,
     refine,
     stabilizer,
-    transporter,
 )
 from isomers.partitions import Partition, all_partitions, dominance_leq, parse_partition
 from isomers.perms import (
     CapExceeded,
+    Permutation,
     generate,
     linear_characters,
     parse_cycles,
-    sign_product_character,
     young_subgroup,
 )
 
 from oracles import (
     act_raw,
     burnside_count,
+    conjugated_theta_exponent,
     leq_composition,
     leq_dissection_raw,
     random_permutation,
@@ -50,6 +52,7 @@ from oracles import (
     raw_orbits,
     raw_partitions,
     raw_tabloids_of_shape,
+    standard_transporter_raw,
     symmetric_group,
 )
 
@@ -219,7 +222,13 @@ class TestStabilizer:
                 assert o.size * stabilizer(w, o.representative).order == w.order
 
 
+def transporter(a):
+    return Permutation(standard_transporter_raw(a.components))
+
+
 class TestTransporter:
+    """The oracle's transporter, on which the theta oracle rests."""
+
     def test_identity_on_standard(self):
         lam = parse_partition("3,2,1", 6)
         std = standard_tabloid(lam)
@@ -581,15 +590,14 @@ class TestCharacterOrbits:
             w = random_subgroup(rng, d)
             lam = rng.choice(all_partitions(d))
             chi = linear_characters(w)[0]
-            theta = sign_product_character(lam, [False] * len(lam.trimmed()))
             for o in orbit_space(w, lam):
-                assert is_character_orbit(o, chi, theta)
+                assert is_character_orbit(o, chi, (False,) * len(lam.trimmed()))
 
     def test_klein_characters_separate_block_orbits(self):
         g = klein_group()
         lam = parse_partition("2,2", 4)
         space = orbit_space(g, lam)
-        theta = sign_product_character(lam, [False, False])
+        theta = (False, False)
         chi2 = next(
             c
             for c in linear_characters(g)
@@ -601,11 +609,33 @@ class TestCharacterOrbits:
     def test_trivial_stabilizer_accepts_everything(self):
         g = klein_group()
         lam = parse_partition("2,1^2", 4)
-        theta = sign_product_character(lam, [True, False, False])
+        theta = (True, False, False)
         for chi in linear_characters(g):
             for o in orbit_space(g, lam):
                 assert stabilizer(g, o.representative).order == 1
                 assert is_character_orbit(o, chi, theta)
+
+    def test_matches_conjugated_theta_oracle(self):
+        # theta(u^-1 sigma u) built literally, against the library's sign on
+        # the representative's components: every character, every mask
+        rng = random.Random(47)
+        groups = [builtin("ethene").group, builtin("benzene").group]
+        groups += [random_subgroup(rng, rng.randint(2, 6)) for _ in range(8)]
+        for w in groups:
+            chars = linear_characters(w)
+            for lam in all_partitions(w.degree):
+                masks = list(itertools.product((False, True), repeat=len(lam.trimmed())))
+                for o in orbit_space(w, lam):
+                    comps = o.representative.components
+                    stab = [g for g in w.elements if act_raw(g.images, comps) == comps]
+                    for mask in masks:
+                        thetas = [conjugated_theta_exponent(g.images, comps, mask) for g in stab]
+                        for chi in chars:
+                            expected = all(
+                                (Fraction(chi.exponent(g), chi.order) + Fraction(t, 2)).denominator == 1
+                                for g, t in zip(stab, thetas)
+                            )
+                            assert is_character_orbit(o, chi, mask) == expected, (w, o, chi, mask)
 
 
 class TestKernelOrbitStructure:
@@ -633,7 +663,7 @@ class TestKernelOrbitStructure:
                 index = w.order // kernel.order
                 max_seen = 0
                 for lam in shapes:
-                    theta = sign_product_character(lam, [False] * len(lam.trimmed()))
+                    theta = (False,) * len(lam.trimmed())
                     fine = orbit_space(kernel, lam)
                     mapping = refine(orbit_space(w, lam), fine)
                     for coarse, fines in mapping.items():
@@ -718,7 +748,7 @@ class TestBlockCharacterSymmetry:
         g = klein_group()
         lam = parse_partition("2,2", 4)
         space = orbit_space(g, lam)
-        theta = sign_product_character(lam, [False, False])
+        theta = (False, False)
         chi2 = next(
             c for c in linear_characters(g) if c.order == 2 and c.is_one(parse_cycles("(12)(34)", 4))
         )

@@ -4,6 +4,9 @@ import time
 
 import pytest
 
+from isomers.counting import young_character_index
+from isomers.dissections import parse_tabloid
+from isomers.orbits import is_character_orbit, orbit_space
 from isomers.partitions import Partition, all_partitions, parse_partition
 from isomers.perms import (
     CapExceeded,
@@ -16,7 +19,6 @@ from isomers.perms import (
     linear_characters,
     parse_cycles,
     relative_sign_character,
-    sign_product_character,
     unit_character,
     young_subgroup,
 )
@@ -271,31 +273,47 @@ class TestLinearCharacters:
         assert orders == [1, 3, 3]
 
 
+def _accepts(group, lam, tabloid, theta, chi=None):
+    """Whether the orbit of the tabloid passes the character test with the sign mask theta."""
+    space = orbit_space(group, parse_partition(lam, group.degree))
+    return is_character_orbit(space.orbit_of(parse_tabloid(tabloid, group.degree)), chi, theta)
+
+
 class TestSignProduct:
+    """theta as a sign mask, evaluated on the stabilizer of one orbit."""
+
     def test_all_false_is_unit(self):
-        theta = sign_product_character(parse_partition("3,2", 5), [False, False])
-        assert theta.order == 1
-        for p in theta.group.elements:
-            assert theta.is_one(p)
+        s5 = symmetric_group(5)
+        lam = parse_partition("3,2", 5)
+        for orbit in orbit_space(s5, lam):
+            assert is_character_orbit(orbit, None, (False, False))
+        assert young_character_index(lam, (False, False)) == young_character_index(lam)
 
     def test_single_transposition(self):
-        theta = sign_product_character(parse_partition("2,2", 4), [True, False])
-        assert theta.exponent(parse_cycles("(12)", 4)) == 1
-        assert theta.exponent(parse_cycles("(34)", 4)) == 0
+        swap12 = generate([parse_cycles("(12)", 4)])
+        swap34 = generate([parse_cycles("(34)", 4)])
+        # the sign on block 1 is -1 on (12) and 1 on (34)
+        assert not _accepts(swap12, "2,2", "{1,2}{3,4}", (True, False))
+        assert _accepts(swap34, "2,2", "{1,2}{3,4}", (True, False))
+        assert _accepts(swap12, "2,2", "{1,2}{3,4}", (False, True))
 
     def test_product_of_even_blocks(self):
-        theta = sign_product_character(parse_partition("3,3", 6), [True, True])
-        assert theta.is_one(parse_cycles("(123)(456)", 6))
+        g = generate([parse_cycles("(123)(456)", 6)])
+        assert _accepts(g, "3,3", "{1,2,3}{4,5,6}", (True, True))
 
     def test_matches_global_sign(self):
-        lam = parse_partition("5", 5)
-        theta = sign_product_character(lam, [True])
-        for p in young_subgroup(lam).elements:
-            assert theta.exponent(p) == (0 if p.sign() == 1 else 1)
+        # on shape 5 the sign mask (True,) is the sign: <p> passes the test exactly when p is even
+        for p in symmetric_group(5).elements:
+            assert _accepts(generate([p], degree=5), "5", "{1,2,3,4,5}", (True,)) == (p.sign() == 1)
 
     def test_mask_length_checked(self):
-        with pytest.raises(ValueError):
-            sign_product_character(parse_partition("3,2", 5), [True])
+        g = symmetric_group(5)
+        orbit = next(iter(orbit_space(g, parse_partition("3,2", 5))))
+        for mask in [(True,), (True, False, False)]:
+            with pytest.raises(ValueError, match="mask length"):
+                young_character_index(parse_partition("3,2", 5), mask)
+            with pytest.raises(ValueError, match="mask length"):
+                is_character_orbit(orbit, None, mask)
 
 
 class TestRelativeSign:
