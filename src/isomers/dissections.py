@@ -6,22 +6,22 @@ component sizes.  The dominance order compares prefix unions.  Raising
 moves transfer single elements toward earlier components and model inverse
 substitution steps; every comparison A <= B is witnessed by an explicit
 sequence of such moves.
+
+Every order predicate here reads the row-word, w[x-1] the component of
+point x.  With alpha the word of a and beta that of b, a <= b exactly when
+beta_x <= alpha_x at every point x: each prefix union of a lies in that of
+b when no point sits later in b than in a.  Dissections under dominance
+are thus the product of d chains, one per point, and dominance, covers,
+intervals and raising moves are pointwise readings of that product.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
+from operator import le
 from typing import Iterable, Iterator, Sequence
 
-from .partitions import (
-    Partition,
-    all_partitions,
-    common_prefix_len,
-    dominance_leq,
-    in_M,
-    raising_pair,
-)
+from .partitions import Partition, dominance_leq, in_M, raising_pair, shapes_between
 from .perms import Permutation
 
 __all__ = [
@@ -51,7 +51,7 @@ __all__ = [
 class Dissection:
     """A d-tuple of sorted disjoint subsets of [1,d] whose union is [1,d]."""
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "_word")
 
     def __init__(self, components: Iterable[Iterable[int]], d: int | None = None):
         comps = [tuple(sorted(c)) for c in components]
@@ -93,24 +93,21 @@ class Dissection:
 
     def component_of(self, s: int) -> int:
         """The (1-based) index of the component containing s."""
-        for k, comp in enumerate(self.components, start=1):
-            if s in comp:
-                return k
-        raise ValueError(f"point {s} outside [1,{self.degree}]")
+        if not 1 <= s <= self.degree:
+            raise ValueError(f"point {s} outside [1,{self.degree}]")
+        return self.row_word()[s - 1]
 
     def row_word(self) -> tuple[int, ...]:
-        """The tuple w with w[x-1] the (1-based) component holding point x."""
-        word = [0] * self.degree
-        for k, comp in enumerate(self.components, start=1):
-            for x in comp:
-                word[x - 1] = k
-        return tuple(word)
-
-    def prefix_union(self, i: int) -> frozenset[int]:
-        out: set[int] = set()
-        for comp in self.components[:i]:
-            out.update(comp)
-        return frozenset(out)
+        """The tuple w with w[x-1] the (1-based) component holding point x; built on first use."""
+        try:
+            return self._word
+        except AttributeError:
+            word = [0] * self.degree
+            for k, comp in enumerate(self.components, start=1):
+                for x in comp:
+                    word[x - 1] = k
+            object.__setattr__(self, "_word", tuple(word))
+            return self._word
 
     def acted_by(self, perm: Permutation) -> "Dissection":
         if perm.degree != self.degree:
@@ -219,18 +216,21 @@ def standard_tabloid(lam: Partition) -> Dissection:
     return Dissection(comps)
 
 
-def leq_dissection(a: Dissection, b: Dissection) -> bool:
-    """Dominance: every prefix union of a is contained in that of b."""
-    if a.degree != b.degree:
+def _words(a: Dissection, b: Dissection) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The row-words of a and b, which must have one degree."""
+    alpha, beta = a.row_word(), b.row_word()
+    if len(alpha) != len(beta):
         raise ValueError("degree mismatch")
-    seen_a: set[int] = set()
-    seen_b: set[int] = set()
-    for ca, cb in zip(a.components[:-1], b.components[:-1]):
-        seen_a.update(ca)
-        seen_b.update(cb)
-        if not seen_a <= seen_b:
-            return False
-    return True
+    return alpha, beta
+
+
+def leq_dissection(a: Dissection, b: Dissection) -> bool:
+    """Dominance: every prefix union of a is contained in that of b.
+
+    Pointwise, no point sits later in b than in a.
+    """
+    alpha, beta = _words(a, b)
+    return all(map(le, beta, alpha))
 
 
 def prefix_mask(a: Dissection) -> int:
@@ -282,8 +282,6 @@ def shape_assignment(a: Dissection, b: Dissection, n: Sequence[int]) -> Dissecti
     n = tuple(n)
     if len(n) != d or sum(n) != d or not in_M(n):
         raise ValueError(f"{n} is not a non-negative composition of {d}")
-    if not leq_dissection(a, b):
-        return None
     alpha = a.row_word()
     arrivals: list[list[int]] = [[] for _ in range(d + 1)]
     for x, beta in enumerate(b.row_word(), start=1):
@@ -297,7 +295,7 @@ def shape_assignment(a: Dissection, b: Dissection, n: Sequence[int]) -> Dissecti
             return None
         chosen, pool = pool[: n[v - 1]], pool[n[v - 1] :]
         if any(alpha[x - 1] < v for x in chosen) or any(alpha[x - 1] <= v for x in pool):
-            return None  # an element passed its deadline
+            return None  # an element passed its deadline, as one with beta_x > alpha_x must
         comps.append(tuple(sorted(chosen)))
     return Dissection._trusted(tuple(comps))
 
@@ -330,50 +328,33 @@ def raising_moves(a: Dissection, b: Dissection) -> list[tuple[int, int]] | None:
     """A sequence of single-element raises carrying a onto b, or None.
 
     None exactly when a does not precede b in dominance.  Applying the
-    returned (component, element) moves in order transforms a into b; the
-    walk fills components left to right from b's prefixes.
+    returned (component, element) moves in order transforms a into b: each
+    point x with beta_x < alpha_x moves once, straight into its component
+    beta_x of b, and the moves fill b's components left to right.
     """
-    if a.degree != b.degree:
-        raise ValueError("degree mismatch")
     if not leq_dissection(a, b):
         return None
-    moves: list[tuple[int, int]] = []
-    cur = a
-    target = b.shape()
-    while cur.shape() != target:
-        l = cur.shape()
-        i = common_prefix_len(l, target) + 1
-        pool = sorted(b.prefix_union(i) - cur.prefix_union(i))
-        xs = pool[: target[i - 1] - l[i - 1]]
-        cur = raise_set(i, xs, cur)
-        moves.extend((i, s) for s in xs)
-    if cur != b:  # shapes equal and cur <= b forces equality
-        raise RuntimeError("lift terminated away from target")
-    return moves
+    alpha, beta = a.row_word(), b.row_word()
+    return sorted((bx, x) for x, (ax, bx) in enumerate(zip(alpha, beta), start=1) if bx < ax)
 
 
 def interval_dissections(a: Dissection, b: Dissection) -> list[Dissection]:
-    """The closed interval [a, b]: all X with a <= X <= b.
+    """The closed interval [a, b]: all X with a <= X <= b, sorted.
 
-    Grown by closure under single raises that stay below b; every interval
-    member is reachable this way because raises commute.
+    X lies in it exactly when each point x sits in X somewhere in
+    [beta_x, alpha_x], so the interval is the product of those ranges.
     """
     if not leq_dissection(a, b):
         raise ValueError("a does not precede b")
-    d = a.degree
-    seen = {a}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for i in range(1, d):
-                for s in range(1, d + 1):
-                    y = raise_into(i, s, x)
-                    if y not in seen and leq_dissection(y, b):
-                        seen.add(y)
-                        nxt.append(y)
-        frontier = nxt
-    return sorted(seen)
+    alpha, beta = a.row_word(), b.row_word()
+    d = len(alpha)
+    out = []
+    for word in product(*(range(bx, ax + 1) for ax, bx in zip(alpha, beta))):
+        comps: list[list[int]] = [[] for _ in range(d)]
+        for x, k in enumerate(word, start=1):
+            comps[k - 1].append(x)
+        out.append(Dissection._trusted(tuple(map(tuple, comps))))
+    return sorted(out)
 
 
 def interval_shapes(a: Dissection, b: Dissection) -> set[tuple[int, ...]]:
@@ -426,38 +407,13 @@ def substitution_chain(a: Dissection, b: Dissection) -> list[tuple[int, int]]:
 
 
 def is_cover_dissection(a: Dissection, b: Dissection) -> bool:
-    """Covering relation on dissections: one element drops one component."""
-    if a.degree != b.degree:
-        raise ValueError("degree mismatch")
-    pair = _diff_pair(a, b)
-    if pair is None:
-        return False
-    i, moved = pair
-    return a.component_of(moved) == i + 1
+    """Covering relation on dissections: one element drops one component.
 
-
-def _diff_pair(a: Dissection, b: Dissection) -> tuple[int, int] | None:
-    """If b = raise of a single element into component i, return (i, element)."""
-    diffs = [k for k in range(a.degree) if a.components[k] != b.components[k]]
-    if len(diffs) != 2:
-        return None
-    i, j = diffs[0] + 1, diffs[1] + 1
-    gained = set(b.components[i - 1]) - set(a.components[i - 1])
-    lost = set(a.components[j - 1]) - set(b.components[j - 1])
-    if len(gained) == 1 and gained == lost:
-        if set(a.components[i - 1]) <= set(b.components[i - 1]) and set(b.components[j - 1]) <= set(a.components[j - 1]):
-            return i, gained.pop()
-    return None
-
-
-@lru_cache(maxsize=None)
-def _shapes_between(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The partitions of len(lam) strictly between lam and mu in dominance."""
-    return tuple(
-        nu
-        for nu in (p.parts for p in all_partitions(len(lam)))
-        if nu not in (lam, mu) and dominance_leq(lam, nu) and dominance_leq(nu, mu)
-    )
+    Pointwise, the words differ at exactly one point, and there by one.
+    """
+    alpha, beta = _words(a, b)
+    moved = [(ax, bx) for ax, bx in zip(alpha, beta) if ax != bx]
+    return len(moved) == 1 and moved[0][0] == moved[0][1] + 1
 
 
 def is_cover_tabloid(a: Dissection, b: Dissection) -> bool:
@@ -473,4 +429,5 @@ def is_cover_tabloid(a: Dissection, b: Dissection) -> bool:
         raise ValueError("both arguments must be tabloids")
     if a == b or not leq_dissection(a, b):
         return False
-    return not any(shape_feasible(a, b, nu) for nu in _shapes_between(a.shape(), b.shape()))
+    lam, mu = a.shape(), b.shape()
+    return not any(shape_feasible(a, b, nu) for nu in shapes_between(lam, mu) if nu.parts not in (lam, mu))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .dissections import (
     Dissection,
@@ -19,8 +19,8 @@ from .dissections import (
     prefix_mask,
     tabloid_words,
 )
-from .partitions import Partition, all_partitions, dominance_leq, raising_pair
-from .perms import CapExceeded, LinearCharacter, PermGroup, relative_sign_character
+from .partitions import Partition, dominance_leq, raising_pair, shapes_between
+from .perms import CapExceeded, LinearCharacter, PermGroup, Permutation, relative_sign_character
 
 __all__ = [
     "POSET_PAIR_CAP",
@@ -178,18 +178,18 @@ def orbit_space(group: PermGroup, lam: Partition) -> OrbitSpace:
     return space
 
 
-def stabilizer(group: PermGroup, a: Dissection) -> PermGroup:
-    """The subgroup fixing the dissection a (memoized per group)."""
-    cached = group._memo.get(("stabilizer", a))
-    if cached is not None:
-        return cached
+def _fixing(group: PermGroup, a: Dissection) -> Iterator[Permutation]:
+    """The elements of group fixing the dissection a, in element order."""
     if a.degree != group.degree:
         raise ValueError("degree mismatch")
     w = a.row_word()
-    fixed = [g for g, p in zip(group.elements, _images(group)) if tuple(map(w.__getitem__, p)) == w]
-    sub = PermGroup(group.degree, tuple(fixed), tuple(fixed))
-    group._memo[("stabilizer", a)] = sub
-    return sub
+    return (g for g, p in zip(group.elements, _images(group)) if tuple(map(w.__getitem__, p)) == w)
+
+
+def stabilizer(group: PermGroup, a: Dissection) -> PermGroup:
+    """The subgroup fixing the dissection a."""
+    fixed = tuple(_fixing(group, a))
+    return PermGroup(group.degree, fixed, fixed)
 
 
 def _require_same_group(a: Orbit, b: Orbit) -> None:
@@ -245,9 +245,7 @@ def orbit_interval(a: Orbit, b: Orbit, spaces: dict[Partition, OrbitSpace] | Non
     if spaces is None:
         spaces = {}
     out = []
-    for lam in all_partitions(group.degree):
-        if not (dominance_leq(a.shape, lam) and dominance_leq(lam, b.shape)):
-            continue
+    for lam in shapes_between(a.shape, b.shape):
         if lam not in spaces:
             spaces[lam] = orbit_space(group, lam)
         for c in spaces[lam]:
@@ -317,7 +315,7 @@ def is_character_orbit(
     a = orbit.representative
     masked = {x for comp, flag in zip(a.components, check_theta_mask(orbit.shape, theta)) if flag for x in comp}
     order = 1 if chi is None else chi.order  # chi(sigma) = zeta^(2e) and -1 = zeta^order, zeta a 2*order-th root
-    for sigma in stabilizer(group, a).elements:
+    for sigma in _fixing(group, a):
         flips = sum(len(c) - 1 for c in sigma.cycles() if c[0] in masked) if masked else 0
         e = (0 if chi is None else 2 * chi.exponent(sigma)) + flips * order
         if e % (2 * order) != 0:

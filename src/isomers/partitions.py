@@ -9,6 +9,7 @@ coordinates.  All operator indices are 1-based.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -30,6 +31,7 @@ __all__ = [
     "prefix_gaps",
     "raising_op",
     "raising_pair",
+    "shapes_between",
 ]
 
 
@@ -275,6 +277,16 @@ def all_partitions(d: int) -> list[Partition]:
 
     rec(d, d, [])
     return out
+
+
+@lru_cache(maxsize=None)
+def shapes_between(lam: Partition | Sequence[int], mu: Partition | Sequence[int]) -> tuple[Partition, ...]:
+    """The closed dominance interval [lam, mu] of partitions, in all_partitions order (cached).
+
+    Empty unless lam <= mu; lam and mu may be Partitions or part tuples.
+    """
+    lam, mu = _parts(lam), _parts(mu)
+    return tuple(nu for nu in all_partitions(len(lam)) if dominance_leq(lam, nu) and dominance_leq(nu, mu))
 
 
 def covers_above(lam: Partition) -> list[Partition]:

@@ -197,7 +197,7 @@ class PermGroup:
         self._element_set = frozenset(self.elements)
         self._classes: tuple[ConjugacyClass, ...] | None = None
         self._census: dict[tuple[int, ...], int] | None = None
-        self._memo: dict = {}  # per-group scratch cache (orbit spaces, stabilizers)
+        self._memo: dict = {}  # per-group scratch cache (hash, image tuples, orbit spaces)
         if Permutation.identity(degree) not in self._element_set:
             raise ValueError("element list lacks the identity")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from .catalog import SkeletonSpec, genetic_diagram, kauffmann_count, korner_relations
 from .counting import build_report, count_types, monotonicity_check
 from .orbits import Orbit, check_tabloid_cap, comparable_pairs, orbit_cover, orbit_leq, orbit_space
-from .partitions import Partition, all_partitions, dominance_leq
+from .partitions import Partition, all_partitions, dominance_leq, shapes_between
 from .perms import PermGroup, linear_characters
 
 # orbit-pair cover checks against the definitional oracle are skipped above
@@ -77,9 +77,7 @@ def verify_covers(group: PermGroup, result: VerifyResult):
         for mu in shapes:
             if lam == mu or not dominance_leq(lam, mu):
                 continue
-            between = [
-                nu for nu in shapes if dominance_leq(lam, nu) and dominance_leq(nu, mu)
-            ]
+            between = shapes_between(lam, mu)
             if counts[lam] * counts[mu] > COVER_SUITE_PAIR_CAP or any(
                 counts[nu] > COVER_SUITE_PAIR_CAP for nu in between
             ):

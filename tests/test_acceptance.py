@@ -229,8 +229,9 @@ def _random_dissection(rng, d):
     return Dissection(comps)
 
 
-def _random_tabloid(rng, d):
-    lam = rng.choice(all_partitions(d))
+def _random_tabloid(rng, shapes):
+    lam = rng.choice(shapes)
+    d = lam.d
     remaining = list(range(1, d + 1))
     comps = []
     for size in lam.trimmed():
@@ -291,17 +292,20 @@ def _interval_members(x, y):
 def test_criterion_7_property_suite():
     start = time.time()
     rng = random.Random(20260809)
+    # built once per degree; rng.choice reads only a list's length, so the draws do not depend on this
+    compositions = {d: all_compositions(d) for d in range(2, 8)}
+    partitions = {d: all_partitions(d) for d in range(2, 8)}
 
     # (a) exhaustive cover agreement, d <= 5
     for d in (2, 3, 4, 5):
-        comps = all_compositions(d)
+        comps = compositions[d]
         oracle = _covers_bitset_ints(comps, leq_composition)
         idx = {c: i for i, c in enumerate(comps)}
         for li, l in enumerate(comps):
             for mi, m in enumerate(comps):
                 assert is_cover_composition(l, m) == ((li, mi) in oracle)
     for d in (2, 3, 4, 5, 6):
-        parts = all_partitions(d)
+        parts = partitions[d]
         raw = [p.parts for p in parts]
         oracle = _covers_bitset_ints(raw, leq_composition)
         for i, l in enumerate(parts):
@@ -327,7 +331,7 @@ def test_criterion_7_property_suite():
         i, j = rng.randrange(len(univ5)), rng.randrange(len(univ5))
         assert is_cover_dissection(univ5[i], univ5[j]) == ((i, j) in oracle5)
     for d in (2, 3, 4, 5):
-        tabs = sorted({t for lam in all_partitions(d) for t in all_tabloids(lam)})
+        tabs = sorted({t for lam in partitions[d] for t in all_tabloids(lam)})
         oracle = _covers_bitset_ints(tabs, leq_dissection)
         for i, a in enumerate(tabs):
             for j, b in enumerate(tabs):
@@ -350,10 +354,10 @@ def test_criterion_7_property_suite():
     # (a) continued: 500 random instances at d <= 7 per relation family
     for _ in range(500):
         d = rng.randint(6, 7)
-        l = tuple(rng.choice(all_compositions(d)))
-        m = tuple(rng.choice(all_compositions(d)))
+        comps = compositions[d]
+        l = tuple(rng.choice(comps))
+        m = tuple(rng.choice(comps))
         claimed = is_cover_composition(l, m)
-        comps = all_compositions(d)
         truth = (
             l != m
             and leq_composition(l, m)
@@ -362,7 +366,7 @@ def test_criterion_7_property_suite():
         assert claimed == truth
     for _ in range(500):
         d = rng.randint(6, 7)
-        parts = all_partitions(d)
+        parts = partitions[d]
         lam, mu = rng.choice(parts), rng.choice(parts)
         truth = (
             lam != mu
@@ -376,7 +380,7 @@ def test_criterion_7_property_suite():
         hits = 0
         while hits < 500:
             d = rng.randint(6, 7)
-            upper = _random_tabloid(rng, d) if family == "tabloids" else _random_dissection(rng, d)
+            upper = _random_tabloid(rng, partitions[d]) if family == "tabloids" else _random_dissection(rng, d)
             lower = upper
             for _ in range(rng.randint(1, 3)):
                 downs = _lowerings(lower, family == "tabloids")
@@ -404,7 +408,7 @@ def test_criterion_7_property_suite():
         w = random_subgroup(rng, d)
         usable = [
             lam
-            for lam in all_partitions(d)
+            for lam in partitions[d]
             if math.factorial(d) // math.prod(math.factorial(k) for k in lam.trimmed()) <= 500
         ]
         if len(usable) < 2:
@@ -419,7 +423,7 @@ def test_criterion_7_property_suite():
                 for nu in usable
                 if nu not in (lam, mu) and dominance_leq(lam, nu) and dominance_leq(nu, mu)
             ]
-            if any(nu not in usable for nu in all_partitions(d) if dominance_leq(lam, nu) and dominance_leq(nu, mu)):
+            if any(nu not in usable for nu in partitions[d] if dominance_leq(lam, nu) and dominance_leq(nu, mu)):
                 continue  # an intermediate stratum is too large to enumerate
             a = rng.choice(orbit_space(w, lam).orbits)
             b = rng.choice(orbit_space(w, mu).orbits)
@@ -440,7 +444,7 @@ def test_criterion_7_property_suite():
     # (b) constructive chains replay, 500 random instances each
     for _ in range(500):
         d = rng.randint(2, 7)
-        comps = all_compositions(d)
+        comps = compositions[d]
         l, m = rng.choice(comps), rng.choice(comps)
         if not leq_composition(l, m):
             l, m = m, l
@@ -500,7 +504,7 @@ def test_criterion_7_property_suite():
     for _ in range(200):
         d = rng.randint(2, 7)
         w = random_subgroup(rng, d)
-        for lam in all_partitions(d):
+        for lam in partitions[d]:
             assert build_report(w, lam).agree
 
     elapsed = time.time() - start

@@ -48,6 +48,21 @@ def random_dissection(rng, d):
     return Dissection(comps)
 
 
+def comparable_pairs_upto_4():
+    """Every ordered pair a <= b of dissections of degree at most 4, by the raw oracle."""
+    for d in range(1, 5):
+        univ = all_dissections(d)
+        for a in univ:
+            for b in univ:
+                if leq_dissection_raw(a.components, b.components):
+                    yield a, b
+
+
+def raw_component(a, s):
+    """The component of a holding point s, read off the component tuples."""
+    return next(k for k, comp in enumerate(a.components, start=1) if s in comp)
+
+
 def random_tabloid(rng, d):
     lam = rng.choice(all_partitions(d))
     comps = []
@@ -115,6 +130,11 @@ class TestDominance:
             d = rng.randint(1, 6)
             a, b = random_dissection(rng, d), random_dissection(rng, d)
             assert leq_dissection(a, b) == leq_dissection_raw(a.components, b.components)
+        for d in range(1, 5):
+            univ = all_dissections(d)
+            for a in univ:
+                for b in univ:
+                    assert leq_dissection(a, b) == leq_dissection_raw(a.components, b.components)
 
     def test_shape_map_is_monotone(self):
         rng = random.Random(4)
@@ -234,6 +254,22 @@ class TestRaisingMoves:
             for i, s in moves:
                 cur = raise_into(i, s, cur)
             assert cur == b
+
+    def test_each_point_moves_once_into_its_component_exhaustive(self):
+        pairs = 0
+        for a, b in comparable_pairs_upto_4():
+            pairs += 1
+            moves = raising_moves(a, b)
+            assert moves == sorted(moves)  # (component, point) order
+            moved = [s for _, s in moves]
+            assert len(moved) == len(set(moved))
+            assert set(moved) == {s for s in range(1, a.degree + 1) if raw_component(a, s) != raw_component(b, s)}
+            cur = a
+            for i, s in moves:
+                assert i == raw_component(b, s) < raw_component(a, s)
+                cur = raise_into(i, s, cur)
+            assert cur == b
+        assert pairs == 10226
 
 
 class TestLiftShape:
@@ -407,21 +443,17 @@ class TestIntervalShapes:
         assert is_cover_tabloid(a, b)
 
     def test_interval_matches_raw_enumeration(self):
-        rng = random.Random(13)
-        hits = 0
-        while hits < 40:
-            d = rng.randint(2, 5)
-            a, b = random_dissection(rng, d), random_dissection(rng, d)
-            if not leq_dissection(a, b):
-                continue
-            hits += 1
-            got = {x.components for x in interval_dissections(a, b)}
+        pairs = 0
+        for a, b in comparable_pairs_upto_4():
+            pairs += 1
+            got = [x.components for x in interval_dissections(a, b)]
             raw = {
                 x
-                for x in interval_dissections_raw(a.components, b.components, d)
+                for x in interval_dissections_raw(a.components, b.components, a.degree)
                 if leq_dissection_raw(a.components, x) and leq_dissection_raw(x, b.components)
             }
-            assert got == raw
+            assert got == sorted(raw)
+        assert pairs == 10226
 
 
 class TestSubstitutionChain:

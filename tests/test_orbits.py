@@ -8,7 +8,6 @@ import pytest
 from isomers.catalog import builtin
 from isomers.dissections import (
     Dissection,
-    _shapes_between,
     all_tabloids,
     is_cover_dissection,
     is_cover_tabloid,
@@ -31,7 +30,7 @@ from isomers.orbits import (
     refine,
     stabilizer,
 )
-from isomers.partitions import Partition, all_partitions, dominance_leq, parse_partition
+from isomers.partitions import Partition, all_partitions, dominance_leq, parse_partition, shapes_between
 from isomers.perms import (
     CapExceeded,
     Permutation,
@@ -459,13 +458,9 @@ class TestMaskComparisonsMatchTranslates:
             shapes = raw_partitions(d)
             for lam in shapes:
                 for mu in shapes:
-                    direct = {
-                        nu
-                        for nu in shapes
-                        if nu not in (lam, mu) and leq_composition(lam, nu) and leq_composition(nu, mu)
-                    }
-                    between = _shapes_between(lam, mu)
-                    assert len(between) == len(direct) and set(between) == direct
+                    direct = [nu for nu in shapes if leq_composition(lam, nu) and leq_composition(nu, mu)]
+                    between = [nu.parts for nu in shapes_between(lam, mu)]
+                    assert between == sorted(direct, reverse=True)  # all_partitions order
 
 
 class TestComparablePairs:
