@@ -9,15 +9,14 @@ edges and the remaining one-step-shape comparabilities as dashed extras.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .dissections import Dissection, parse_tabloid
 from .orbits import (
     Orbit,
     OrbitSpace,
+    _Record,
     classify_chiral,
     comparable_pairs,
     orbit_cover,
@@ -36,6 +35,7 @@ __all__ = [
     "builtin",
     "emit_dot",
     "genetic_diagram",
+    "json_text",
     "kauffmann_count",
     "korner_relations",
 ]
@@ -43,24 +43,19 @@ __all__ = [
 BUILTIN_NAMES = ("benzene", "ethene", "naphthalene")
 
 
-@dataclass(frozen=True)
-class SkeletonSpec:
+class SkeletonSpec(_Record):
     """A named skeleton: its symmetry groups and pinned orbit letters.
 
+    Fields: ``name``, ``degree``, ``group``, then the optional ``extended``,
+    ``structural``, ``letters``, ``structural_letters`` and ``notes``.
     ``group`` acts for substitution isomerism; ``extended`` (equal to group
     when no chiral pairs exist) for stereoisomerism; ``structural`` for
     structural isomerism.  ``letters`` maps a shape to (letter, tabloid)
     pairs naming the orbit that contains the tabloid.
     """
 
-    name: str
-    degree: int
-    group: PermGroup
-    extended: PermGroup | None = None
-    structural: PermGroup | None = None
-    letters: dict[Partition, tuple[tuple[str, Dissection], ...]] | None = None
-    structural_letters: dict[Partition, tuple[tuple[str, Dissection], ...]] | None = None
-    notes: str = ""
+    __slots__ = ("name", "degree", "group", "extended", "structural", "letters", "structural_letters", "notes")
+    _defaults = {"extended": None, "structural": None, "letters": None, "structural_letters": None, "notes": ""}
 
 
 def _group(d: int, *cycle_texts: str) -> PermGroup:
@@ -206,32 +201,34 @@ def korner_relations() -> list[tuple[str, str]]:
     return sorted((orbit_name(lower_names[a], lam), orbit_name(upper_names[b], mu)) for a, b in pairs)
 
 
-@dataclass(frozen=True)
-class DiagramNode:
-    name: str
-    shape: Partition
-    size: int
-    representative: Dissection
-    chiral_pair: bool | None  # None when no extended group is available
-    structural_class: str | None  # None when no structural group is available
+def json_text(payload) -> str:
+    """payload as JSON text: indented, keys sorted, newline-terminated."""
+    import json  # here, not at the top: commands that write no JSON never load it
+
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-@dataclass(frozen=True)
-class GeneticDiagram:
+class DiagramNode(_Record):
+    """One orbit of a genetic diagram.
+
+    ``chiral_pair`` is None when no extended group is available, and
+    ``structural_class`` when no structural group is.
+    """
+
+    __slots__ = ("name", "shape", "size", "representative", "chiral_pair", "structural_class")
+
+
+class GeneticDiagram(_Record):
     """Orbit nodes with cover edges and non-cover one-step relations.
 
     Edges are (lower, upper) node-name pairs; an edge means the upper
     isomer turns into the lower one by a single irreducible substitution.
     extra_relations hold comparable pairs at adjacent shapes that are not
     covers (a reaction exists but passes through intermediate isomers).
+    merges pair each structural class with its member nodes.
     """
 
-    skeleton: str
-    degree: int
-    nodes: tuple[DiagramNode, ...]
-    edges: tuple[tuple[str, str], ...]
-    extra_relations: tuple[tuple[str, str], ...]
-    merges: tuple[tuple[str, tuple[str, ...]], ...]  # structural class -> member nodes
+    __slots__ = ("skeleton", "degree", "nodes", "edges", "extra_relations", "merges")
 
     def to_json(self) -> str:
         payload = {
@@ -252,7 +249,7 @@ class GeneticDiagram:
             "extra_relations": [list(e) for e in self.extra_relations],
             "merges": [[name, list(members)] for name, members in self.merges],
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json_text(payload)
 
 
 def genetic_diagram(spec: SkeletonSpec, shapes: Sequence[Partition] | None = None) -> GeneticDiagram:

@@ -10,11 +10,10 @@ bad input).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .catalog import BUILTIN_NAMES, SkeletonSpec, assign_letters, builtin, emit_dot, genetic_diagram, orbit_name
+from .catalog import BUILTIN_NAMES, SkeletonSpec, assign_letters, builtin, emit_dot, genetic_diagram, json_text, orbit_name
 from .counting import build_report, check_scalar_cap
 from .orbits import check_tabloid_cap, classify_chiral, comparable_pairs, orbit_cover, orbit_space
 from .partitions import Partition, all_partitions, format_partition, parse_partition
@@ -147,7 +146,7 @@ def cmd_count(args) -> int:
         theta, theta_label = resolve_theta(args, lam)
         reports.append(build_report(group, lam, chi, theta, chi_label, theta_label))
     if args.format == "json":
-        _emit(json.dumps([r.to_json_dict() for r in reports], indent=2, sort_keys=True) + "\n", args.out)
+        _emit(json_text([r.to_json_dict() for r in reports]), args.out)
     else:
         lines = []
         for r in reports:
@@ -178,7 +177,7 @@ def cmd_orbits(args) -> int:
             }
             for nm, orbit in named
         ]
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(json_text(payload), args.out)
     else:
         lines = [f"{nm:>14}  size={orbit.size:<4} rep={orbit.representative}" for nm, orbit in named]
         _emit("\n".join(lines) + "\n", args.out)
@@ -230,7 +229,7 @@ def cmd_chiral(args) -> int:
                 }
             )
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(json_text(payload), args.out)
     else:
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK

@@ -13,12 +13,11 @@ cyclotomic polynomials, so every integrality assertion is sharp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .orbits import check_theta_mask, is_character_orbit, orbit_space
+from .orbits import _Record, check_theta_mask, is_character_orbit, orbit_space
 from .partitions import (
     Partition,
     all_partitions,
@@ -440,18 +439,14 @@ def count_brute(
 
 # -- cross-validation and order properties ------------------------------------
 
-@dataclass(frozen=True)
-class CountReport:
-    """One shape's counts along every applicable route."""
+class CountReport(_Record):
+    """One shape's counts along every applicable route.
 
-    shape: Partition
-    chi_label: str
-    theta_label: str
-    via_scalar: int
-    via_classes: int
-    via_types: int | None
-    via_ruch: int | None
-    via_brute: int
+    ``via_types`` and ``via_ruch`` are None where those routes do not apply
+    (a non-unit character pair).
+    """
+
+    __slots__ = ("shape", "chi_label", "theta_label", "via_scalar", "via_classes", "via_types", "via_ruch", "via_brute")
 
     @property
     def agree(self) -> bool:

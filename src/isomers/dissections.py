@@ -82,11 +82,6 @@ class Dissection:
     def shape(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.components)
 
-    def shape_partition(self) -> Partition:
-        if not self.is_tabloid():
-            raise ValueError(f"{self} is not a tabloid")
-        return Partition(self.shape())
-
     def is_tabloid(self) -> bool:
         sizes = self.shape()
         return all(a >= b for a, b in zip(sizes, sizes[1:]))

@@ -9,16 +9,9 @@ distinguished orbit families, in particular the ones holding chiral pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Sequence
 
-from .dissections import (
-    Dissection,
-    is_cover_tabloid,
-    prefix_mask,
-    tabloid_words,
-)
+from .dissections import Dissection, prefix_mask, shape_feasible, tabloid_words
 from .partitions import Partition, dominance_leq, raising_pair, shapes_between
 from .perms import CapExceeded, LinearCharacter, PermGroup, Permutation, relative_sign_character
 
@@ -49,7 +42,43 @@ POSET_PAIR_CAP = 250_000
 TABLOID_CAP = 100_000
 
 
-@dataclass(frozen=True, eq=False)
+class _Record:
+    """An immutable value record whose fields are its class's ``__slots__``.
+
+    Arguments fill the fields in slot order, by position or keyword; a field
+    left out takes its value in ``_defaults``.  Equality, hashing and repr
+    read the fields, as a frozen dataclass's do.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args) :]):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        for name in names:
+            if name not in values:
+                raise TypeError(f"{type(self).__name__} is missing the field {name}")
+            object.__setattr__(self, name, values[name])
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+
 class Orbit:
     """A W-orbit of tabloids; members are sorted, the representative is the first.
 
@@ -58,19 +87,29 @@ class Orbit:
     its members.
     """
 
-    group: PermGroup
-    shape: Partition
-    representative: Dissection
-    members: tuple[Dissection, ...]
+    __slots__ = ("group", "shape", "representative", "members", "_masks")
+
+    def __init__(self, group: PermGroup, shape: Partition, representative: Dissection, members: tuple[Dissection, ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "members", members)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Orbit is immutable")
 
     @property
     def size(self) -> int:
         return len(self.members)
 
-    @cached_property
+    @property
     def masks(self) -> tuple[int, ...]:
         """prefix_mask of each member, in member order; built on first comparison."""
-        return tuple(prefix_mask(m) for m in self.members)
+        try:
+            return self._masks
+        except AttributeError:
+            object.__setattr__(self, "_masks", tuple(prefix_mask(m) for m in self.members))
+            return self._masks
 
     def __contains__(self, a: Dissection) -> bool:
         return a in self.members
@@ -79,13 +118,26 @@ class Orbit:
         return f"Orbit({self.representative}, size={self.size})"
 
 
-@dataclass(frozen=True)
 class OrbitSpace:
     """All W-orbits on the tabloids of one shape, in representative order."""
 
-    group: PermGroup
-    shape: Partition
-    orbits: tuple[Orbit, ...]
+    __slots__ = ("group", "shape", "orbits", "_positions")
+
+    def __init__(self, group: PermGroup, shape: Partition, orbits: tuple[Orbit, ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "orbits", orbits)
+
+    def __setattr__(self, *a):
+        raise AttributeError("OrbitSpace is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not OrbitSpace:
+            return NotImplemented
+        return (self.group, self.shape, self.orbits) == (other.group, other.shape, other.orbits)
+
+    def __hash__(self):
+        return hash((self.group, self.shape, self.orbits))
 
     def __len__(self):
         return len(self.orbits)
@@ -93,10 +145,14 @@ class OrbitSpace:
     def __iter__(self):
         return iter(self.orbits)
 
-    @cached_property
+    @property
     def positions(self) -> dict[Dissection, int]:
         """The position in ``orbits`` of the orbit holding each tabloid; built on first lookup."""
-        return {m: k for k, orbit in enumerate(self.orbits) for m in orbit.members}
+        try:
+            return self._positions
+        except AttributeError:
+            object.__setattr__(self, "_positions", {m: k for k, orbit in enumerate(self.orbits) for m in orbit.members})
+            return self._positions
 
     def orbit_of(self, a: Dissection) -> Orbit:
         k = self.positions.get(a)
@@ -221,20 +277,20 @@ def orbit_cover(a: Orbit, b: Orbit) -> bool:
     The open interval between the orbits is the image of the open tabloid
     intervals over all comparable translates of a's representative, so the
     orbits are neighbours exactly when every comparable translate pair is a
-    tabloid cover (and at least one comparable translate exists).
+    tabloid cover (and at least one comparable translate exists).  A tabloid
+    strictly between two others has a shape strictly between theirs, so a
+    translate is a cover unless some such shape is realizable between it
+    and b's representative; with no such shape every comparable translate
+    of a distinct shape is a cover.
     """
     _require_same_group(a, b)
-    if a == b:
-        return False
-    rb = b.representative
+    lam, mu = a.shape, b.shape
     outside_b = ~b.masks[0]
-    found = False
-    for t, m in zip(a.members, a.masks):
-        if not m & outside_b:
-            if not is_cover_tabloid(t, rb):
-                return False
-            found = True
-    return found
+    below = [t for t, m in zip(a.members, a.masks) if not m & outside_b]
+    if lam == mu or not below:
+        return False  # comparable tabloids of one shape are equal
+    rb = b.representative
+    return not any(shape_feasible(t, rb, nu) for nu in shapes_between(lam, mu) if nu != lam and nu != mu for t in below)
 
 
 def orbit_interval(a: Orbit, b: Orbit, spaces: dict[Partition, OrbitSpace] | None = None) -> list[Orbit]:
@@ -336,26 +392,20 @@ def refine(coarse: OrbitSpace, fine: OrbitSpace) -> dict[Orbit, tuple[Orbit, ...
     return {c: tuple(fs) for c, fs in zip(coarse.orbits, buckets)}
 
 
-@dataclass(frozen=True)
-class ChiralEntry:
-    coarse: Orbit
-    fine_orbits: tuple[Orbit, ...]
-    is_pair: bool
-    chi_e_orbit: bool
+class ChiralEntry(_Record):
+    """One coarse orbit, the fine orbits inside it, and whether they form a chiral pair."""
+
+    __slots__ = ("coarse", "fine_orbits", "is_pair", "chi_e_orbit")
 
 
-@dataclass(frozen=True)
-class ChiralReport:
+class ChiralReport(_Record):
     """Per coarse-group orbit: the fine orbits inside and the mirror test.
 
     An orbit splitting in two holds a chiral pair; equivalently the
     relative sign character is identically 1 on its stabilizers.
     """
 
-    group: PermGroup
-    extended_group: PermGroup
-    shape: Partition
-    entries: tuple[ChiralEntry, ...]
+    __slots__ = ("group", "extended_group", "shape", "entries")
 
 
 def classify_chiral(group: PermGroup, extended: PermGroup, lam: Partition) -> ChiralReport:

@@ -7,8 +7,6 @@ integer equality, never a tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .catalog import SkeletonSpec, genetic_diagram, kauffmann_count, korner_relations
 from .counting import build_report, count_types, monotonicity_check
 from .orbits import Orbit, check_tabloid_cap, comparable_pairs, orbit_cover, orbit_leq, orbit_space
@@ -20,10 +18,14 @@ from .perms import PermGroup, linear_characters
 COVER_SUITE_PAIR_CAP = 4000
 
 
-@dataclass
 class VerifyResult:
-    lines: list[str] = field(default_factory=list)
-    failures: int = 0
+    """The report lines of a verify run and how many of its checks failed."""
+
+    __slots__ = ("lines", "failures")
+
+    def __init__(self, lines: list[str] | None = None, failures: int = 0):
+        self.lines = [] if lines is None else lines
+        self.failures = failures
 
     def check(self, label: str, ok: bool):
         self.lines.append(f"{'ok  ' if ok else 'FAIL'} {label}")

@@ -4,7 +4,9 @@ import pytest
 
 from isomers.catalog import (
     BUILTIN_NAMES,
+    DiagramNode,
     GeneticDiagram,
+    SkeletonSpec,
     builtin,
     emit_dot,
     genetic_diagram,
@@ -253,6 +255,37 @@ class TestBenzeneDiagram:
         assert len(diagram.nodes) == 6
         assert set(diagram.edges) == set(korner_relations())
         assert diagram.extra_relations == ()
+
+
+class TestValueTypes:
+    def test_skeleton_spec_call_forms(self):
+        group = builtin("ethene").group
+        spec = SkeletonSpec(name="g", degree=4, group=group)
+        assert (spec.extended, spec.structural, spec.letters, spec.structural_letters) == (None,) * 4
+        assert spec.notes == ""
+        assert spec == SkeletonSpec("g", 4, group) and spec != SkeletonSpec("g", 4, group, notes="x")
+        with pytest.raises(AttributeError):
+            spec.notes = "x"
+        for args, kwargs in [(("g", 4), {}), (("g", 4, group), {"nme": "h"}), (("g", 4, group), {"degree": 4})]:
+            with pytest.raises(TypeError):
+                SkeletonSpec(*args, **kwargs)
+        with pytest.raises(TypeError):
+            SkeletonSpec("g", 4, group, None, None, None, None, "", "extra")
+
+    def test_diagrams_compare_by_value(self):
+        a, b = genetic_diagram(builtin("ethene")), genetic_diagram(builtin("ethene"))
+        assert a is not b and a == b and hash(a) == hash(b)
+        node = a.nodes[0]
+        fields = ("name", "shape", "size", "representative", "chiral_pair", "structural_class")
+        assert node == DiagramNode(*(getattr(node, f) for f in fields)) == b.nodes[0]
+        assert node != DiagramNode(**{**{f: getattr(node, f) for f in fields}, "size": node.size + 1})
+        empty = GeneticDiagram("empty", 0, (), (), (), ())
+        assert empty == GeneticDiagram(skeleton="empty", degree=0, nodes=(), edges=(), extra_relations=(), merges=())
+        assert a != empty
+        with pytest.raises(AttributeError):
+            a.edges = ()
+        with pytest.raises(AttributeError):
+            node.name = "x"
 
 
 class TestEmitDot:

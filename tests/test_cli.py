@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 
 import isomers.cli
 from isomers.cli import main
+from isomers.verify import VerifyResult
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -260,6 +264,14 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out and "ok " in out
 
+    def test_result_counts_failures(self):
+        first, second = VerifyResult(), VerifyResult()
+        first.check("a", True)
+        first.check("b", False)
+        assert first.lines == ["ok   a", "FAIL b"] and first.failures == 1 and not first.ok
+        assert second.lines == [] and second.ok
+        assert not VerifyResult(lines=["FAIL c"], failures=1).ok
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -278,6 +290,19 @@ class TestDeterminism:
 
 
 class TestContract:
+    def test_import_loads_no_dataclasses_inspect_or_json(self):
+        # compared against the interpreter's start set, so a site hook that
+        # loads one of these modules does not fail the test
+        probe = (
+            "import sys; before = set(sys.modules); import isomers.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before)))"
+        )
+        src = str(Path(isomers.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     FLAGS = {
         "count": {"--builtin", "--group-file", "--cap", "--out", "--shape", "--all-shapes", "--chi", "--theta", "--format"},
         "orbits": {"--builtin", "--group-file", "--cap", "--out", "--shape", "--format"},

@@ -6,6 +6,7 @@ from itertools import accumulate, product as iproduct
 import pytest
 
 from isomers.counting import (
+    CountReport,
     PowerSumPoly,
     RootOfUnitySum,
     build_report,
@@ -416,6 +417,15 @@ class TestCountReport:
         report = build_report(g, parse_partition("2,2", 4), chi, None, chi_label="1?")
         assert report.via_types is None and report.via_ruch is None
         assert report.agree
+
+    def test_frozen_value(self):
+        lam = parse_partition("4,2", 6)
+        report = build_report(hexagon_group(), lam)
+        assert report == build_report(hexagon_group(), lam) and hash(report) == hash(build_report(hexagon_group(), lam))
+        assert report == CountReport(lam, "1", "1", 3, 3, 3, 3, 3)
+        assert report != CountReport(lam, "1", "1", 3, 3, None, None, 3)
+        with pytest.raises(AttributeError):
+            report.via_brute = 4
 
 
 class TestOrbitSizeBookkeeping:

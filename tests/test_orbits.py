@@ -18,6 +18,9 @@ from isomers.dissections import (
 )
 from isomers.orbits import (
     TABLOID_CAP,
+    ChiralEntry,
+    Orbit,
+    OrbitSpace,
     classify_chiral,
     comparable_pairs,
     is_character_orbit,
@@ -732,6 +735,42 @@ class TestClassifyChiral:
         s4 = symmetric_group(4)
         with pytest.raises(ValueError):
             classify_chiral(klein_group(), s4, parse_partition("2,2", 4))
+
+
+class TestValueTypes:
+    def test_orbit_compares_and_hashes_by_identity(self):
+        space = orbit_space(hexagon_group(), parse_partition("4,2", 6))
+        a = space.orbits[0]
+        twin = Orbit(a.group, a.shape, a.representative, a.members)
+        assert a == a and a != twin and hash(a) == object.__hash__(a) and hash(twin) == object.__hash__(twin)
+        assert {a: 0}.get(twin) is None
+        assert a.masks is a.masks and twin.masks == a.masks
+        with pytest.raises(AttributeError):
+            a.members = ()
+
+    def test_orbit_space_is_a_frozen_value(self):
+        space = orbit_space(hexagon_group(), parse_partition("4,2", 6))
+        copy = OrbitSpace(space.group, space.shape, space.orbits)
+        assert copy == space and hash(copy) == hash(space) and copy.positions == space.positions
+        assert copy != OrbitSpace(space.group, space.shape, space.orbits[1:])
+        with pytest.raises(AttributeError):
+            space.orbits = ()
+
+    def test_chiral_records_are_frozen_values(self):
+        s3 = symmetric_group(3)
+        a3 = generate([parse_cycles("(123)", 3)])
+        lam = parse_partition("1,1,1", 3)
+        report = classify_chiral(a3, s3, lam)
+        assert report == classify_chiral(a3, s3, lam) and hash(report) == hash(classify_chiral(a3, s3, lam))
+        entry = report.entries[0]
+        assert entry == ChiralEntry(
+            coarse=entry.coarse, fine_orbits=entry.fine_orbits, is_pair=True, chi_e_orbit=True
+        )
+        assert entry != ChiralEntry(entry.coarse, entry.fine_orbits, False, True)
+        with pytest.raises(AttributeError):
+            entry.is_pair = False
+        with pytest.raises(AttributeError):
+            report.entries = ()
 
 
 class TestBlockCharacterSymmetry:
