@@ -23,7 +23,7 @@ from .orbits import (
     orbit_space,
     refine,
 )
-from .partitions import Partition, all_partitions, format_partition, raising_pair
+from .partitions import Partition, all_partitions, raising_pair
 from .perms import PermGroup, generate, parse_cycles
 
 __all__ = [
@@ -166,7 +166,7 @@ def kauffmann_count(lam: Partition) -> int:
 
 
 def orbit_name(letter: str, shape: Partition) -> str:
-    return f"{letter}_({format_partition(shape)})"
+    return f"{letter}_({shape})"
 
 
 def assign_letters(

@@ -15,7 +15,8 @@ from pathlib import Path
 
 from .catalog import BUILTIN_NAMES, SkeletonSpec, assign_letters, builtin, emit_dot, genetic_diagram, json_text, orbit_name
 from .counting import build_report, check_scalar_cap
-from .orbits import check_tabloid_cap, classify_chiral, comparable_pairs, orbit_cover, orbit_space
+from .dissections import format_tabloid
+from .orbits import check_degree_cap, check_tabloid_cap, classify_chiral, comparable_pairs, orbit_cover, orbit_space
 from .partitions import Partition, all_partitions, format_partition, parse_partition
 from .perms import CapExceeded, LinearCharacter, PermGroup, generate, linear_characters, parse_cycles
 from .verify import verify_skeleton
@@ -36,8 +37,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def load_group_file(path: str, cap: int) -> PermGroup:
-    """Group-spec text: ``degree <d>`` then one generator per line; # comments."""
+def load_group_file(path: str, cap: int, every_shape: bool = False) -> PermGroup:
+    """Group-spec text: ``degree <d>`` then one generator per line; # comments.
+
+    A request over every shape (``every_shape``) is checked against the
+    tabloid cap from the degree alone, before any generator is parsed.
+    So for a file that is both malformed and oversized, a bad header
+    exits 2, then a degree past the cap exits 3, then a bad generator
+    exits 2, then a closure past ``cap`` exits 3.
+    """
     try:
         lines = Path(path).read_text().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
@@ -51,6 +59,8 @@ def load_group_file(path: str, cap: int) -> PermGroup:
         raise UsageError(f"{path}: malformed degree line {content[0]!r}") from None
     if d < 1:
         raise UsageError(f"{path}: degree must be positive, got {d}")
+    if every_shape:
+        check_degree_cap(d)
     try:
         gens = [parse_cycles(ln, d) for ln in content[1:]]
     except ValueError as exc:
@@ -58,7 +68,7 @@ def load_group_file(path: str, cap: int) -> PermGroup:
     return generate(gens, degree=d, cap=cap)
 
 
-def resolve_skeleton(args, cap: int) -> SkeletonSpec:
+def resolve_skeleton(args, cap: int, every_shape: bool) -> SkeletonSpec:
     if bool(args.builtin) == bool(args.group_file):
         raise UsageError("exactly one of --builtin or --group-file is required")
     if args.builtin:
@@ -68,7 +78,7 @@ def resolve_skeleton(args, cap: int) -> SkeletonSpec:
         if spec.group.order > cap:
             raise CapExceeded(f"builtin {spec.name} has a group of order {spec.group.order}, above the cap of {cap}")
         return spec
-    group = load_group_file(args.group_file, cap)
+    group = load_group_file(args.group_file, cap, every_shape)
     return SkeletonSpec(name=Path(args.group_file).stem, degree=group.degree, group=group)
 
 
@@ -79,7 +89,7 @@ def resolve_shapes(text: str | None, d: int) -> list[Partition]:
     suffices to check the finest, 1^d, which has the most tabloids.
     """
     if text is None:
-        check_tabloid_cap([Partition((1,) * d, d)])
+        check_degree_cap(d)
         return all_partitions(d)
     try:
         shapes = list(dict.fromkeys(parse_partition(t, d) for t in text.split(":")))
@@ -136,7 +146,7 @@ def _emit(text: str, out: str | None):
 
 
 def cmd_count(args) -> int:
-    spec = resolve_skeleton(args, args.cap)
+    spec = resolve_skeleton(args, args.cap, args.shape is None)
     group = spec.group
     chi, chi_label = resolve_chi(args, group)
     shapes = resolve_shapes(args.shape, group.degree)
@@ -160,7 +170,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    spec = resolve_skeleton(args, args.cap)
+    spec = resolve_skeleton(args, args.cap, args.shape is None)
     named = []
     for lam in resolve_shapes(args.shape, spec.degree):
         space = orbit_space(spec.group, lam)
@@ -173,7 +183,7 @@ def cmd_orbits(args) -> int:
                 "shape": str(orbit.shape),
                 "size": orbit.size,
                 "representative": str(orbit.representative),
-                "members": [str(m) for m in orbit.members],
+                "members": list(map(format_tabloid, orbit.members)),
             }
             for nm, orbit in named
         ]
@@ -191,7 +201,7 @@ def _diagram_names(spec: SkeletonSpec, lam: Partition, space) -> dict:
 
 
 def cmd_poset(args) -> int:
-    spec = resolve_skeleton(args, args.cap)
+    spec = resolve_skeleton(args, args.cap, args.shape is None)
     pairs = comparable_pairs(spec.group, resolve_shapes(args.shape, spec.degree))
     names = {}
     for lam in {orbit.shape for pair in pairs for orbit in pair}:
@@ -202,14 +212,14 @@ def cmd_poset(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    spec = resolve_skeleton(args, args.cap)
+    spec = resolve_skeleton(args, args.cap, args.shape is None)
     diagram = genetic_diagram(spec, resolve_shapes(args.shape, spec.degree))
     _emit(diagram.to_json() if args.format == "json" else emit_dot(diagram), args.out)
     return EXIT_OK
 
 
 def cmd_chiral(args) -> int:
-    spec = resolve_skeleton(args, args.cap)
+    spec = resolve_skeleton(args, args.cap, args.shape is None)
     if spec.extended is None:
         raise UsageError(f"skeleton {spec.name!r} has no stereoisomerism group")
     lines = []
@@ -236,7 +246,7 @@ def cmd_chiral(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = resolve_skeleton(args, args.cap)
+    spec = resolve_skeleton(args, args.cap, every_shape=True)
     result = verify_skeleton(spec)
     _emit("\n".join(result.lines) + "\n", args.out)
     return EXIT_OK if result.ok else EXIT_VERIFY

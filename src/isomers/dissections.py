@@ -17,9 +17,10 @@ intervals and raising moves are pointwise readings of that product.
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from operator import le
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from itertools import accumulate, combinations, product
+from operator import itemgetter, le
+from typing import Callable, Iterable, Sequence
 
 from .partitions import Partition, dominance_leq, in_M, raising_pair, shapes_between
 from .perms import Permutation
@@ -36,7 +37,6 @@ __all__ = [
     "leq_dissection",
     "lift_shape",
     "parse_tabloid",
-    "prefix_mask",
     "raise_into",
     "raise_set",
     "raising_moves",
@@ -44,7 +44,9 @@ __all__ = [
     "shape_feasible",
     "standard_tabloid",
     "substitution_chain",
+    "tabloid_builder",
     "tabloid_words",
+    "word_mask",
 ]
 
 
@@ -66,10 +68,15 @@ class Dissection:
         object.__setattr__(self, "components", tuple(comps))
 
     @classmethod
-    def _trusted(cls, components: tuple[tuple[int, ...], ...]) -> "Dissection":
-        """Wrap components this package built as sorted tuples dissecting [1,d], unchecked."""
+    def _trusted(cls, components: tuple[tuple[int, ...], ...], word: tuple[int, ...] | None = None) -> "Dissection":
+        """Wrap components this package built as sorted tuples dissecting [1,d], unchecked.
+
+        ``word``, when given, must be their row-word; it is kept, not rebuilt.
+        """
         a = object.__new__(cls)
         object.__setattr__(a, "components", components)
+        if word is not None:
+            object.__setattr__(a, "_word", word)
         return a
 
     def __setattr__(self, *a):
@@ -132,9 +139,18 @@ class Dissection:
         return parse_tabloid(text, d)
 
 
+@lru_cache(maxsize=None)
+def _component_text(comp: tuple[int, ...]) -> str:
+    return "{" + ",".join(map(str, comp)) + "}"
+
+
 def format_tabloid(a: Dissection) -> str:
-    """Brace syntax with all components, e.g. ``{2,3,5,6}{1,4}{}{}{}{}``."""
-    return "".join("{" + ",".join(map(str, comp)) + "}" for comp in a.components)
+    """Brace syntax with all components, e.g. ``{2,3,5,6}{1,4}{}{}{}{}``.
+
+    Each component's text is cached, so formatting many members of one
+    orbit space joins texts already built.
+    """
+    return "".join(map(_component_text, a.components))
 
 
 def parse_tabloid(text: str, d: int | None = None) -> Dissection:
@@ -169,36 +185,68 @@ def all_dissections(d: int) -> list[Dissection]:
     return sorted(out)
 
 
-def tabloid_words(lam: Partition) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
-    """Each tabloid of shape lam as (row-word, components), in canonical order.
+def tabloid_words(lam: Partition) -> tuple[tuple[int, ...], ...]:
+    """The row-word of each tabloid of shape lam, in canonical order.
 
-    Components are chosen first to last as combinations of the points still
-    free, so the component tuples come out in lexicographic order.
+    Cached per trimmed shape for the life of the process, so every group of
+    one degree shares the word tuples its orbit spaces hold.
     """
-    sizes = lam.trimmed()
-    last = len(sizes) - 1
-    tail = ((),) * (lam.d - len(sizes))
-    word = [0] * lam.d
+    return _shape_words(lam.trimmed(), 1)
 
-    def rec(k: int, remaining: tuple[int, ...], comps: tuple[tuple[int, ...], ...]):
-        if k == last:  # the last part takes every point left
-            for x in remaining:
-                word[x - 1] = k + 1
-            yield tuple(word), comps + (remaining,) + tail
-            return
-        for chosen in combinations(remaining, sizes[k]):
-            for x in chosen:
-                word[x - 1] = k + 1
-            yield from rec(k + 1, tuple(x for x in remaining if x not in chosen), comps + (chosen,))
 
-    if last < 0:  # the empty shape of degree 0
-        return iter([((), ())])
-    return rec(0, tuple(range(1, lam.d + 1)), ())
+@lru_cache(maxsize=None)
+def _shape_words(sizes: tuple[int, ...], first: int) -> tuple[tuple[int, ...], ...]:
+    """Row-words of the tabloids whose components, labelled first, first + 1, ..., have these sizes.
+
+    Canonical order compares the first component, then the rest.  So the
+    first component runs through the combinations of the points in
+    lexicographic order, and for each one every word of the shape without
+    its first part (labels from first + 1) is spread over the points left
+    by one gather: word[x] reads tail[rank of x among the points left],
+    or the appended label first when x is chosen.
+    """
+    if len(sizes) <= 1:  # one component takes every point; none is the empty shape of degree 0
+        return ((first,) * sum(sizes),)
+    d = sum(sizes)
+    rest = d - sizes[0]
+    tails = [w + (first,) for w in _shape_words(sizes[1:], first + 1)]
+    out: list[tuple[int, ...]] = []
+    for chosen in combinations(range(d), sizes[0]):
+        at = [rest] * d  # d >= 2 here, so the gather returns a tuple, not one item
+        for rank, x in enumerate(sorted(set(range(d)).difference(chosen))):
+            at[x] = rank
+        out.extend(map(itemgetter(*at), tails))
+    return tuple(out)
+
+
+def tabloid_builder(lam: Partition) -> Callable[[Iterable[tuple[int, ...]]], list[Dissection]]:
+    """A function that builds the tabloids of shape lam from their row-words, each keeping its word.
+
+    Component k holds lam[k] points, so a stable sort of the points by
+    their component, cut at the partial sums of lam, gives the components.
+    Equal component tuples of all the tabloids one builder makes are
+    stored once.
+    """
+    points = range(1, lam.d + 1)
+    if lam.d == 1:  # a one-index itemgetter returns the item, not a 1-tuple
+        cut = lambda line: (line,)  # noqa: E731
+    else:
+        cut = itemgetter(*(slice(end - k, end) for k, end in zip(lam.parts, accumulate(lam.parts))))
+    intern = {}.setdefault
+
+    def build(words: Iterable[tuple[int, ...]]) -> list[Dissection]:
+        out = []
+        for w in words:
+            comps = cut(tuple(sorted(points, key=((0,) + w).__getitem__)))
+            out.append(Dissection._trusted(tuple(map(intern, comps, comps)), w))
+        return out
+
+    return build
 
 
 def all_tabloids(lam: Partition) -> list[Dissection]:
     """All tabloids of shape lam, in canonical (lexicographic) order."""
-    return [Dissection._trusted(comps) for _, comps in tabloid_words(lam)]
+    return tabloid_builder(lam)(tabloid_words(lam))
 
 
 def standard_tabloid(lam: Partition) -> Dissection:
@@ -228,20 +276,26 @@ def leq_dissection(a: Dissection, b: Dissection) -> bool:
     return all(map(le, beta, alpha))
 
 
-def prefix_mask(a: Dissection) -> int:
-    """The prefix unions of a, except the last, packed into one integer.
+def word_mask(word: tuple[int, ...]) -> int:
+    """The prefix unions of the dissection with this row-word, except the last, packed into one integer.
 
     Prefix union k sits in bits k*(d+1) + x for its points x, so that
     ``leq_dissection(a, b)`` holds exactly when
-    ``prefix_mask(a) & ~prefix_mask(b) == 0``.
+    ``word_mask(a.row_word()) & ~word_mask(b.row_word()) == 0``.  Point x
+    sets the same bits in every word that puts it in one component, and
+    no other point's, so the mask is a sum over the points.
     """
-    width = a.degree + 1
-    union = mask = 0
-    for k, comp in enumerate(a.components[:-1]):
-        for x in comp:
-            union |= 1 << x
-        mask |= union << (k * width)
-    return mask
+    return sum(map(tuple.__getitem__, _point_masks(len(word)), word))
+
+
+@lru_cache(maxsize=None)
+def _point_masks(d: int) -> tuple[tuple[int, ...], ...]:
+    """Row x-1, column k >= 1: the bits of point x in component k, in prefix unions k-1 to d-2."""
+    width = d + 1
+    return tuple(
+        (0,) + tuple(sum(1 << (j * width + x) for j in range(k - 1, d - 1)) for k in range(1, d + 1))
+        for x in range(1, d + 1)
+    )
 
 
 def raise_into(i: int, s: int, a: Dissection) -> Dissection:

@@ -9,9 +9,10 @@ distinguished orbit families, in particular the ones holding chiral pairs.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .dissections import Dissection, prefix_mask, shape_feasible, tabloid_words
+from .dissections import Dissection, shape_feasible, tabloid_builder, tabloid_words, word_mask
 from .partitions import Partition, dominance_leq, raising_pair, shapes_between
 from .perms import CapExceeded, LinearCharacter, PermGroup, Permutation, relative_sign_character
 
@@ -21,6 +22,7 @@ __all__ = [
     "ChiralReport",
     "Orbit",
     "OrbitSpace",
+    "check_degree_cap",
     "check_tabloid_cap",
     "check_theta_mask",
     "classify_chiral",
@@ -80,35 +82,61 @@ class _Record:
 
 
 class Orbit:
-    """A W-orbit of tabloids; members are sorted, the representative is the first.
+    """A W-orbit of tabloids: its members' row-words, sorted; the representative is the first.
 
-    Equality and hashing are by identity: orbit spaces are memoized per
-    group, so each orbit exists once, and dicts keyed by orbit never hash
-    its members.
+    The member dissections are built on first use, by a ``tabloid_builder``
+    shared by the orbits of one space, so equal component tuples across
+    the space are stored once.  Equality and hashing are by identity: orbit
+    spaces are memoized per group, so each orbit exists once, and dicts
+    keyed by orbit never hash its members.
     """
 
-    __slots__ = ("group", "shape", "representative", "members", "_masks")
+    __slots__ = ("group", "shape", "words", "_build", "_representative", "_members", "_masks")
 
-    def __init__(self, group: PermGroup, shape: Partition, representative: Dissection, members: tuple[Dissection, ...]):
+    def __init__(
+        self,
+        group: PermGroup,
+        shape: Partition,
+        words: tuple[tuple[int, ...], ...],
+        build: Callable[[Iterable[tuple[int, ...]]], list[Dissection]] | None = None,
+    ):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "representative", representative)
-        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "_build", tabloid_builder(shape) if build is None else build)
 
     def __setattr__(self, *a):
         raise AttributeError("Orbit is immutable")
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.words)
+
+    @property
+    def representative(self) -> Dissection:
+        """The first member; built alone until the members are."""
+        try:
+            return self._representative
+        except AttributeError:
+            object.__setattr__(self, "_representative", self._build(self.words[:1])[0])
+            return self._representative
+
+    @property
+    def members(self) -> tuple[Dissection, ...]:
+        """The member tabloids, in word order; built on first use."""
+        try:
+            return self._members
+        except AttributeError:
+            object.__setattr__(self, "_members", (self.representative, *self._build(self.words[1:])))
+            return self._members
 
     @property
     def masks(self) -> tuple[int, ...]:
-        """prefix_mask of each member, in member order; built on first comparison."""
+        """word_mask of each member, in member order; built on first comparison."""
         try:
             return self._masks
         except AttributeError:
-            object.__setattr__(self, "_masks", tuple(prefix_mask(m) for m in self.members))
+            object.__setattr__(self, "_masks", tuple(map(word_mask, self.words)))
             return self._masks
 
     def __contains__(self, a: Dissection) -> bool:
@@ -146,16 +174,16 @@ class OrbitSpace:
         return iter(self.orbits)
 
     @property
-    def positions(self) -> dict[Dissection, int]:
-        """The position in ``orbits`` of the orbit holding each tabloid; built on first lookup."""
+    def positions(self) -> dict[tuple[int, ...], int]:
+        """The position in ``orbits`` of the orbit holding each row-word; built on first lookup."""
         try:
             return self._positions
         except AttributeError:
-            object.__setattr__(self, "_positions", {m: k for k, orbit in enumerate(self.orbits) for m in orbit.members})
+            object.__setattr__(self, "_positions", {w: k for k, orbit in enumerate(self.orbits) for w in orbit.words})
             return self._positions
 
     def orbit_of(self, a: Dissection) -> Orbit:
-        k = self.positions.get(a)
+        k = self.positions.get(a.row_word())
         if k is None:
             raise ValueError(f"{a} is not a tabloid of shape {self.shape}")
         return self.orbits[k]
@@ -179,6 +207,20 @@ def check_tabloid_cap(shapes: Sequence[Partition]):
             left -= part
 
 
+def check_degree_cap(d: int):
+    """Refuse, from the degree alone, a request over every shape of degree d past TABLOID_CAP.
+
+    The finest shape 1^d has d! tabloids, the most of any shape of degree
+    d, so it bounds them all.  The factorial stops once it passes the cap,
+    and no d-part partition is built.
+    """
+    tabloids = 1
+    for k in range(2, d + 1):
+        tabloids *= k
+        if tabloids > TABLOID_CAP:
+            raise CapExceeded(f"shape 1^{d} has more than {TABLOID_CAP} tabloids, the tabloid cap")
+
+
 def check_theta_mask(lam: Partition, theta: tuple[bool, ...] | None) -> tuple[bool, ...]:
     """theta's sign mask over the parts of lam, all False for the unit (None).
 
@@ -193,12 +235,16 @@ def check_theta_mask(lam: Partition, theta: tuple[bool, ...] | None) -> tuple[bo
     return theta
 
 
-def _images(group: PermGroup) -> tuple[tuple[int, ...], ...]:
-    """The 0-based image tuples of group.elements, in element order (memoized per group)."""
-    images = group._memo.get("images")
-    if images is None:
-        images = group._memo["images"] = tuple(tuple(x - 1 for x in g.images) for g in group.elements)
-    return images
+def _getters(group: PermGroup) -> tuple[Callable[[tuple[int, ...]], tuple[int, ...]], ...]:
+    """Per element g of group, in element order, the gather sending a row-word w to w∘g (memoized per group)."""
+    getters = group._memo.get("getters")
+    if getters is None:
+        if group.degree == 1:  # a one-index itemgetter returns the item, not a 1-tuple
+            getters = (itemgetter(slice(0, 1)),)
+        else:
+            getters = tuple(itemgetter(*(x - 1 for x in g.images)) for g in group.elements)
+        group._memo["getters"] = getters
+    return getters
 
 
 def orbit_space(group: PermGroup, lam: Partition) -> OrbitSpace:
@@ -208,7 +254,8 @@ def orbit_space(group: PermGroup, lam: Partition) -> OrbitSpace:
     group element g sends the word w to the word w∘g; as g runs over the
     group this gives the orbit of w under the action on components.  The
     first tabloid not yet placed is the least of its orbit, so orbits come
-    out in representative order with sorted members.
+    out in representative order with sorted members.  No member dissection
+    is built here.
     """
     if lam.d != group.degree:
         raise ValueError("shape degree differs from group degree")
@@ -216,35 +263,34 @@ def orbit_space(group: PermGroup, lam: Partition) -> OrbitSpace:
     if cached is not None:
         return cached
     check_tabloid_cap([lam])
-    words, comps = zip(*tabloid_words(lam))
-    index = {w: k for k, w in enumerate(words)}
-    images = _images(group)
+    words = tabloid_words(lam)
+    index = dict(zip(words, range(len(words))))
+    getters = _getters(group)
     placed = bytearray(len(words))
+    build = tabloid_builder(lam)
     orbits = []
     for k, w in enumerate(words):
         if placed[k]:
             continue
-        at = sorted({index[tuple(map(w.__getitem__, p))] for p in images})
+        at = sorted({index[get(w)] for get in getters})
         for j in at:
             placed[j] = 1
-        members = tuple(Dissection._trusted(comps[j]) for j in at)
-        orbits.append(Orbit(group, lam, members[0], members))
+        orbits.append(Orbit(group, lam, tuple(map(words.__getitem__, at)), build))
     space = OrbitSpace(group, lam, tuple(orbits))
     group._memo[("orbit_space", lam)] = space
     return space
 
 
-def _fixing(group: PermGroup, a: Dissection) -> Iterator[Permutation]:
-    """The elements of group fixing the dissection a, in element order."""
-    if a.degree != group.degree:
-        raise ValueError("degree mismatch")
-    w = a.row_word()
-    return (g for g, p in zip(group.elements, _images(group)) if tuple(map(w.__getitem__, p)) == w)
+def _fixing(group: PermGroup, w: tuple[int, ...]) -> Iterator[Permutation]:
+    """The elements of group fixing the row-word w, in element order."""
+    return (g for g, get in zip(group.elements, _getters(group)) if get(w) == w)
 
 
 def stabilizer(group: PermGroup, a: Dissection) -> PermGroup:
     """The subgroup fixing the dissection a."""
-    fixed = tuple(_fixing(group, a))
+    if a.degree != group.degree:
+        raise ValueError("degree mismatch")
+    fixed = tuple(_fixing(group, a.row_word()))
     return PermGroup(group.degree, fixed, fixed)
 
 
@@ -286,11 +332,13 @@ def orbit_cover(a: Orbit, b: Orbit) -> bool:
     _require_same_group(a, b)
     lam, mu = a.shape, b.shape
     outside_b = ~b.masks[0]
-    below = [t for t, m in zip(a.members, a.masks) if not m & outside_b]
+    below = [k for k, m in enumerate(a.masks) if not m & outside_b]
     if lam == mu or not below:
         return False  # comparable tabloids of one shape are equal
     rb = b.representative
-    return not any(shape_feasible(t, rb, nu) for nu in shapes_between(lam, mu) if nu != lam and nu != mu for t in below)
+    return not any(
+        shape_feasible(a.members[k], rb, nu) for nu in shapes_between(lam, mu) if nu != lam and nu != mu for k in below
+    )
 
 
 def orbit_interval(a: Orbit, b: Orbit, spaces: dict[Partition, OrbitSpace] | None = None) -> list[Orbit]:
@@ -368,10 +416,11 @@ def is_character_orbit(
     group = orbit.group
     if chi is not None and chi.group != group:
         raise ValueError("chi is not a character of the orbit's group")
-    a = orbit.representative
-    masked = {x for comp, flag in zip(a.components, check_theta_mask(orbit.shape, theta)) if flag for x in comp}
+    w = orbit.words[0]
+    mask = check_theta_mask(orbit.shape, theta)
+    masked = {x for x, k in enumerate(w, start=1) if mask[k - 1]}
     order = 1 if chi is None else chi.order  # chi(sigma) = zeta^(2e) and -1 = zeta^order, zeta a 2*order-th root
-    for sigma in _fixing(group, a):
+    for sigma in _fixing(group, w):
         flips = sum(len(c) - 1 for c in sigma.cycles() if c[0] in masked) if masked else 0
         e = (0 if chi is None else 2 * chi.exponent(sigma)) + flips * order
         if e % (2 * order) != 0:
@@ -388,7 +437,7 @@ def refine(coarse: OrbitSpace, fine: OrbitSpace) -> dict[Orbit, tuple[Orbit, ...
     holder_of = coarse.positions
     buckets: list[list[Orbit]] = [[] for _ in coarse.orbits]
     for f in fine.orbits:
-        buckets[holder_of[f.representative]].append(f)
+        buckets[holder_of[f.words[0]]].append(f)
     return {c: tuple(fs) for c, fs in zip(coarse.orbits, buckets)}
 
 

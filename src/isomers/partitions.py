@@ -42,7 +42,7 @@ def _parts(x) -> tuple[int, ...]:
 class Partition:
     """A weakly decreasing composition of d, stored padded to length d."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_text")
 
     def __init__(self, parts: Iterable[int], d: int | None = None):
         p = tuple(parts)
@@ -96,7 +96,12 @@ class Partition:
         return f"Partition({list(self.trimmed())}, d={self.d})"
 
     def __str__(self):
-        return format_partition(self)
+        """format_partition(self), built on first use: orbit listings name the shape once per orbit."""
+        try:
+            return self._text
+        except AttributeError:
+            object.__setattr__(self, "_text", format_partition(self))
+            return self._text
 
 
 def format_partition(lam: Partition | Sequence[int]) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .catalog import SkeletonSpec, genetic_diagram, kauffmann_count, korner_relations
 from .counting import build_report, count_types, monotonicity_check
-from .orbits import Orbit, check_tabloid_cap, comparable_pairs, orbit_cover, orbit_leq, orbit_space
+from .orbits import Orbit, check_degree_cap, comparable_pairs, orbit_cover, orbit_leq, orbit_space
 from .partitions import Partition, all_partitions, dominance_leq, shapes_between
 from .perms import PermGroup, linear_characters
 
@@ -159,7 +159,7 @@ def verify_references(spec: SkeletonSpec, result: VerifyResult):
 
 def verify_skeleton(spec: SkeletonSpec, covers: bool = True) -> VerifyResult:
     """The full suite for one skeleton's substitution group."""
-    check_tabloid_cap([Partition((1,) * spec.degree, spec.degree)])  # 1^d has the most tabloids
+    check_degree_cap(spec.degree)
     result = VerifyResult()
     verify_counts(spec.group, result)
     verify_monotonicity(spec.group, result)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -159,6 +160,23 @@ class TestGroupFile:
         assert code == 3 and out == ""
         assert err.startswith("error[cap]: shape ") and "tabloid cap" in err
 
+    def test_oversized_degree_refused_before_generators(self, capsys, tmp_path, monkeypatch):
+        # every shape of degree 10^6 is past the tabloid cap, which the header line alone shows
+        path = tmp_path / "big.grp"
+        path.write_text("degree 1000000\n(12)\n")
+
+        def parsed(*args, **kwargs):
+            raise AssertionError("a generator was parsed or closed")
+
+        monkeypatch.setattr(isomers.cli, "parse_cycles", parsed)
+        monkeypatch.setattr(isomers.cli, "generate", parsed)
+        start = time.perf_counter()
+        for command in ("count", "orbits", "chiral", "poset", "diagram", "verify"):
+            code, out, err = run(capsys, command, "--group-file", str(path))
+            assert (code, out) == (3, ""), (command, err)
+            assert err == "error[cap]: shape 1^1000000 has more than 100000 tabloids, the tabloid cap\n"
+        assert time.perf_counter() - start < 1.0
+
     def test_kernel_closure_obeys_cap(self, capsys, tmp_path):
         path = tmp_path / "c4.grp"
         path.write_text("degree 4\n(1234)\n")
@@ -190,6 +208,71 @@ class TestOrbits:
         payload = json.loads(out)
         assert code == 0 and len(payload) == 3
         assert all(len(entry["members"]) == 2 for entry in payload)
+
+
+class TestLowDegree:
+    """Degrees 1 and 2: one-index gathers return an item rather than a 1-tuple, so these are the edge."""
+
+    @pytest.fixture(autouse=True)
+    def files(self, tmp_path, monkeypatch):
+        (tmp_path / "d1.grp").write_text("degree 1\n")
+        (tmp_path / "d2.grp").write_text("degree 2\n(12)\n")
+        (tmp_path / "d2trivial.grp").write_text("degree 2\n")
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize("extra", [(), ("--chi", "0")])
+    def test_count_all_shapes(self, capsys, extra):
+        row = "[scalar={n} classes={n} types={n} ruch={n} brute={n}]  ok"
+        assert run(capsys, "count", "--group-file", "d1.grp", "--all-shapes", *extra) == (
+            0,
+            f"           1  n=1  {row.format(n=1)}\n",
+            "",
+        )
+        code, out, _ = run(capsys, "count", "--group-file", "d2trivial.grp", "--all-shapes", *extra)
+        assert code == 0 and out == f"           2  n=1  {row.format(n=1)}\n         1^2  n=2  {row.format(n=2)}\n"
+
+    def test_count_sign_character(self, capsys):
+        code, out, _ = run(capsys, "count", "--group-file", "d2.grp", "--all-shapes", "--chi", "1")
+        assert code == 0
+        assert out == (
+            "           2  n=0  [scalar=0 classes=0 brute=0]  ok\n"
+            "         1^2  n=1  [scalar=1 classes=1 brute=1]  ok\n"
+        )
+        code, out, _ = run(capsys, "count", "--group-file", "d2.grp", "--shape", "1^2", "--theta", "11")
+        assert code == 0 and out == "         1^2  n=1  [scalar=1 classes=1 brute=1]  ok\n"
+
+    def test_orbits_json(self, capsys):
+        code, out, _ = run(capsys, "orbits", "--group-file", "d1.grp", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == [
+            {"members": ["{1}"], "name": "a_(1)", "representative": "{1}", "shape": "1", "size": 1}
+        ]
+        code, out, _ = run(capsys, "orbits", "--group-file", "d2.grp", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == [
+            {"members": ["{1,2}{}"], "name": "a_(2)", "representative": "{1,2}{}", "shape": "2", "size": 1},
+            {"members": ["{1}{2}", "{2}{1}"], "name": "a_(1^2)", "representative": "{1}{2}", "shape": "1^2", "size": 2},
+        ]
+
+
+class TestGoldenOutput:
+    """stdout digests of outputs the benchmark harness does not check, recorded before the gather enumerator."""
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ("orbits", "--builtin", "naphthalene", "--shape", "1^8", "--format", "json"),
+                "bc13281ea0a9d2968cd9984234af71c3e31bbca63f8b1743b5b3b224b6bbff9b",
+            ),
+            (("orbits", "--builtin", "naphthalene"), "8f58ce83efb8bc120c9c11fe29aa6dff53220a2157033171714ad2f7080cb75c"),
+        ],
+        ids=["1^8-json", "all-shapes-text"],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestPoset:
@@ -365,6 +448,8 @@ GROUP_FILES = {
     "header.grp": "order 4\n(12)\n",
     "d2000.grp": "degree 2000\n",
     "d1000000.grp": "degree 1000000\n",
+    "d1000000badcycle.grp": "degree 1000000\n(12\n",
+    "d1e6.grp": "degree 1e6\n",
 }
 
 # (argv, exit code): the probes of malformed input, the flags a subcommand
@@ -412,6 +497,13 @@ CORPUS = [
     (("count", "--group-file", "d1000000.grp"), 3),
     (("count", "--group-file", "d1000000.grp", "--shape", "1000000"), 3),
     (("verify", "--group-file", "d1000000.grp"), 3),
+    (("orbits", "--group-file", "d1000000.grp"), 3),
+    (("poset", "--group-file", "d1000000.grp"), 3),
+    # malformed and oversized: a bad header exits 2; past it the degree is
+    # refused before any generator is read, unless --shape names the shapes
+    (("count", "--group-file", "d1e6.grp"), 2),
+    (("count", "--group-file", "d1000000badcycle.grp"), 3),
+    (("count", "--group-file", "d1000000badcycle.grp", "--shape", "1000000"), 2),
     (("count", "--group-file", "binary.grp"), 2),
     (("orbits", "--builtin", "ethene", "--out", "missing/x"), 2),
 ]

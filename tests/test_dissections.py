@@ -22,6 +22,7 @@ from isomers.dissections import (
     standard_tabloid,
     substitution_chain,
     tabloid_words,
+    word_mask,
 )
 from isomers.partitions import Partition, all_partitions, dominance_leq, parse_partition
 from isomers.perms import parse_cycles
@@ -132,9 +133,11 @@ class TestDominance:
             assert leq_dissection(a, b) == leq_dissection_raw(a.components, b.components)
         for d in range(1, 5):
             univ = all_dissections(d)
-            for a in univ:
-                for b in univ:
-                    assert leq_dissection(a, b) == leq_dissection_raw(a.components, b.components)
+            masks = [word_mask(a.row_word()) for a in univ]
+            for a, mask_a in zip(univ, masks):
+                for b, mask_b in zip(univ, masks):
+                    raw = leq_dissection_raw(a.components, b.components)
+                    assert leq_dissection(a, b) == raw == (not mask_a & ~mask_b)
 
     def test_shape_map_is_monotone(self):
         rng = random.Random(4)
@@ -576,9 +579,25 @@ class TestAllTabloids:
 
     def test_row_words(self):
         for lam in all_partitions(5):
-            for (word, comps), t in zip(tabloid_words(lam), all_tabloids(lam), strict=True):
+            for word, t in zip(tabloid_words(lam), all_tabloids(lam), strict=True):
+                comps = tuple(tuple(x for x in range(1, 6) if word[x - 1] == k) for k in range(1, 6))
                 assert comps == t.components
                 assert word == t.row_word() == tuple(t.component_of(x) for x in range(1, 6))
+                assert word == Dissection(t.components).row_word()  # rebuilt from the components
+
+    def test_words_match_raw_tabloids_exhaustive(self):
+        # every shape of degree 1-7: the gathered words come in the oracle's
+        # order, and each is the row-word of the matching all_tabloids member
+        for d in range(1, 8):
+            for lam in all_partitions(d):
+                words = tabloid_words(lam)
+                tabs = all_tabloids(lam)
+                raw = raw_tabloids_of_shape(lam.trimmed())
+                assert len(words) == len(tabs) == len(raw)
+                for word, t, comps in zip(words, tabs, raw):
+                    assert t.components == comps
+                    assert word == tuple(next(k for k, c in enumerate(comps, 1) if x in c) for x in range(1, d + 1))
+                    assert word == t.row_word()
 
 
 class TestTextFormat:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from isomers.catalog import builtin
+from isomers.counting import count_brute
 from isomers.dissections import (
     Dissection,
     all_tabloids,
@@ -132,6 +133,28 @@ class TestOrbitSpace:
             got = {frozenset(m.components for m in o.members) for o in orbit_space(w, lam)}
             raw = {frozenset(t) for t in raw_orbits(w, raw_tabloids_of_shape(lam.trimmed()))}
             assert got == raw
+
+    def test_member_components_are_shared_within_a_space(self):
+        space = orbit_space(builtin("naphthalene").group, parse_partition("2^2,1^4", 8))
+        held: dict = {}
+        for o in space:
+            for m in o.members:
+                for comp in m.components:
+                    assert held.setdefault(comp, comp) is comp
+        # 28 pairs, 8 singletons and the empty tuple, against 8 * 2520 slots
+        assert len(held) == 37
+
+    def test_counting_builds_no_member(self, monkeypatch):
+        built = []
+        trusted = Dissection._trusted.__func__
+        monkeypatch.setattr(Dissection, "_trusted", classmethod(lambda cls, *a: built.append(a) or trusted(cls, *a)))
+        w = builtin("benzene").group
+        lam = parse_partition("2,2,1,1", 6)
+        for chi in linear_characters(w):
+            count_brute(w, lam, chi, (True, False, True, False))
+        assert built == []
+        space = orbit_space(w, lam)
+        assert len(space.orbits[0].members) == space.orbits[0].size == len(built)
 
     def test_tabloid_cap_refuses_before_building(self):
         w = generate([], degree=9)
@@ -741,7 +764,7 @@ class TestValueTypes:
     def test_orbit_compares_and_hashes_by_identity(self):
         space = orbit_space(hexagon_group(), parse_partition("4,2", 6))
         a = space.orbits[0]
-        twin = Orbit(a.group, a.shape, a.representative, a.members)
+        twin = Orbit(a.group, a.shape, a.words)
         assert a == a and a != twin and hash(a) == object.__hash__(a) and hash(twin) == object.__hash__(twin)
         assert {a: 0}.get(twin) is None
         assert a.masks is a.masks and twin.masks == a.masks
