@@ -68,7 +68,7 @@ def load_group_file(path: str, cap: int, every_shape: bool = False) -> PermGroup
     return generate(gens, degree=d, cap=cap)
 
 
-def resolve_skeleton(args, cap: int, every_shape: bool) -> SkeletonSpec:
+def resolve_skeleton(args, cap: int) -> SkeletonSpec:
     if bool(args.builtin) == bool(args.group_file):
         raise UsageError("exactly one of --builtin or --group-file is required")
     if args.builtin:
@@ -78,6 +78,7 @@ def resolve_skeleton(args, cap: int, every_shape: bool) -> SkeletonSpec:
         if spec.group.order > cap:
             raise CapExceeded(f"builtin {spec.name} has a group of order {spec.group.order}, above the cap of {cap}")
         return spec
+    every_shape = getattr(args, "shape", None) is None  # verify, which has no --shape, reads every shape
     group = load_group_file(args.group_file, cap, every_shape)
     return SkeletonSpec(name=Path(args.group_file).stem, degree=group.degree, group=group)
 
@@ -146,7 +147,7 @@ def _emit(text: str, out: str | None):
 
 
 def cmd_count(args) -> int:
-    spec = resolve_skeleton(args, args.cap, args.shape is None)
+    spec = resolve_skeleton(args, args.cap)
     group = spec.group
     chi, chi_label = resolve_chi(args, group)
     shapes = resolve_shapes(args.shape, group.degree)
@@ -170,7 +171,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    spec = resolve_skeleton(args, args.cap, args.shape is None)
+    spec = resolve_skeleton(args, args.cap)
     named = []
     for lam in resolve_shapes(args.shape, spec.degree):
         space = orbit_space(spec.group, lam)
@@ -201,7 +202,7 @@ def _diagram_names(spec: SkeletonSpec, lam: Partition, space) -> dict:
 
 
 def cmd_poset(args) -> int:
-    spec = resolve_skeleton(args, args.cap, args.shape is None)
+    spec = resolve_skeleton(args, args.cap)
     pairs = comparable_pairs(spec.group, resolve_shapes(args.shape, spec.degree))
     names = {}
     for lam in {orbit.shape for pair in pairs for orbit in pair}:
@@ -212,14 +213,16 @@ def cmd_poset(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    spec = resolve_skeleton(args, args.cap, args.shape is None)
+    spec = resolve_skeleton(args, args.cap)
     diagram = genetic_diagram(spec, resolve_shapes(args.shape, spec.degree))
     _emit(diagram.to_json() if args.format == "json" else emit_dot(diagram), args.out)
     return EXIT_OK
 
 
 def cmd_chiral(args) -> int:
-    spec = resolve_skeleton(args, args.cap, args.shape is None)
+    if args.group_file and not args.builtin:  # a group file gives no extended group, so it is not read
+        raise UsageError(f"skeleton {Path(args.group_file).stem!r} has no stereoisomerism group")
+    spec = resolve_skeleton(args, args.cap)
     if spec.extended is None:
         raise UsageError(f"skeleton {spec.name!r} has no stereoisomerism group")
     lines = []
@@ -246,7 +249,7 @@ def cmd_chiral(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = resolve_skeleton(args, args.cap, every_shape=True)
+    spec = resolve_skeleton(args, args.cap)
     result = verify_skeleton(spec)
     _emit("\n".join(result.lines) + "\n", args.out)
     return EXIT_OK if result.ok else EXIT_VERIFY

@@ -98,12 +98,12 @@ class Orbit:
         group: PermGroup,
         shape: Partition,
         words: tuple[tuple[int, ...], ...],
-        build: Callable[[Iterable[tuple[int, ...]]], list[Dissection]] | None = None,
+        build: Callable[[Iterable[tuple[int, ...]]], list[Dissection]],
     ):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "words", words)
-        object.__setattr__(self, "_build", tabloid_builder(shape) if build is None else build)
+        object.__setattr__(self, "_build", build)
 
     def __setattr__(self, *a):
         raise AttributeError("Orbit is immutable")

@@ -289,9 +289,26 @@ def shapes_between(lam: Partition | Sequence[int], mu: Partition | Sequence[int]
     """The closed dominance interval [lam, mu] of partitions, in all_partitions order (cached).
 
     Empty unless lam <= mu; lam and mu may be Partitions or part tuples.
+    Only partitions whose every prefix sum lies between those of lam and
+    mu are visited, so the cost follows the interval, not all of P_d.
     """
     lam, mu = _parts(lam), _parts(mu)
-    return tuple(nu for nu in all_partitions(len(lam)) if dominance_leq(lam, nu) and dominance_leq(nu, mu))
+    d = len(lam)
+    lo, hi = tuple(accumulate(lam)), tuple(accumulate(mu))
+    out: list[Partition] = []
+
+    def rec(total: int, maxpart: int, acc: list[int]):
+        if total == d:
+            out.append(Partition(acc, d))
+            return
+        k = len(acc)
+        for part in range(min(maxpart, hi[k] - total), max(lo[k] - total, 1) - 1, -1):
+            acc.append(part)
+            rec(total + part, part, acc)
+            acc.pop()
+
+    rec(0, d, [])
+    return tuple(out)
 
 
 def covers_above(lam: Partition) -> list[Partition]:

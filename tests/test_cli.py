@@ -171,10 +171,15 @@ class TestGroupFile:
         monkeypatch.setattr(isomers.cli, "parse_cycles", parsed)
         monkeypatch.setattr(isomers.cli, "generate", parsed)
         start = time.perf_counter()
-        for command in ("count", "orbits", "chiral", "poset", "diagram", "verify"):
+        for command in ("count", "orbits", "poset", "diagram", "verify"):
             code, out, err = run(capsys, command, "--group-file", str(path))
             assert (code, out) == (3, ""), (command, err)
             assert err == "error[cap]: shape 1^1000000 has more than 100000 tabloids, the tabloid cap\n"
+        # a group file has no extended group, so chiral refuses it unread, whatever --shape says
+        for extra in ((), ("--shape", "1000000")):
+            code, out, err = run(capsys, "chiral", "--group-file", str(path), *extra)
+            assert (code, out) == (2, ""), err
+            assert "'big' has no stereoisomerism group" in err
         assert time.perf_counter() - start < 1.0
 
     def test_kernel_closure_obeys_cap(self, capsys, tmp_path):
@@ -450,6 +455,7 @@ GROUP_FILES = {
     "d1000000.grp": "degree 1000000\n",
     "d1000000badcycle.grp": "degree 1000000\n(12\n",
     "d1e6.grp": "degree 1e6\n",
+    "d300.grp": "degree 300\n",
 }
 
 # (argv, exit code): the probes of malformed input, the flags a subcommand
@@ -505,6 +511,12 @@ CORPUS = [
     (("count", "--group-file", "d1000000badcycle.grp"), 3),
     (("count", "--group-file", "d1000000badcycle.grp", "--shape", "1000000"), 2),
     (("count", "--group-file", "binary.grp"), 2),
+    # degree 300 with few tabloids: the dominance interval and the prefix
+    # masks cost what the shapes hold, not what all of degree 300 would
+    (("poset", "--group-file", "d300.grp", "--shape", "299,1:300"), 0),
+    (("diagram", "--group-file", "d300.grp", "--shape", "299,1:300"), 0),
+    (("chiral", "--group-file", "d60.grp"), 2),
+    (("chiral", "--group-file", "d60.grp", "--shape", "60"), 2),
     (("orbits", "--builtin", "ethene", "--out", "missing/x"), 2),
 ]
 

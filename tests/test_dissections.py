@@ -139,6 +139,17 @@ class TestDominance:
                     raw = leq_dissection_raw(a.components, b.components)
                     assert leq_dissection(a, b) == raw == (not mask_a & ~mask_b)
 
+    def test_word_mask_across_byte_rows(self):
+        # degrees on either side of a byte boundary, where a mask row takes a second byte
+        rng = random.Random(5)
+        for d in (7, 8, 9, 15, 16, 17):
+            for _ in range(40):
+                a = b = random_dissection(rng, d)
+                for _ in range(rng.randint(0, 3)):
+                    b = raise_into(rng.randint(1, d), rng.randint(1, d), b)
+                for x, y in ((a, b), (b, a)):
+                    assert (not word_mask(x.row_word()) & ~word_mask(y.row_word())) == leq_dissection(x, y)
+
     def test_shape_map_is_monotone(self):
         rng = random.Random(4)
         for _ in range(300):
@@ -586,10 +597,11 @@ class TestAllTabloids:
                 assert word == Dissection(t.components).row_word()  # rebuilt from the components
 
     def test_words_match_raw_tabloids_exhaustive(self):
-        # every shape of degree 1-7: the gathered words come in the oracle's
+        # every shape of degree 0-7: the gathered words come in the oracle's
         # order, and each is the row-word of the matching all_tabloids member
-        for d in range(1, 8):
-            for lam in all_partitions(d):
+        assert all_tabloids(Partition(())) == [Dissection(())]
+        for d in range(0, 8):
+            for lam in all_partitions(d) if d else [Partition(())]:
                 words = tabloid_words(lam)
                 tabs = all_tabloids(lam)
                 raw = raw_tabloids_of_shape(lam.trimmed())

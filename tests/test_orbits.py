@@ -764,7 +764,7 @@ class TestValueTypes:
     def test_orbit_compares_and_hashes_by_identity(self):
         space = orbit_space(hexagon_group(), parse_partition("4,2", 6))
         a = space.orbits[0]
-        twin = Orbit(a.group, a.shape, a.words)
+        twin = Orbit(a.group, a.shape, a.words, a._build)
         assert a == a and a != twin and hash(a) == object.__hash__(a) and hash(twin) == object.__hash__(twin)
         assert {a: 0}.get(twin) is None
         assert a.masks is a.masks and twin.masks == a.masks
