@@ -37,14 +37,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def load_group_file(path: str, cap: int, every_shape: bool = False) -> PermGroup:
+def load_group_file(path: str, cap: int, check_degree=None) -> PermGroup:
     """Group-spec text: ``degree <d>`` then one generator per line; # comments.
 
-    A request over every shape (``every_shape``) is checked against the
-    tabloid cap from the degree alone, before any generator is parsed.
-    So for a file that is both malformed and oversized, a bad header
-    exits 2, then a degree past the cap exits 3, then a bad generator
-    exits 2, then a closure past ``cap`` exits 3.
+    ``check_degree`` sees the degree before any generator is parsed; the
+    CLI resolves and caps the requested shapes there.  So for a malformed,
+    oversized file a bad header exits 2, then a bad shape 2, then a shape
+    past a cap 3, then a bad generator 2, then a closure past ``cap`` 3.
     """
     try:
         lines = Path(path).read_text().splitlines()
@@ -59,8 +58,8 @@ def load_group_file(path: str, cap: int, every_shape: bool = False) -> PermGroup
         raise UsageError(f"{path}: malformed degree line {content[0]!r}") from None
     if d < 1:
         raise UsageError(f"{path}: degree must be positive, got {d}")
-    if every_shape:
-        check_degree_cap(d)
+    if check_degree is not None:
+        check_degree(d)
     try:
         gens = [parse_cycles(ln, d) for ln in content[1:]]
     except ValueError as exc:
@@ -68,35 +67,39 @@ def load_group_file(path: str, cap: int, every_shape: bool = False) -> PermGroup
     return generate(gens, degree=d, cap=cap)
 
 
-def resolve_skeleton(args, cap: int) -> SkeletonSpec:
+def resolve_skeleton(args, cap: int, scalar: bool = False) -> tuple[SkeletonSpec, list[Partition]]:
+    """The skeleton and its shapes, resolved from the degree before a group file's generators are read."""
     if bool(args.builtin) == bool(args.group_file):
         raise UsageError("exactly one of --builtin or --group-file is required")
+    text = getattr(args, "shape", None)  # verify, which has no --shape, reads every shape
     if args.builtin:
         if args.builtin not in BUILTIN_NAMES:
             raise UsageError(f"unknown builtin {args.builtin!r}; choose from {', '.join(BUILTIN_NAMES)}")
         spec = builtin(args.builtin)
         if spec.group.order > cap:
             raise CapExceeded(f"builtin {spec.name} has a group of order {spec.group.order}, above the cap of {cap}")
-        return spec
-    every_shape = getattr(args, "shape", None) is None  # verify, which has no --shape, reads every shape
-    group = load_group_file(args.group_file, cap, every_shape)
-    return SkeletonSpec(name=Path(args.group_file).stem, degree=group.degree, group=group)
+        return spec, resolve_shapes(text, spec.degree, scalar)
+    shapes: list[Partition] = []
+    group = load_group_file(args.group_file, cap, lambda d: shapes.extend(resolve_shapes(text, d, scalar)))
+    return SkeletonSpec(name=Path(args.group_file).stem, degree=group.degree, group=group), shapes
 
 
-def resolve_shapes(text: str | None, d: int) -> list[Partition]:
+def resolve_shapes(text: str | None, d: int, scalar: bool = False) -> list[Partition]:
     """The shapes of ``--shape SHAPE[:SHAPE...]`` in the order given, or every shape of degree d.
 
-    The tabloid cap is checked before any shape is used; for every shape it
-    suffices to check the finest, 1^d, which has the most tabloids.
+    The tabloid cap (for every shape, on the finest, 1^d, which has the
+    most tabloids) and for ``scalar`` requests the scalar-route cap are
+    checked before any shape is used.
     """
     if text is None:
         check_degree_cap(d)
-        return all_partitions(d)
     try:
-        shapes = list(dict.fromkeys(parse_partition(t, d) for t in text.split(":")))
+        shapes = all_partitions(d) if text is None else list(dict.fromkeys(parse_partition(t, d) for t in text.split(":")))
     except ValueError as exc:
         raise UsageError(f"bad shape {text!r}: {exc}") from None
     check_tabloid_cap(shapes)
+    if scalar:
+        check_scalar_cap(shapes)
     return shapes
 
 
@@ -147,11 +150,9 @@ def _emit(text: str, out: str | None):
 
 
 def cmd_count(args) -> int:
-    spec = resolve_skeleton(args, args.cap)
+    spec, shapes = resolve_skeleton(args, args.cap, scalar=True)
     group = spec.group
     chi, chi_label = resolve_chi(args, group)
-    shapes = resolve_shapes(args.shape, group.degree)
-    check_scalar_cap(shapes)
     reports = []
     for lam in shapes:
         theta, theta_label = resolve_theta(args, lam)
@@ -171,9 +172,9 @@ def cmd_count(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    spec = resolve_skeleton(args, args.cap)
+    spec, shapes = resolve_skeleton(args, args.cap)
     named = []
-    for lam in resolve_shapes(args.shape, spec.degree):
+    for lam in shapes:
         space = orbit_space(spec.group, lam)
         names = _diagram_names(spec, lam, space)
         named.extend((names[orbit], orbit) for orbit in space)
@@ -202,8 +203,8 @@ def _diagram_names(spec: SkeletonSpec, lam: Partition, space) -> dict:
 
 
 def cmd_poset(args) -> int:
-    spec = resolve_skeleton(args, args.cap)
-    pairs = comparable_pairs(spec.group, resolve_shapes(args.shape, spec.degree))
+    spec, shapes = resolve_skeleton(args, args.cap)
+    pairs = comparable_pairs(spec.group, shapes)
     names = {}
     for lam in {orbit.shape for pair in pairs for orbit in pair}:
         names.update(_diagram_names(spec, lam, orbit_space(spec.group, lam)))
@@ -213,8 +214,8 @@ def cmd_poset(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    spec = resolve_skeleton(args, args.cap)
-    diagram = genetic_diagram(spec, resolve_shapes(args.shape, spec.degree))
+    spec, shapes = resolve_skeleton(args, args.cap)
+    diagram = genetic_diagram(spec, shapes)
     _emit(diagram.to_json() if args.format == "json" else emit_dot(diagram), args.out)
     return EXIT_OK
 
@@ -222,12 +223,12 @@ def cmd_diagram(args) -> int:
 def cmd_chiral(args) -> int:
     if args.group_file and not args.builtin:  # a group file gives no extended group, so it is not read
         raise UsageError(f"skeleton {Path(args.group_file).stem!r} has no stereoisomerism group")
-    spec = resolve_skeleton(args, args.cap)
+    spec, shapes = resolve_skeleton(args, args.cap)
     if spec.extended is None:
         raise UsageError(f"skeleton {spec.name!r} has no stereoisomerism group")
     lines = []
     payload = []
-    for lam in resolve_shapes(args.shape, spec.degree):
+    for lam in shapes:
         report = classify_chiral(spec.group, spec.extended, lam)
         for entry in report.entries:
             kind = "pair" if entry.is_pair else "single"
@@ -249,7 +250,7 @@ def cmd_chiral(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = resolve_skeleton(args, args.cap)
+    spec, _ = resolve_skeleton(args, args.cap)
     result = verify_skeleton(spec)
     _emit("\n".join(result.lines) + "\n", args.out)
     return EXIT_OK if result.ok else EXIT_VERIFY

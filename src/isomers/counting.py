@@ -13,9 +13,11 @@ cyclotomic polynomials, so every integrality assertion is sharp.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from itertools import product, repeat
+from typing import Sequence
 
 from .orbits import _Record, check_theta_mask, is_character_orbit, orbit_space
 from .partitions import (
@@ -219,17 +221,31 @@ def _is_zero(v) -> bool:
 
 
 def cycle_index(group: PermGroup, chi: LinearCharacter | None = None) -> PowerSumPoly:
-    """Character-weighted average of power-sum monomials over the group."""
+    """Character-weighted average of power-sum monomials over the group.
+
+    A sum over the elements, tallied per (cycle key, exponent), one
+    coefficient built per key; memoized on the group for the unit, on chi otherwise.
+    """
     if chi is not None and chi.group != group:
         raise ValueError("character does not live on this group")
-    inv = Fraction(1, group.order)
-    if chi is None or chi.order == 1:
-        return PowerSumPoly(group.degree, {k: v * inv for k, v in group.cycle_type_census().items()})
-    coeffs: dict[tuple[int, ...], Fraction | RootOfUnitySum] = {}
-    for g in group.elements:
-        key = g.cycle_type().trimmed()
-        coeffs[key] = coeffs.get(key, Fraction(0)) + _char_value(chi, g)
-    return PowerSumPoly(group.degree, {k: v * inv for k, v in coeffs.items()})
+    unit = chi is None or chi.order == 1
+    index = group._memo.get("cycle_index") if unit else chi._cycle_index
+    if index is None:
+        n = 1 if unit else chi.order
+        tallies: dict[tuple[int, ...], Counter] = {}
+        exps = repeat(0) if unit else map(chi.exponent, group.elements)
+        for (key, e), c in Counter(zip(group.cycle_keys(), exps)).items():
+            tallies.setdefault(key, Counter())[e % n] += c
+        weight = Fraction(1, group.order)
+        index = PowerSumPoly(
+            group.degree,
+            {k: (t[0] - t[1]) * weight if n <= 2 else RootOfUnitySum(n, t) * weight for k, t in tallies.items()},
+        )
+        if unit:
+            group._memo["cycle_index"] = index
+        else:
+            chi._cycle_index = index
+    return index
 
 
 def check_scalar_cap(shapes: Sequence[Partition]):
@@ -315,36 +331,18 @@ def count_scalar(
     return _as_count(value)
 
 
-def _split_multiset(parts: tuple[int, ...], targets: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Distinct ways to split the multiset of parts into blocks of given weights."""
-    distinct = sorted(set(parts), reverse=True)
-    counts = [parts.count(v) for v in distinct]
-    t = len(targets)
-
-    def rec(vi: int, loads: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]):
-        if vi == len(distinct):
-            if loads == targets:
-                yield blocks
-            return
-        v, c = distinct[vi], counts[vi]
-
-        def distribute(bi: int, left: int, loads, blocks):
-            if bi == t:
-                if left == 0:
-                    yield from rec(vi + 1, loads, blocks)
-                return
-            maxk = min(left, (targets[bi] - loads[bi]) // v)
-            for k in range(maxk + 1):
-                yield from distribute(
-                    bi + 1,
-                    left - k,
-                    loads[:bi] + (loads[bi] + k * v,) + loads[bi + 1 :],
-                    blocks[:bi] + (blocks[bi] + (v,) * k,) + blocks[bi + 1 :],
-                )
-
-        yield from distribute(0, c, loads, blocks)
-
-    yield from rec(0, (0,) * t, ((),) * t)
+@lru_cache(maxsize=None)
+def _split_multiset(parts: tuple[int, ...], targets: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Distinct ways to split the multiset of parts (descending) into blocks of given weights (memoized)."""
+    if not parts:
+        return () if any(targets) else (((),) * len(targets),)
+    v, c = parts[0], parts.count(parts[0])
+    splits = []
+    for ks in product(*(range(t // v + 1) for t in targets)):
+        if sum(ks) == c:
+            rest = tuple(t - k * v for t, k in zip(targets, ks))
+            splits.extend(tuple((v,) * k + b for k, b in zip(ks, tail)) for tail in _split_multiset(parts[c:], rest))
+    return tuple(splits)
 
 
 def _sign_of_type(beta: tuple[int, ...], weight: int) -> int:
@@ -376,23 +374,18 @@ def count_classes(
     for census_key, type_count in group.cycle_type_census().items():
         if census_key == identity_type:
             continue
-        splits = list(_split_multiset(census_key, blocks))
+        splits = _split_multiset(census_key, blocks)
         if not splits:
             continue
         if chi is None or chi.order == 1:
             class_sum: Fraction | RootOfUnitySum = Fraction(type_count)
         else:
-            class_sum = Fraction(0)
-            for cls in group.classes:
-                if cls.cycle_type.trimmed() == census_key:
-                    class_sum = class_sum + _char_value(chi, cls.representative) * len(cls)
+            in_type = (cls for cls in group.classes if cls.cycle_type.trimmed() == census_key)
+            class_sum = sum((_char_value(chi, cls.representative) * len(cls) for cls in in_type), Fraction(0))
         z_alpha = centralizer_order(census_key)
         for split in splits:
             ratio = Fraction(z_alpha, math.prod(centralizer_order(b) for b in split))
-            theta_val = 1
-            for b, weight, flag in zip(split, blocks, mask):
-                if flag:
-                    theta_val *= _sign_of_type(b, weight)
+            theta_val = math.prod(_sign_of_type(b, weight) for b, weight, flag in zip(split, blocks, mask) if flag)
             total = total + class_sum * (ratio * theta_val * Fraction(1, group.order))
     return _as_count(total)
 

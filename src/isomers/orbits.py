@@ -9,12 +9,11 @@ distinguished orbit families, in particular the ones holding chiral pairs.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .dissections import Dissection, shape_feasible, tabloid_builder, tabloid_words, word_mask
 from .partitions import Partition, dominance_leq, raising_pair, shapes_between
-from .perms import CapExceeded, LinearCharacter, PermGroup, Permutation, relative_sign_character
+from .perms import CapExceeded, LinearCharacter, PermGroup, Permutation, _close, _gather, _generated, relative_sign_character
 
 __all__ = [
     "POSET_PAIR_CAP",
@@ -239,11 +238,7 @@ def _getters(group: PermGroup) -> tuple[Callable[[tuple[int, ...]], tuple[int, .
     """Per element g of group, in element order, the gather sending a row-word w to w∘g (memoized per group)."""
     getters = group._memo.get("getters")
     if getters is None:
-        if group.degree == 1:  # a one-index itemgetter returns the item, not a 1-tuple
-            getters = (itemgetter(slice(0, 1)),)
-        else:
-            getters = tuple(itemgetter(*(x - 1 for x in g.images)) for g in group.elements)
-        group._memo["getters"] = getters
+        getters = group._memo["getters"] = tuple(_gather(g.images) for g in group.elements)
     return getters
 
 
@@ -251,11 +246,12 @@ def orbit_space(group: PermGroup, lam: Partition) -> OrbitSpace:
     """Partition the tabloids of shape lam into group orbits (memoized).
 
     Tabloids are row-words on this path, numbered in canonical order.  A
-    group element g sends the word w to the word w∘g; as g runs over the
-    group this gives the orbit of w under the action on components.  The
-    first tabloid not yet placed is the least of its orbit, so orbits come
-    out in representative order with sorted members.  No member dissection
-    is built here.
+    group element g sends the word w to the word w∘g.  The first tabloid
+    not yet placed is the least of its orbit, so orbits come out in
+    representative order with sorted members.  No member dissection is
+    built here.  Each orbit is its first word sent through every element
+    (|G| gathers per orbit, at least |G| * ceil(N / |G|) for N tabloids) or,
+    when fewer, walked along generators known to generate (their count per word).
     """
     if lam.d != group.degree:
         raise ValueError("shape degree differs from group degree")
@@ -265,14 +261,16 @@ def orbit_space(group: PermGroup, lam: Partition) -> OrbitSpace:
     check_tabloid_cap([lam])
     words = tabloid_words(lam)
     index = dict(zip(words, range(len(words))))
-    getters = _getters(group)
-    placed = bytearray(len(words))
+    gens, n = group.generators, len(words)
+    walk = _generated(group) and len(gens) * n < group.order * -(-n // group.order)
+    steps = [_gather(g.images) for g in gens] if walk else _getters(group)
+    placed = bytearray(n)
     build = tabloid_builder(lam)
     orbits = []
     for k, w in enumerate(words):
         if placed[k]:
             continue
-        at = sorted({index[get(w)] for get in getters})
+        at = sorted(map(index.__getitem__, _close(w, steps)) if walk else {index[get(w)] for get in steps})
         for j in at:
             placed[j] = 1
         orbits.append(Orbit(group, lam, tuple(map(words.__getitem__, at)), build))

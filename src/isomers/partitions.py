@@ -50,7 +50,7 @@ class Partition:
             if len(p) > d:
                 raise ValueError(f"more than {d} parts: {p}")
             p = p + (0,) * (d - len(p))
-        if any(a < b for a, b in zip(p, p[1:])):
+        if sorted(p, reverse=True) != list(p):
             raise ValueError(f"parts not weakly decreasing: {p}")
         if p and (p[-1] < 0 or sum(p) != len(p)):
             raise ValueError(f"not a partition of {len(p)}: {p}")
@@ -64,7 +64,7 @@ class Partition:
         return len(self.parts)
 
     def trimmed(self) -> tuple[int, ...]:
-        return tuple(k for k in self.parts if k > 0)
+        return self.parts[: len(self.parts) - self.parts.count(0)]  # the zeros are a suffix
 
     def multiplicities(self) -> tuple[int, ...]:
         """(m_1, ..., m_d) with m_k the number of parts equal to k."""
@@ -106,7 +106,7 @@ class Partition:
 
 def format_partition(lam: Partition | Sequence[int]) -> str:
     """Render with exponents for repeated parts, e.g. ``2^2,1^2``."""
-    parts = [k for k in _parts(lam) if k > 0]
+    parts = list(filter(None, _parts(lam)))
     out = []
     i = 0
     while i < len(parts):

@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from functools import lru_cache
-from typing import Iterable, Sequence
+from collections import Counter
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .partitions import Partition
 
@@ -22,19 +23,54 @@ __all__ = [
     "LinearCharacter",
     "PermGroup",
     "Permutation",
-    "elements_of_cycle_type",
     "generate",
     "linear_characters",
     "parse_cycles",
     "relative_sign_character",
-    "young_subgroup",
 ]
 
 DEFAULT_CAP = 100_000
 
+_images = attrgetter("images")
+
 
 class CapExceeded(ValueError):
     """A request refused before it builds more than a size cap allows."""
+
+
+def _gather(images: Sequence[int]) -> Callable[[tuple], tuple]:
+    """One C-level gather sending t to t∘p for p with these images: t*p on images, p's action on row-words."""
+    if len(images) <= 1:  # a one-index itemgetter returns the item, not a 1-tuple
+        return itemgetter(slice(0, len(images)))
+    return itemgetter(*map((-1).__add__, images))  # the 0-based indices p(i) - 1
+
+
+def _cycle_key(images: tuple[int, ...]) -> tuple[int, ...]:
+    """The cycle lengths of the permutation with these images, fixed points included, longest first."""
+    pad, left, lengths = (0, *images), set(images), []
+    while left:
+        x = left.pop()
+        n, y = 1, pad[x]
+        while y != x:
+            left.remove(y)
+            n, y = n + 1, pad[y]
+        lengths.append(n)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def _close(start: tuple, maps: Sequence[Callable[[tuple], tuple]], cap: float = math.inf) -> set[tuple]:
+    """The least set holding start and closed under every map, breadth-first; CapExceeded past ``cap`` members."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        nxt: list[tuple] = []
+        for f in maps:
+            new = set(map(f, frontier)) - seen
+            seen |= new
+            nxt.extend(new)
+            if len(seen) > cap:
+                raise CapExceeded(f"closure exceeds cap of {cap} elements")
+        frontier = nxt
+    return seen
 
 
 class Permutation:
@@ -48,12 +84,19 @@ class Permutation:
             raise ValueError(f"not a permutation of [1,{len(imgs)}]: {imgs}")
         object.__setattr__(self, "images", imgs)
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap an image tuple this package built as a permutation of [1,d], unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     def __setattr__(self, *a):
         raise AttributeError("Permutation is immutable")
 
     @classmethod
     def identity(cls, d: int) -> "Permutation":
-        return cls(range(1, d + 1))
+        return cls._trusted(tuple(range(1, d + 1)))
 
     @classmethod
     def from_cycles(cls, cycles: Sequence[Sequence[int]], d: int) -> "Permutation":
@@ -82,15 +125,15 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: (a*b)(i) = a(b(i))."""
-        if self.degree != other.degree:
+        if len(self.images) != len(other.images):
             raise ValueError("degree mismatch")
-        return Permutation(self.images[j - 1] for j in other.images)
+        return Permutation._trusted(_gather(other.images)(self.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
-            inv[j - 1] = i + 1
-        return Permutation(inv)
+        inv = [0] * len(self.images)
+        for i, j in enumerate(self.images, start=1):
+            inv[j - 1] = i
+        return Permutation._trusted(tuple(inv))
 
     def conjugated_by(self, g: "Permutation") -> "Permutation":
         """g * self * g^{-1}."""
@@ -98,35 +141,29 @@ class Permutation:
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its minimum, sorted by minimum."""
-        seen: set[int] = set()
-        out = []
-        for start in range(1, self.degree + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            nxt = self(start)
-            while nxt != start:
-                cyc.append(nxt)
-                seen.add(nxt)
-                nxt = self(nxt)
-            if len(cyc) > 1 or include_fixed:
-                out.append(tuple(cyc))
+        images, seen, out = self.images, set(), []
+        for start in range(1, len(images) + 1):
+            if start not in seen:
+                cyc = [start]
+                while (nxt := images[cyc[-1] - 1]) != start:
+                    cyc.append(nxt)
+                seen.update(cyc)
+                if len(cyc) > 1 or include_fixed:
+                    out.append(tuple(cyc))
         return out
 
     def cycle_type(self) -> Partition:
-        lengths = sorted((len(c) for c in self.cycles(include_fixed=True)), reverse=True)
-        return Partition(lengths, self.degree)
+        return Partition(_cycle_key(self.images), self.degree)
 
     def cycle_counts(self) -> tuple[int, ...]:
         """(c_1, ..., c_d) with c_k the number of k-cycles."""
         return self.cycle_type().multiplicities()
 
     def sign(self) -> int:
-        return -1 if (self.degree - len(self.cycles(include_fixed=True))) % 2 else 1
+        return -1 if (self.degree - len(_cycle_key(self.images))) % 2 else 1
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles(include_fixed=True)))
+        return math.lcm(*_cycle_key(self.images))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -190,24 +227,18 @@ def parse_cycles(text: str, d: int) -> Permutation:
 class PermGroup:
     """A permutation group held as a complete, sorted element list."""
 
-    def __init__(self, degree: int, generators: Sequence[Permutation], elements: Sequence[Permutation]):
+    def __init__(self, degree: int, generators: Sequence[Permutation], elements: Iterable[Permutation]):
         self.degree = degree
         self.generators = tuple(generators)
-        self.elements = tuple(sorted(elements))
+        self.elements = tuple(sorted(elements, key=_images))
         self._element_set = frozenset(self.elements)
-        self._classes: tuple[ConjugacyClass, ...] | None = None
-        self._census: dict[tuple[int, ...], int] | None = None
-        self._memo: dict = {}  # per-group scratch cache (hash, row-word gathers, orbit spaces)
+        self._memo: dict = {}  # per-group scratch cache (hash, cycle keys, classes, Cayley walk, gathers, orbit spaces)
         if Permutation.identity(degree) not in self._element_set:
             raise ValueError("element list lacks the identity")
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @property
-    def identity(self) -> Permutation:
-        return Permutation.identity(self.degree)
 
     def __contains__(self, p: Permutation) -> bool:
         return p in self._element_set
@@ -219,10 +250,8 @@ class PermGroup:
         return len(self.elements)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PermGroup)
-            and self.degree == other.degree
-            and self._element_set == other._element_set
+        return self is other or (
+            isinstance(other, PermGroup) and self.degree == other.degree and self._element_set == other._element_set
         )
 
     def __hash__(self):
@@ -239,19 +268,31 @@ class PermGroup:
 
     @property
     def classes(self) -> tuple["ConjugacyClass", ...]:
-        if self._classes is None:
-            self._classes = tuple(conjugacy_classes(self))
-        return self._classes
+        classes = self._memo.get("classes")
+        if classes is None:
+            classes = self._memo["classes"] = tuple(conjugacy_classes(self))
+        return classes
+
+    def cycle_keys(self) -> tuple[tuple[int, ...], ...]:
+        """Each element's cycle type as a trimmed part tuple, in element order (one pass per group)."""
+        keys = self._memo.get("cycle_keys")
+        if keys is None:
+            shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+            keys = tuple(shared.setdefault(k, k) for k in map(_cycle_key, map(_images, self.elements)))
+            self._memo["cycle_keys"] = keys
+        return keys
 
     def cycle_type_census(self) -> dict[tuple[int, ...], int]:
         """Count of elements per cycle type (trimmed part tuples)."""
-        if self._census is None:
-            census: dict[tuple[int, ...], int] = {}
-            for g in self.elements:
-                key = g.cycle_type().trimmed()
-                census[key] = census.get(key, 0) + 1
-            self._census = census
-        return dict(self._census)
+        census = self._memo.get("census")
+        if census is None:
+            census = self._memo["census"] = dict(Counter(self.cycle_keys()))
+        return dict(census)
+
+
+def _generated(group: PermGroup) -> bool:
+    """Whether the generators are known to generate the group: ``generate`` or the Cayley walk closed them."""
+    return group._memo.get("generated", False)
 
 
 class ConjugacyClass:
@@ -259,8 +300,8 @@ class ConjugacyClass:
 
     __slots__ = ("representative", "members", "cycle_type")
 
-    def __init__(self, members: Sequence[Permutation]):
-        ms = tuple(sorted(members))
+    def __init__(self, members: Iterable[Permutation]):
+        ms = tuple(sorted(members, key=_images))
         object.__setattr__(self, "members", ms)
         object.__setattr__(self, "representative", ms[0])
         object.__setattr__(self, "cycle_type", ms[0].cycle_type())
@@ -279,7 +320,7 @@ class ConjugacyClass:
 
 
 def generate(generators: Sequence[Permutation], degree: int | None = None, cap: int = DEFAULT_CAP) -> PermGroup:
-    """Breadth-first closure of the generators; errors past ``cap`` elements."""
+    """Breadth-first closure of the generators on image tuples; errors past ``cap`` elements."""
     gens = list(generators)
     if degree is None:
         if not gens:
@@ -287,78 +328,37 @@ def generate(generators: Sequence[Permutation], degree: int | None = None, cap: 
         degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValueError("generators have mixed degrees")
-    identity = Permutation.identity(degree)
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in elements:
-                    elements.add(y)
-                    nxt.append(y)
-                    if len(elements) > cap:
-                        raise CapExceeded(f"closure exceeds cap of {cap} elements")
-        frontier = nxt
-    return PermGroup(degree, gens, sorted(elements))
+    elements = _close(tuple(range(1, degree + 1)), [_gather(g.images) for g in gens], cap)
+    group = PermGroup(degree, gens, map(Permutation._trusted, sorted(elements)))
+    group._memo["generated"] = True
+    return group
+
+
+def _conjugator(g: Permutation) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The map sending the images of x to those of g * x * g^{-1}."""
+    before = _gather(g.inverse().images)
+    after = (0, *g.images).__getitem__
+    return lambda x: tuple(map(after, before(x)))
 
 
 def conjugacy_classes(group: PermGroup) -> list[ConjugacyClass]:
-    """Partition of the group into conjugacy classes, deterministically ordered."""
-    unassigned = set(group.elements)
+    """Partition of the group into conjugacy classes, deterministically ordered.
+
+    Each class is closed under conjugation by the generators when they are
+    known to generate the group, else found by conjugating by every element.
+    """
+    closing = _generated(group)
+    conjugators = [_conjugator(g) for g in (group.generators if closing else group.elements)]
+    unassigned = set(map(_images, group.elements))
     classes = []
-    for x in group.elements:
+    for x in map(_images, group.elements):
         if x not in unassigned:
             continue
-        members = {x.conjugated_by(g) for g in group.elements}
+        members = _close(x, conjugators) if closing else {c(x) for c in conjugators}
         unassigned -= members
-        classes.append(ConjugacyClass(sorted(members)))
+        classes.append(ConjugacyClass(map(Permutation._trusted, members)))
     classes.sort(key=lambda c: (c.cycle_type.trimmed(), c.representative.images))
     return classes
-
-
-def elements_of_cycle_type(group: PermGroup, alpha: Partition) -> list[Permutation]:
-    """All group elements whose cycle type is alpha."""
-    if alpha.d != group.degree:
-        raise ValueError("partition degree mismatch")
-    return [g for g in group.elements if g.cycle_type() == alpha]
-
-
-@lru_cache(maxsize=None)
-def _young_cached(trimmed: tuple[int, ...], d: int) -> PermGroup:
-    if (order := math.prod(math.factorial(k) for k in trimmed)) > DEFAULT_CAP:
-        lam = Partition(trimmed, d)
-        raise CapExceeded(f"Young subgroup of {lam} has {order} elements, above the cap of {DEFAULT_CAP}")
-    gens = [
-        Permutation.from_cycles([[a, a + 1]], d)
-        for block in young_blocks(Partition(trimmed, d))
-        for a in block[:-1]
-    ]
-    return generate(gens, degree=d)
-
-
-def young_subgroup(lam: Partition, d: int | None = None) -> PermGroup:
-    """Direct product of symmetric groups on consecutive blocks of sizes lam.
-
-    A reference closure for tests: the library evaluates the characters of
-    this group from their part masks and never builds it.
-    """
-    if d is None:
-        d = lam.d
-    if lam.d != d:
-        lam = Partition(lam.trimmed(), d)
-    return _young_cached(lam.trimmed(), d)
-
-
-def young_blocks(lam: Partition) -> list[tuple[int, ...]]:
-    """Consecutive blocks [1..lam_1], [lam_1+1..lam_1+lam_2], ..."""
-    blocks = []
-    start = 1
-    for part in lam.trimmed():
-        blocks.append(tuple(range(start, start + part)))
-        start += part
-    return blocks
 
 
 class LinearCharacter:
@@ -368,10 +368,13 @@ class LinearCharacter:
     per element in ``table``.
     """
 
+    __slots__ = ("group", "order", "_table", "_cycle_index")
+
     def __init__(self, group: PermGroup, order: int, table: dict[Permutation, int]):
         self.group = group
         self.order = order
         self._table = table
+        self._cycle_index = None  # counting.cycle_index(group, self), built on first use
 
     def exponent(self, perm: Permutation) -> int:
         try:
@@ -399,7 +402,33 @@ class LinearCharacter:
 
 
 def unit_character(group: PermGroup) -> LinearCharacter:
-    return LinearCharacter(group, 1, {g: 0 for g in group.elements})
+    return LinearCharacter(group, 1, dict.fromkeys(group.elements, 0))
+
+
+def _cayley(group: PermGroup) -> tuple[dict[tuple[int, ...], int], list[tuple[int, int, int]]]:
+    """Walk positions of the elements' images and edges (a, i, b) along x -> x*g_i (memoized per group).
+
+    Raises unless the breadth-first walk reaches every element.
+    """
+    walk = group._memo.get("cayley")
+    if walk is None:
+        steps = [_gather(g.images) for g in group.generators]
+        elements = [tuple(range(1, group.degree + 1))]
+        index = {elements[0]: 0}
+        edges = []
+        for a, x in enumerate(elements):  # breadth-first: the list grows while it is walked
+            for i, step in enumerate(steps):
+                y = step(x)
+                b = index.get(y)
+                if b is None:
+                    b = index[y] = len(elements)
+                    elements.append(y)
+                edges.append((a, i, b))
+        if len(elements) != group.order:
+            raise ValueError("stored generators do not generate the group")
+        walk = group._memo["cayley"] = (index, edges)
+        group._memo["generated"] = True
+    return walk
 
 
 def linear_characters(group: PermGroup) -> list[LinearCharacter]:
@@ -410,31 +439,15 @@ def linear_characters(group: PermGroup) -> list[LinearCharacter]:
     x -> x*g_i as e(x*g_i) = e(x) + e_i; an assignment is a character
     exactly when no edge disagrees.  The unit character is always first.
     """
-    if not group.generators:
-        return [unit_character(group)]
-    elements = [group.identity]
-    index = {group.identity: 0}
-    edges = []
-    for a, x in enumerate(elements):  # breadth-first: the list grows while it is walked
-        for i, g in enumerate(group.generators):
-            y = x * g
-            b = index.get(y)
-            if b is None:
-                b = index[y] = len(elements)
-                elements.append(y)
-            edges.append((a, i, b))
-    if len(elements) != group.order:
-        raise ValueError("stored generators do not generate the group")
-    n = math.lcm(*(g.order() for g in group.elements))
-    gen_choices = []
-    for g in group.generators:
-        step = n // math.gcd(n, g.order())
-        gen_choices.append(range(0, n, step))
+    index, edges = _cayley(group)
+    at = [index[g.images] for g in group.elements]  # walk position of each element
+    n = math.lcm(*{part for key in group.cycle_type_census() for part in key})  # the group's exponent
+    gen_choices = [range(0, n, n // math.gcd(n, g.order())) for g in group.generators]
 
     # a character is fixed by its generator values, so no two assignments give the same one
-    found: list[LinearCharacter] = []
+    found: list[tuple[list[int], LinearCharacter]] = []
     for assign in itertools.product(*gen_choices):
-        exps = [0] + [None] * (len(elements) - 1)
+        exps = [0] + [None] * (len(index) - 1)
         for a, i, b in edges:
             e = (exps[a] + assign[i]) % n
             if exps[b] is None:
@@ -443,10 +456,11 @@ def linear_characters(group: PermGroup) -> list[LinearCharacter]:
                 break
         else:
             common = math.gcd(n, *exps)
-            table = {el: e // common for el, e in zip(elements, exps)}
-            found.append(LinearCharacter(group, n // common, table=table))
-    found.sort(key=lambda c: tuple(c.exponent(g) * (n // c.order) for g in group.elements))
-    return found
+            values = [exps[k] for k in at]
+            table = dict(zip(group.elements, [e // common for e in values]))
+            found.append((values, LinearCharacter(group, n // common, table)))
+    found.sort(key=itemgetter(0))
+    return [chi for _, chi in found]
 
 
 def relative_sign_character(big: PermGroup, small: PermGroup) -> LinearCharacter:
@@ -460,9 +474,3 @@ def relative_sign_character(big: PermGroup, small: PermGroup) -> LinearCharacter
         raise ValueError(f"index is {big.order}/{small.order}, need exactly 2")
     table = {g: (0 if g in small else 1) for g in big.elements}
     return LinearCharacter(big, 2, table=table)
-
-
-def commutator_subgroup(group: PermGroup) -> PermGroup:
-    """Closure of all commutators; brute force, for cross-checks."""
-    comms = {a * b * a.inverse() * b.inverse() for a in group.elements for b in group.elements}
-    return generate(sorted(comms), degree=group.degree)

@@ -7,11 +7,13 @@ criteria, so agreement is meaningful evidence.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, permutations, product
 
-from isomers.perms import PermGroup, Permutation, generate
+from isomers.partitions import Partition
+from isomers.perms import DEFAULT_CAP, CapExceeded, PermGroup, Permutation, generate
 
 
 # -- definitional dominance ----------------------------------------------------
@@ -218,6 +220,82 @@ def symmetric_group(d: int) -> PermGroup:
     if d == 1:
         return generate([], degree=1)
     return generate(gens, degree=d)
+
+
+# -- groups through validating products ------------------------------------------
+
+def compose(a: Permutation, b: Permutation) -> Permutation:
+    """a*b, (a*b)(i) = a(b(i)), through the validating constructor."""
+    return Permutation([a.images[j - 1] for j in b.images])
+
+
+def invert(a: Permutation) -> Permutation:
+    """a^-1 through the validating constructor."""
+    return Permutation(sorted(range(1, a.degree + 1), key=lambda i: a.images[i - 1]))
+
+
+def closure(gens, d: int) -> set[Permutation]:
+    """Every product of the generators: multiply by each until no product is new."""
+    elements = {Permutation(range(1, d + 1))}
+    frontier = set(elements)
+    while frontier:
+        frontier = {compose(x, g) for x in frontier for g in gens} - elements
+        elements |= frontier
+    return elements
+
+
+def conjugacy_partition(group: PermGroup) -> set[frozenset[Permutation]]:
+    """The conjugacy classes, each found by conjugating one member by every element."""
+    left = set(group.elements)
+    classes = set()
+    for x in group.elements:
+        if x in left:
+            cls = frozenset(compose(compose(g, x), invert(g)) for g in group.elements)
+            classes.add(cls)
+            left -= cls
+    return classes
+
+
+def cycle_lengths(p: Permutation) -> tuple[int, ...]:
+    """The cycle lengths of p, fixed points included, longest first, by following images."""
+    left = set(range(1, p.degree + 1))
+    lengths = []
+    while left:
+        x = start = min(left)
+        n = 0
+        while True:
+            left.discard(x)
+            x = p.images[x - 1]
+            n += 1
+            if x == start:
+                break
+        lengths.append(n)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def elements_of_cycle_type(group: PermGroup, alpha: Partition) -> list[Permutation]:
+    """All group elements whose cycle type is alpha, in element order."""
+    return [g for g in group.elements if cycle_lengths(g) == alpha.trimmed()]
+
+
+def commutator_subgroup(group: PermGroup) -> PermGroup:
+    """The closure of all commutators a b a^-1 b^-1."""
+    comms = {compose(compose(a, b), compose(invert(a), invert(b))) for a in group.elements for b in group.elements}
+    return PermGroup(group.degree, sorted(comms), closure(comms, group.degree))
+
+
+def young_subgroup(lam: Partition) -> PermGroup:
+    """The direct product of the symmetric groups on the consecutive blocks of lam, element by element.
+
+    Refuses, before building any element, a subgroup above DEFAULT_CAP.
+    """
+    parts = lam.trimmed()
+    if (order := math.prod(math.factorial(k) for k in parts)) > DEFAULT_CAP:
+        raise CapExceeded(f"Young subgroup of {lam} has {order} elements, above the cap of {DEFAULT_CAP}")
+    blocks = [range(end - part + 1, end + 1) for part, end in zip(parts, accumulate(parts))]
+    elements = [Permutation([x for images in choice for x in images]) for choice in product(*map(permutations, blocks))]
+    gens = [Permutation.from_cycles([[a, a + 1]], lam.d) for block in blocks for a in block[:-1]]
+    return PermGroup(lam.d, gens, elements)
 
 
 # -- symmetric function cross-checks -------------------------------------------

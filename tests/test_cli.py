@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,34 @@ class TestGroupFile:
             assert (code, out) == (2, ""), err
             assert "'big' has no stereoisomerism group" in err
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("command", ["count", "orbits"])
+    def test_named_shape_refused_before_generators(self, capsys, tmp_path, monkeypatch, command):
+        # the one-tabloid shape passes the tabloid cap; count's scalar route is refused from the
+        # degree line alone, and a shape past the tabloid cap for any command
+        path = tmp_path / "big.grp"
+        path.write_text("degree 1000000\n(12)\n")
+
+        def parsed(*args, **kwargs):
+            raise AssertionError("a generator was parsed or closed")
+
+        monkeypatch.setattr(isomers.cli, "parse_cycles", parsed)
+        monkeypatch.setattr(isomers.cli, "generate", parsed)
+        shape, message = {
+            "count": ("1000000", "shape 1000000 expands to more than 100000 power-sum terms, the scalar-route cap"),
+            "orbits": ("999998,1^2", "shape 999998,1^2 has more than 100000 tabloids, the tabloid cap"),
+        }[command]
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--group-file", str(path), "--shape", shape)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out, err) == (3, "", f"error[cap]: {message}\n")
+        tracemalloc.start()
+        try:
+            run(capsys, command, "--group-file", str(path), "--shape", shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20  # a few copies of the 10^6-part shape, no degree-10^6 permutation
 
     def test_kernel_closure_obeys_cap(self, capsys, tmp_path):
         path = tmp_path / "c4.grp"
@@ -505,11 +534,14 @@ CORPUS = [
     (("verify", "--group-file", "d1000000.grp"), 3),
     (("orbits", "--group-file", "d1000000.grp"), 3),
     (("poset", "--group-file", "d1000000.grp"), 3),
-    # malformed and oversized: a bad header exits 2; past it the degree is
-    # refused before any generator is read, unless --shape names the shapes
+    # malformed and oversized: a bad header exits 2; past it the requested
+    # shapes are refused from the degree alone, before any generator is
+    # read: the degree for every shape, the tabloid cap and (for count) the
+    # scalar-route cap for named ones; a bad generator is found only after
     (("count", "--group-file", "d1e6.grp"), 2),
     (("count", "--group-file", "d1000000badcycle.grp"), 3),
-    (("count", "--group-file", "d1000000badcycle.grp", "--shape", "1000000"), 2),
+    (("count", "--group-file", "d1000000badcycle.grp", "--shape", "1000000"), 3),
+    (("orbits", "--group-file", "d1000000badcycle.grp", "--shape", "1000000"), 2),
     (("count", "--group-file", "binary.grp"), 2),
     # degree 300 with few tabloids: the dominance interval and the prefix
     # masks cost what the shapes hold, not what all of degree 300 would

@@ -22,9 +22,9 @@ from isomers.counting import (
     young_character_index,
 )
 from isomers.partitions import Partition, all_partitions, centralizer_order, dominance_leq, parse_partition
-from isomers.perms import LinearCharacter, generate, linear_characters, parse_cycles, young_subgroup
+from isomers.perms import LinearCharacter, generate, linear_characters, parse_cycles
 
-from oracles import monomial_h_coefficient, random_subgroup, restricted_sign_exponent, symmetric_group
+from oracles import monomial_h_coefficient, random_subgroup, restricted_sign_exponent, symmetric_group, young_subgroup
 
 
 def hexagon_group():

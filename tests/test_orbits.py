@@ -41,7 +41,6 @@ from isomers.perms import (
     generate,
     linear_characters,
     parse_cycles,
-    young_subgroup,
 )
 
 from oracles import (
@@ -57,6 +56,7 @@ from oracles import (
     raw_tabloids_of_shape,
     standard_transporter_raw,
     symmetric_group,
+    young_subgroup,
 )
 
 
@@ -211,6 +211,36 @@ class TestDefinitionalOrbits:
         other = next(mu for mu in all_partitions(w.degree) if mu != lam)
         with pytest.raises(ValueError, match="not a tabloid of shape"):
             space.orbit_of(standard_tabloid(other))
+
+
+class TestOrbitSpacePaths:
+    """Each side of the gather-count rule gives the definitional orbits, member for member.
+
+    A walk along the generators costs their count per tabloid; sending one
+    word per orbit through every element costs at least |G| * ceil(N / |G|).
+    Only the second builds the per-element gathers.
+    """
+
+    @pytest.mark.parametrize(
+        "make,shape,walks",
+        [
+            (lambda: symmetric_group(7), "7", True),
+            (lambda: symmetric_group(7), "4,3", True),
+            (lambda: symmetric_group(5), "3,1,1", True),
+            (lambda: generate([], degree=1), "1", True),
+            (lambda: symmetric_group(5), "1^5", False),
+            (klein_group, "1^4", False),
+            (lambda: generate([parse_cycles("(1234)", 5)]), "2,1^3", False),
+            (lambda: stabilizer(symmetric_group(5), T("{1,2}{3,4,5}", 5)), "2,2,1", False),
+        ],
+        ids=["S7-7", "S7-4,3", "S5-3,1,1", "trivial-1", "S5-1^5", "klein-1^4", "C4-2,1^3", "stabilizer-2,2,1"],
+    )
+    def test_matches_raw_orbits(self, make, shape, walks):
+        w = make()
+        lam = parse_partition(shape, w.degree)
+        got = [tuple(m.components for m in o.members) for o in orbit_space(w, lam)]
+        assert ("getters" not in w._memo) == walks
+        assert got == [tuple(sorted(o)) for o in raw_orbits(w, raw_tabloids_of_shape(lam.trimmed()))]
 
 
 class TestStabilizer:

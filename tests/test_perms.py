@@ -6,24 +6,30 @@ import pytest
 
 from isomers.counting import young_character_index
 from isomers.dissections import parse_tabloid
-from isomers.orbits import is_character_orbit, orbit_space
+from isomers.orbits import is_character_orbit, orbit_space, stabilizer
 from isomers.partitions import Partition, all_partitions, parse_partition
 from isomers.perms import (
     CapExceeded,
     PermGroup,
     Permutation,
-    commutator_subgroup,
     conjugacy_classes,
-    elements_of_cycle_type,
     generate,
     linear_characters,
     parse_cycles,
     relative_sign_character,
+    _generated,
     unit_character,
-    young_subgroup,
 )
 
-from oracles import random_subgroup, symmetric_group
+from oracles import (
+    closure,
+    commutator_subgroup,
+    conjugacy_partition,
+    elements_of_cycle_type,
+    random_subgroup,
+    symmetric_group,
+    young_subgroup,
+)
 
 
 class TestParseCycles:
@@ -65,6 +71,19 @@ class TestParseCycles:
 
 
 class TestComposition:
+    def test_constructor_validates(self):
+        for images in [(1, 1, 2), (0, 1), (1, 3), (2, 2)]:
+            with pytest.raises(ValueError, match="not a permutation"):
+                Permutation(images)
+
+    def test_products_match_pointwise_composition(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            d = rng.randint(1, 7)
+            a, b = (Permutation(rng.sample(range(1, d + 1), d)) for _ in range(2))
+            assert (a * b).images == tuple(a(b(k)) for k in range(1, d + 1))
+            assert (a * a.inverse()).images == tuple(range(1, d + 1))
+
     def test_inverse_cancels(self):
         rng = random.Random(5)
         for _ in range(30):
@@ -135,6 +154,42 @@ class TestGenerate:
         g = generate([parse_cycles("(123)", 3), parse_cycles("(12)", 3)])
         images = [e.images for e in g.elements]
         assert images == sorted(images)
+
+
+def _generated_groups():
+    """Seeded random groups of degree at most 7, S7 and the trivial group of degree 1, all from generate."""
+    rng = random.Random(41)
+    groups = [random_subgroup(rng, rng.randint(1, 7)) for _ in range(12)]
+    return [w for w in groups if w.order <= 720] + [symmetric_group(7), generate([], degree=1)]
+
+
+class TestGroupsAgainstValidatingOracles:
+    """Closure and classes against references built from validating products only."""
+
+    def test_generate_is_the_closure(self):
+        for w in _generated_groups():
+            assert set(w.elements) == closure(w.generators, w.degree)
+            assert list(w.elements) == sorted(w.elements, key=lambda p: p.images)
+
+    def test_generate_cap_counts_every_element(self):
+        s5 = [parse_cycles("(12)", 5), parse_cycles("(12345)", 5)]
+        assert generate(s5, cap=120).order == 120
+        with pytest.raises(CapExceeded, match="closure exceeds cap of 119 elements"):
+            generate(s5, cap=119)
+
+    def test_classes_match_full_conjugation(self):
+        groups = _generated_groups()
+        assert all(_generated(w) for w in groups)  # classes closed under the generators
+        s5 = symmetric_group(5)
+        stab = stabilizer(s5, parse_tabloid("{1,2}{3,4,5}", 5))
+        partial = PermGroup(3, [parse_cycles("(123)", 3)], symmetric_group(3).elements)  # (123) alone splits S3's 3-cycles
+        assert stab.order == 12 and not _generated(stab) and not _generated(partial)  # classes by every element
+        for w in groups + [stab, partial]:
+            classes = conjugacy_classes(w)
+            assert {frozenset(c.members) for c in classes} == conjugacy_partition(w), w
+            keys = [(c.cycle_type.trimmed(), c.representative.images) for c in classes]
+            assert keys == sorted(keys)
+            assert all(list(c.members) == sorted(c.members) for c in classes)
 
 
 class TestConjugacyClasses:
