@@ -10,9 +10,9 @@ edges and the remaining one-step-shape comparabilities as dashed extras.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .dissections import Dissection, parse_tabloid
+from .dissections import Dissection, parse_tabloid, tabloid_formatter
 from .orbits import (
     Orbit,
     OrbitSpace,
@@ -38,6 +38,7 @@ __all__ = [
     "json_text",
     "kauffmann_count",
     "korner_relations",
+    "orbit_listing_json",
 ]
 
 BUILTIN_NAMES = ("benzene", "ethene", "naphthalene")
@@ -206,6 +207,22 @@ def json_text(payload) -> str:
     import json  # here, not at the top: commands that write no JSON never load it
 
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+_ORBIT_JSON = (
+    '  {\n    "members": [\n      %s\n    ],\n    "name": %s,\n    "representative": %s,\n    "shape": %s,\n    "size": %d\n  }'
+)
+
+
+def orbit_listing_json(rows: Iterable[tuple[str, Orbit]]) -> str:
+    """What json_text writes of one listing object per (name, orbit) row, built from row-words in that fixed layout."""
+    from json.encoder import encode_basestring_ascii as quote
+
+    items = []
+    for name, orbit in rows:
+        members = list(map(quote, map(tabloid_formatter(orbit.shape), orbit.words)))
+        items.append(_ORBIT_JSON % (",\n      ".join(members), quote(name), members[0], quote(str(orbit.shape)), orbit.size))
+    return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
 
 
 class DiagramNode(_Record):

@@ -14,8 +14,9 @@ import sys
 from pathlib import Path
 
 from .catalog import BUILTIN_NAMES, SkeletonSpec, assign_letters, builtin, emit_dot, genetic_diagram, json_text, orbit_name
+from .catalog import orbit_listing_json
 from .counting import build_report, check_scalar_cap
-from .dissections import format_tabloid
+from .dissections import tabloid_formatter
 from .orbits import check_degree_cap, check_tabloid_cap, classify_chiral, comparable_pairs, orbit_cover, orbit_space
 from .partitions import Partition, all_partitions, format_partition, parse_partition
 from .perms import CapExceeded, LinearCharacter, PermGroup, generate, linear_characters, parse_cycles
@@ -179,19 +180,9 @@ def cmd_orbits(args) -> int:
         names = _diagram_names(spec, lam, space)
         named.extend((names[orbit], orbit) for orbit in space)
     if args.format == "json":
-        payload = [
-            {
-                "name": nm,
-                "shape": str(orbit.shape),
-                "size": orbit.size,
-                "representative": str(orbit.representative),
-                "members": list(map(format_tabloid, orbit.members)),
-            }
-            for nm, orbit in named
-        ]
-        _emit(json_text(payload), args.out)
+        _emit(orbit_listing_json(named), args.out)
     else:
-        lines = [f"{nm:>14}  size={orbit.size:<4} rep={orbit.representative}" for nm, orbit in named]
+        lines = [f"{nm:>14}  size={orbit.size:<4} rep={tabloid_formatter(orbit.shape)(orbit.words[0])}" for nm, orbit in named]
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -230,18 +221,12 @@ def cmd_chiral(args) -> int:
     payload = []
     for lam in shapes:
         report = classify_chiral(spec.group, spec.extended, lam)
+        text = tabloid_formatter(lam)
         for entry in report.entries:
             kind = "pair" if entry.is_pair else "single"
-            reps = ", ".join(str(o.representative) for o in entry.fine_orbits)
-            lines.append(f"{format_partition(lam):>12}  {kind:<6} chi_e={'1' if entry.chi_e_orbit else '0'}  [{reps}]")
-            payload.append(
-                {
-                    "shape": str(lam),
-                    "kind": kind,
-                    "chi_e_orbit": entry.chi_e_orbit,
-                    "orbits": [str(o.representative) for o in entry.fine_orbits],
-                }
-            )
+            reps = [text(o.words[0]) for o in entry.fine_orbits]
+            lines.append(f"{format_partition(lam):>12}  {kind:<6} chi_e={'1' if entry.chi_e_orbit else '0'}  [{', '.join(reps)}]")
+            payload.append({"shape": str(lam), "kind": kind, "chi_e_orbit": entry.chi_e_orbit, "orbits": reps})
     if args.format == "json":
         _emit(json_text(payload), args.out)
     else:

@@ -45,6 +45,7 @@ __all__ = [
     "standard_tabloid",
     "substitution_chain",
     "tabloid_builder",
+    "tabloid_formatter",
     "tabloid_words",
     "word_mask",
 ]
@@ -217,6 +218,18 @@ def _shape_words(sizes: tuple[int, ...], first: int) -> tuple[tuple[int, ...], .
             at[x] = rank
         out.extend(map(itemgetter(*at), tails))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def tabloid_formatter(lam: Partition) -> Callable[[tuple[int, ...]], str]:
+    """A function from the row-word of a tabloid of shape lam to its format_tabloid text; builds no Dissection.
+
+    A stable sort of the points by component lists the components in order,
+    so one template with lam[k] fields per component formats them all.
+    """
+    points = range(1, lam.d + 1)
+    template = "".join("{" + ",".join(["%d"] * k) + "}" for k in lam.parts)
+    return lambda w: template % tuple(sorted(points, key=((0,) + w).__getitem__))
 
 
 def tabloid_builder(lam: Partition) -> Callable[[Iterable[tuple[int, ...]]], list[Dissection]]:

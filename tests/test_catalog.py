@@ -7,15 +7,21 @@ from isomers.catalog import (
     DiagramNode,
     GeneticDiagram,
     SkeletonSpec,
+    assign_letters,
     builtin,
     emit_dot,
     genetic_diagram,
+    json_text,
     kauffmann_count,
     korner_relations,
+    orbit_listing_json,
+    orbit_name,
 )
 from isomers.counting import count_brute, count_scalar, count_types
+from isomers.dissections import format_tabloid
+from isomers.orbits import orbit_space
 from isomers.partitions import all_partitions, parse_partition
-from isomers.perms import parse_cycles
+from isomers.perms import generate, parse_cycles
 
 
 class TestBuiltin:
@@ -245,6 +251,60 @@ class TestCatalogMemberLists:
             ["{1}{2}{3}{4}", "{2}{1}{4}{3}", "{3}{4}{1}{2}", "{4}{3}{2}{1}",
              "{3}{2}{1}{4}", "{4}{1}{2}{3}", "{1}{4}{3}{2}", "{2}{3}{4}{1}"],
         )
+
+
+def listing_rows(group, shapes, letters=None):
+    """(name, orbit) rows as ``orbits`` lists them."""
+    rows = []
+    for lam in shapes:
+        space = orbit_space(group, lam)
+        names = assign_letters(space, letters.get(lam) if letters else None)
+        rows.extend((orbit_name(names[orbit], lam), orbit) for orbit in space)
+    return rows
+
+
+def listing_payload(rows):
+    """The dict payload the orbit listing was written from before the row-word writer, through member objects."""
+    return [
+        {
+            "name": name,
+            "shape": str(orbit.shape),
+            "size": orbit.size,
+            "representative": str(orbit.representative),
+            "members": list(map(format_tabloid, orbit.members)),
+        }
+        for name, orbit in rows
+    ]
+
+
+class TestOrbitListingJson:
+    """orbit_listing_json writes byte for byte what json_text writes of the dict payload."""
+
+    def check(self, rows):
+        assert orbit_listing_json(rows) == json_text(listing_payload(rows))
+
+    @pytest.mark.parametrize("name", ["ethene", "benzene"])
+    def test_builtin_shapes_alone_and_together(self, name):
+        spec = builtin(name)
+        shapes = all_partitions(spec.degree)
+        for lam in shapes:
+            self.check(listing_rows(spec.group, [lam], spec.letters))
+        self.check(listing_rows(spec.group, shapes, spec.letters))
+
+    @pytest.mark.parametrize("d,gens", [(1, []), (2, ["(12)"]), (2, [])], ids=["d1", "d2", "d2trivial"])
+    def test_low_degree(self, d, gens):
+        self.check(listing_rows(generate([parse_cycles(g, d) for g in gens], degree=d), all_partitions(d)))
+
+    def test_two_digit_points(self):
+        group = generate([parse_cycles("(1 2 3 4 5 6 7 8 9 10)", 10)], degree=10)
+        self.check(listing_rows(group, [parse_partition(t, 10) for t in ("9,1", "8,2", "7,2,1")]))
+
+    def test_string_leaves_escaped_as_ensure_ascii(self):
+        rows = listing_rows(builtin("ethene").group, [parse_partition("3,1", 4)])
+        self.check([('\u00e9"\\\n\u2603', orbit) for _, orbit in rows])
+
+    def test_empty(self):
+        self.check([])
 
 
 class TestBenzeneDiagram:

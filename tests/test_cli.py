@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import isomers.cli
+from isomers.catalog import builtin
 from isomers.cli import main
+from isomers.partitions import parse_partition
 from isomers.verify import VerifyResult
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -290,7 +292,11 @@ class TestLowDegree:
 
 
 class TestGoldenOutput:
-    """stdout digests of outputs the benchmark harness does not check, recorded before the gather enumerator."""
+    """stdout digests of outputs the benchmark harness does not check.
+
+    The 1^8 and all-shape text listings were recorded before the gather
+    enumerator, the all-shape JSON listing before the row-word writer.
+    """
 
     @pytest.mark.parametrize(
         "argv,digest",
@@ -300,13 +306,40 @@ class TestGoldenOutput:
                 "bc13281ea0a9d2968cd9984234af71c3e31bbca63f8b1743b5b3b224b6bbff9b",
             ),
             (("orbits", "--builtin", "naphthalene"), "8f58ce83efb8bc120c9c11fe29aa6dff53220a2157033171714ad2f7080cb75c"),
+            (
+                ("orbits", "--builtin", "naphthalene", "--format", "json"),
+                "075ee6ad1595ff1866e399f3345444ec1f3ddb318cada1628fdfa1e4d2de1e3d",
+            ),
         ],
-        ids=["1^8-json", "all-shapes-text"],
+        ids=["1^8-json", "all-shapes-text", "all-shapes-json"],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestNoMemberObjects:
+    """Output formats row-words: listing orbits builds no member or representative Dissection."""
+
+    @pytest.mark.parametrize(
+        "name,shape,commands",
+        [("naphthalene", "3,1^5", ["orbits"]), ("ethene", "2,1^2", ["orbits", "chiral"])],
+    )
+    def test_listing_leaves_orbits_bare(self, capsys, monkeypatch, name, shape, commands):
+        specs = []
+        monkeypatch.setattr(isomers.cli, "builtin", lambda n: specs.append(builtin(n)) or specs[-1])
+        spaces = []
+        for command in commands:
+            for fmt in ("json", "text"):
+                code, out, _ = run(capsys, command, "--builtin", name, "--shape", shape, "--format", fmt)
+                assert code == 0 and out
+                lam = parse_partition(shape, specs[-1].degree)
+                groups = [specs[-1].group] + ([specs[-1].extended] if command == "chiral" else [])
+                spaces.extend(g._memo[("orbit_space", lam)] for g in groups)  # the memoized spaces the command read
+        for space in spaces:
+            for orbit in space:
+                assert not hasattr(orbit, "_members") and not hasattr(orbit, "_representative")
 
 
 class TestPoset:

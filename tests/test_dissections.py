@@ -21,6 +21,7 @@ from isomers.dissections import (
     raising_moves,
     standard_tabloid,
     substitution_chain,
+    tabloid_formatter,
     tabloid_words,
     word_mask,
 )
@@ -626,6 +627,13 @@ class TestTextFormat:
             d = rng.randint(1, 8)
             a = random_dissection(rng, d)
             assert parse_tabloid(format_tabloid(a), d) == a
+
+    def test_formatter_matches_format_tabloid(self):
+        # every tabloid of every shape of degree 0-6, formatted from its row-word alone
+        for d in range(0, 7):
+            for lam in all_partitions(d) if d else [Partition(())]:
+                tabs = all_tabloids(lam)
+                assert [tabloid_formatter(lam)(t.row_word()) for t in tabs] == list(map(format_tabloid, tabs))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
