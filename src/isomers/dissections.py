@@ -23,7 +23,7 @@ from operator import itemgetter, le, or_
 from typing import Callable, Iterable, Sequence
 
 from .partitions import Partition, dominance_leq, in_M, raising_pair, shapes_between
-from .perms import Permutation
+from .perms import Permutation, _gather
 
 __all__ = [
     "Dissection",
@@ -44,7 +44,6 @@ __all__ = [
     "shape_feasible",
     "standard_tabloid",
     "substitution_chain",
-    "tabloid_builder",
     "tabloid_formatter",
     "tabloid_words",
     "word_mask",
@@ -52,9 +51,9 @@ __all__ = [
 
 
 class Dissection:
-    """A d-tuple of sorted disjoint subsets of [1,d] whose union is [1,d]."""
+    """A d-tuple of sorted disjoint subsets of [1,d] whose union is [1,d], stored as its row-word."""
 
-    __slots__ = ("components", "_word")
+    __slots__ = ("_word", "_components")
 
     def __init__(self, components: Iterable[Iterable[int]], d: int | None = None):
         comps = [tuple(sorted(c)) for c in components]
@@ -66,26 +65,37 @@ class Dissection:
         flat = [x for c in comps for x in c]
         if sorted(flat) != list(range(1, d + 1)):
             raise ValueError(f"components do not dissect [1,{d}]: {comps}")
-        object.__setattr__(self, "components", tuple(comps))
+        word = [0] * d
+        for k, comp in enumerate(comps, start=1):
+            for x in comp:
+                word[x - 1] = k
+        object.__setattr__(self, "_word", tuple(word))
 
     @classmethod
-    def _trusted(cls, components: tuple[tuple[int, ...], ...], word: tuple[int, ...] | None = None) -> "Dissection":
-        """Wrap components this package built as sorted tuples dissecting [1,d], unchecked.
-
-        ``word``, when given, must be their row-word; it is kept, not rebuilt.
-        """
+    def _trusted(cls, word: tuple[int, ...]) -> "Dissection":
+        """Wrap a row-word this package built, with every entry in [1,d], unchecked."""
         a = object.__new__(cls)
-        object.__setattr__(a, "components", components)
-        if word is not None:
-            object.__setattr__(a, "_word", word)
+        object.__setattr__(a, "_word", word)
         return a
 
     def __setattr__(self, *a):
         raise AttributeError("Dissection is immutable")
 
     @property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The d components as sorted tuples; read off the row-word on first use and kept."""
+        try:
+            return self._components
+        except AttributeError:
+            comps: list[list[int]] = [[] for _ in self._word]
+            for x, k in enumerate(self._word, start=1):
+                comps[k - 1].append(x)
+            object.__setattr__(self, "_components", tuple(map(tuple, comps)))
+            return self._components
+
+    @property
     def degree(self) -> int:
-        return len(self.components)
+        return len(self._word)
 
     def shape(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.components)
@@ -98,30 +108,23 @@ class Dissection:
         """The (1-based) index of the component containing s."""
         if not 1 <= s <= self.degree:
             raise ValueError(f"point {s} outside [1,{self.degree}]")
-        return self.row_word()[s - 1]
+        return self._word[s - 1]
 
     def row_word(self) -> tuple[int, ...]:
-        """The tuple w with w[x-1] the (1-based) component holding point x; built on first use."""
-        try:
-            return self._word
-        except AttributeError:
-            word = [0] * self.degree
-            for k, comp in enumerate(self.components, start=1):
-                for x in comp:
-                    word[x - 1] = k
-            object.__setattr__(self, "_word", tuple(word))
-            return self._word
+        """The tuple w with w[x-1] the (1-based) component holding point x."""
+        return self._word
 
     def acted_by(self, perm: Permutation) -> "Dissection":
+        """The image under perm: point perm(x) sits where x did, so the word is gathered by perm's inverse."""
         if perm.degree != self.degree:
             raise ValueError("degree mismatch")
-        return Dissection((perm(x) for x in comp) for comp in self.components)
+        return Dissection._trusted(_gather(perm.inverse().images)(self._word))
 
     def __eq__(self, other):
-        return isinstance(other, Dissection) and self.components == other.components
+        return isinstance(other, Dissection) and self._word == other._word
 
     def __hash__(self):
-        return hash(self.components)
+        return hash(self._word)
 
     def __lt__(self, other):  # lexicographic on component tuples, for canonical order
         return self.components < other.components
@@ -140,18 +143,9 @@ class Dissection:
         return parse_tabloid(text, d)
 
 
-@lru_cache(maxsize=None)
-def _component_text(comp: tuple[int, ...]) -> str:
-    return "{" + ",".join(map(str, comp)) + "}"
-
-
 def format_tabloid(a: Dissection) -> str:
-    """Brace syntax with all components, e.g. ``{2,3,5,6}{1,4}{}{}{}{}``.
-
-    Each component's text is cached, so formatting many members of one
-    orbit space joins texts already built.
-    """
-    return "".join(map(_component_text, a.components))
+    """Brace syntax with all components, e.g. ``{2,3,5,6}{1,4}{}{}{}{}``."""
+    return "".join("{" + ",".join(map(str, c)) + "}" for c in a.components)
 
 
 def parse_tabloid(text: str, d: int | None = None) -> Dissection:
@@ -171,19 +165,7 @@ def parse_tabloid(text: str, d: int | None = None) -> Dissection:
 
 def all_dissections(d: int) -> list[Dissection]:
     """Every ordered dissection of [1,d]; there are d**d of them."""
-    out = []
-
-    def rec(point: int, comps: list[list[int]]):
-        if point > d:
-            out.append(Dissection([tuple(c) for c in comps]))
-            return
-        for k in range(d):
-            comps[k].append(point)
-            rec(point + 1, comps)
-            comps[k].pop()
-
-    rec(1, [[] for _ in range(d)])
-    return sorted(out)
+    return sorted(map(Dissection._trusted, product(range(1, d + 1), repeat=d)))
 
 
 def tabloid_words(lam: Partition) -> tuple[tuple[int, ...], ...]:
@@ -232,44 +214,14 @@ def tabloid_formatter(lam: Partition) -> Callable[[tuple[int, ...]], str]:
     return lambda w: template % tuple(sorted(points, key=((0,) + w).__getitem__))
 
 
-def tabloid_builder(lam: Partition) -> Callable[[Iterable[tuple[int, ...]]], list[Dissection]]:
-    """A function that builds the tabloids of shape lam from their row-words, each keeping its word.
-
-    Component k holds lam[k] points, so a stable sort of the points by
-    their component, cut at the partial sums of lam, gives the components.
-    Equal component tuples of all the tabloids one builder makes are
-    stored once.
-    """
-    points = range(1, lam.d + 1)
-    if lam.d <= 1:  # itemgetter takes at least one index, and for one returns the item, not a 1-tuple
-        cut = lambda line: (line,) * lam.d  # noqa: E731
-    else:
-        cut = itemgetter(*(slice(end - k, end) for k, end in zip(lam.parts, accumulate(lam.parts))))
-    intern = {}.setdefault
-
-    def build(words: Iterable[tuple[int, ...]]) -> list[Dissection]:
-        out = []
-        for w in words:
-            comps = cut(tuple(sorted(points, key=((0,) + w).__getitem__)))
-            out.append(Dissection._trusted(tuple(map(intern, comps, comps)), w))
-        return out
-
-    return build
-
-
 def all_tabloids(lam: Partition) -> list[Dissection]:
     """All tabloids of shape lam, in canonical (lexicographic) order."""
-    return tabloid_builder(lam)(tabloid_words(lam))
+    return list(map(Dissection._trusted, tabloid_words(lam)))
 
 
 def standard_tabloid(lam: Partition) -> Dissection:
     """The tabloid with consecutive blocks [1..lam_1], [lam_1+1..], ..."""
-    comps = []
-    start = 1
-    for size in lam.parts:
-        comps.append(tuple(range(start, start + size)))
-        start += size
-    return Dissection(comps)
+    return Dissection._trusted(tuple(k for k, size in enumerate(lam.parts, start=1) for _ in range(size)))
 
 
 def _words(a: Dissection, b: Dissection) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -309,13 +261,13 @@ def word_mask(word: tuple[int, ...]) -> int:
 
 def raise_into(i: int, s: int, a: Dissection) -> Dissection:
     """Move element s into component i if it currently sits later; else a."""
-    j = a.component_of(s)
-    if j <= i:
+    if not 1 <= i <= a.degree:
+        raise ValueError(f"component index {i} outside [1,{a.degree}]")
+    if a.component_of(s) <= i:
         return a
-    comps = list(a.components)
-    comps[j - 1] = tuple(x for x in comps[j - 1] if x != s)
-    comps[i - 1] = tuple(sorted(comps[i - 1] + (s,)))
-    return Dissection(comps)
+    word = list(a.row_word())
+    word[s - 1] = i
+    return Dissection._trusted(tuple(word))
 
 
 def raise_set(i: int, xs: Iterable[int], a: Dissection) -> Dissection:
@@ -345,7 +297,7 @@ def shape_assignment(a: Dissection, b: Dissection, n: Sequence[int]) -> Dissecti
     for x, beta in enumerate(b.row_word(), start=1):
         arrivals[beta].append(x)
     pool: list[int] = []
-    comps: list[tuple[int, ...]] = []
+    word = [0] * d
     for v in range(1, d + 1):
         pool.extend(arrivals[v])
         pool.sort(key=lambda x: (alpha[x - 1], x))
@@ -354,8 +306,9 @@ def shape_assignment(a: Dissection, b: Dissection, n: Sequence[int]) -> Dissecti
         chosen, pool = pool[: n[v - 1]], pool[n[v - 1] :]
         if any(alpha[x - 1] < v for x in chosen) or any(alpha[x - 1] <= v for x in pool):
             return None  # an element passed its deadline, as one with beta_x > alpha_x must
-        comps.append(tuple(sorted(chosen)))
-    return Dissection._trusted(tuple(comps))
+        for x in chosen:
+            word[x - 1] = v
+    return Dissection._trusted(tuple(word))
 
 
 def shape_feasible(a: Dissection, b: Dissection, n: Sequence[int]) -> bool:
@@ -405,14 +358,7 @@ def interval_dissections(a: Dissection, b: Dissection) -> list[Dissection]:
     if not leq_dissection(a, b):
         raise ValueError("a does not precede b")
     alpha, beta = a.row_word(), b.row_word()
-    d = len(alpha)
-    out = []
-    for word in product(*(range(bx, ax + 1) for ax, bx in zip(alpha, beta))):
-        comps: list[list[int]] = [[] for _ in range(d)]
-        for x, k in enumerate(word, start=1):
-            comps[k - 1].append(x)
-        out.append(Dissection._trusted(tuple(map(tuple, comps))))
-    return sorted(out)
+    return sorted(map(Dissection._trusted, product(*(range(bx, ax + 1) for ax, bx in zip(alpha, beta)))))
 
 
 def interval_shapes(a: Dissection, b: Dissection) -> set[tuple[int, ...]]:

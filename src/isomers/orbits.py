@@ -9,9 +9,9 @@ distinguished orbit families, in particular the ones holding chiral pairs.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .dissections import Dissection, shape_feasible, tabloid_builder, tabloid_words, word_mask
+from .dissections import Dissection, shape_feasible, tabloid_words, word_mask
 from .partitions import Partition, dominance_leq, raising_pair, shapes_between
 from .perms import CapExceeded, LinearCharacter, PermGroup, Permutation, _close, _gather, _generated, relative_sign_character
 
@@ -83,26 +83,18 @@ class _Record:
 class Orbit:
     """A W-orbit of tabloids: its members' row-words, sorted; the representative is the first.
 
-    The member dissections are built on first use, by a ``tabloid_builder``
-    shared by the orbits of one space, so equal component tuples across
-    the space are stored once.  Equality and hashing are by identity: orbit
-    spaces are memoized per group, so each orbit exists once, and dicts
-    keyed by orbit never hash its members.
+    A member is a ``Dissection`` wrapped around its word on each access;
+    nothing else is stored per member until the masks are.  Equality and
+    hashing are by identity: orbit spaces are memoized per group, so each
+    orbit exists once, and dicts keyed by orbit never hash its members.
     """
 
-    __slots__ = ("group", "shape", "words", "_build", "_representative", "_members", "_masks")
+    __slots__ = ("group", "shape", "words", "_masks")
 
-    def __init__(
-        self,
-        group: PermGroup,
-        shape: Partition,
-        words: tuple[tuple[int, ...], ...],
-        build: Callable[[Iterable[tuple[int, ...]]], list[Dissection]],
-    ):
+    def __init__(self, group: PermGroup, shape: Partition, words: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "words", words)
-        object.__setattr__(self, "_build", build)
 
     def __setattr__(self, *a):
         raise AttributeError("Orbit is immutable")
@@ -113,21 +105,13 @@ class Orbit:
 
     @property
     def representative(self) -> Dissection:
-        """The first member; built alone until the members are."""
-        try:
-            return self._representative
-        except AttributeError:
-            object.__setattr__(self, "_representative", self._build(self.words[:1])[0])
-            return self._representative
+        """The first member."""
+        return Dissection._trusted(self.words[0])
 
     @property
     def members(self) -> tuple[Dissection, ...]:
-        """The member tabloids, in word order; built on first use."""
-        try:
-            return self._members
-        except AttributeError:
-            object.__setattr__(self, "_members", (self.representative, *self._build(self.words[1:])))
-            return self._members
+        """The member tabloids, in word order."""
+        return tuple(map(Dissection._trusted, self.words))
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -139,7 +123,7 @@ class Orbit:
             return self._masks
 
     def __contains__(self, a: Dissection) -> bool:
-        return a in self.members
+        return a.row_word() in self.words
 
     def __repr__(self):
         return f"Orbit({self.representative}, size={self.size})"
@@ -249,9 +233,11 @@ def orbit_space(group: PermGroup, lam: Partition) -> OrbitSpace:
     group element g sends the word w to the word w∘g.  The first tabloid
     not yet placed is the least of its orbit, so orbits come out in
     representative order with sorted members.  No member dissection is
-    built here.  Each orbit is its first word sent through every element
-    (|G| gathers per orbit, at least |G| * ceil(N / |G|) for N tabloids) or,
-    when fewer, walked along generators known to generate (their count per word).
+    built here: an orbit holds the word tuples of ``tabloid_words``, and a
+    member is wrapped around its word only when asked for.  Each orbit is
+    its first word sent through every element (|G| gathers per orbit, at
+    least |G| * ceil(N / |G|) for N tabloids) or, when fewer, walked along
+    generators known to generate (their count per word).
     """
     if lam.d != group.degree:
         raise ValueError("shape degree differs from group degree")
@@ -265,7 +251,6 @@ def orbit_space(group: PermGroup, lam: Partition) -> OrbitSpace:
     walk = _generated(group) and len(gens) * n < group.order * -(-n // group.order)
     steps = [_gather(g.images) for g in gens] if walk else _getters(group)
     placed = bytearray(n)
-    build = tabloid_builder(lam)
     orbits = []
     for k, w in enumerate(words):
         if placed[k]:
@@ -273,7 +258,7 @@ def orbit_space(group: PermGroup, lam: Partition) -> OrbitSpace:
         at = sorted(map(index.__getitem__, _close(w, steps)) if walk else {index[get(w)] for get in steps})
         for j in at:
             placed[j] = 1
-        orbits.append(Orbit(group, lam, tuple(map(words.__getitem__, at)), build))
+        orbits.append(Orbit(group, lam, tuple(map(words.__getitem__, at))))
     space = OrbitSpace(group, lam, tuple(orbits))
     group._memo[("orbit_space", lam)] = space
     return space
@@ -330,12 +315,12 @@ def orbit_cover(a: Orbit, b: Orbit) -> bool:
     _require_same_group(a, b)
     lam, mu = a.shape, b.shape
     outside_b = ~b.masks[0]
-    below = [k for k, m in enumerate(a.masks) if not m & outside_b]
+    below = [Dissection._trusted(w) for w, m in zip(a.words, a.masks) if not m & outside_b]
     if lam == mu or not below:
         return False  # comparable tabloids of one shape are equal
     rb = b.representative
     return not any(
-        shape_feasible(a.members[k], rb, nu) for nu in shapes_between(lam, mu) if nu != lam and nu != mu for k in below
+        shape_feasible(x, rb, nu) for nu in shapes_between(lam, mu) if nu != lam and nu != mu for x in below
     )
 
 

@@ -118,6 +118,23 @@ def act_raw(images, tab):
     return tuple(tuple(sorted(images[x - 1] for x in comp)) for comp in tab)
 
 
+def components_of_word(word):
+    """The component tuples of the dissection that puts point x in component word[x-1]."""
+    d = len(word)
+    return tuple(tuple(x for x in range(1, d + 1) if word[x - 1] == k) for k in range(1, d + 1))
+
+
+def raise_into_raw(i, s, tab):
+    """Move point s into component i of the component tuples tab when it sits in a later one."""
+    j = next(k for k, comp in enumerate(tab, start=1) if s in comp)
+    if j <= i:
+        return tab
+    out = list(tab)
+    out[j - 1] = tuple(x for x in tab[j - 1] if x != s)
+    out[i - 1] = tuple(sorted(tab[i - 1] + (s,)))
+    return tuple(out)
+
+
 def raw_orbits(group: PermGroup, tabs):
     """Orbits as frozensets of raw tabloids, definitional action."""
     seen = set()

@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -14,7 +16,7 @@ import pytest
 import isomers.cli
 from isomers.catalog import builtin
 from isomers.cli import main
-from isomers.partitions import parse_partition
+from isomers.dissections import Dissection
 from isomers.verify import VerifyResult
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -320,26 +322,25 @@ class TestGoldenOutput:
 
 
 class TestNoMemberObjects:
-    """Output formats row-words: listing orbits builds no member or representative Dissection."""
+    """Output formats row-words: listing orbits wraps no member or representative Dissection."""
 
     @pytest.mark.parametrize(
         "name,shape,commands",
         [("naphthalene", "3,1^5", ["orbits"]), ("ethene", "2,1^2", ["orbits", "chiral"])],
     )
     def test_listing_leaves_orbits_bare(self, capsys, monkeypatch, name, shape, commands):
-        specs = []
-        monkeypatch.setattr(isomers.cli, "builtin", lambda n: specs.append(builtin(n)) or specs[-1])
-        spaces = []
+        spec = builtin(name)  # its pinned letters are parsed Dissections; they are read, not built, below
+        monkeypatch.setattr(isomers.cli, "builtin", lambda n: spec)
+        built = []
+        init, trusted = Dissection.__init__, Dissection._trusted.__func__
+        monkeypatch.setattr(Dissection, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+        monkeypatch.setattr(Dissection, "_trusted", classmethod(lambda cls, w: built.append(w) or trusted(cls, w)))
         for command in commands:
             for fmt in ("json", "text"):
                 code, out, _ = run(capsys, command, "--builtin", name, "--shape", shape, "--format", fmt)
                 assert code == 0 and out
-                lam = parse_partition(shape, specs[-1].degree)
-                groups = [specs[-1].group] + ([specs[-1].extended] if command == "chiral" else [])
-                spaces.extend(g._memo[("orbit_space", lam)] for g in groups)  # the memoized spaces the command read
-        for space in spaces:
-            for orbit in space:
-                assert not hasattr(orbit, "_members") and not hasattr(orbit, "_representative")
+        assert built == []
+        assert Dissection.parse("{1}{2}") == Dissection._trusted((1, 2)) and len(built) == 2  # the hooks count
 
 
 class TestPoset:
@@ -452,6 +453,17 @@ class TestContract:
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_every_all_name_resolves(self):
+        # a name left in __all__ after its definition is gone would otherwise
+        # break only ``from isomers.<module> import *``, at run time
+        with_all = []
+        for info in pkgutil.iter_modules(isomers.__path__):
+            module = importlib.import_module(f"isomers.{info.name}")
+            if hasattr(module, "__all__"):
+                with_all.append(info.name)
+                assert [name for name in module.__all__ if not hasattr(module, name)] == [], info.name
+        assert {"catalog", "counting", "dissections", "orbits", "partitions", "perms"} <= set(with_all)
 
     FLAGS = {
         "count": {"--builtin", "--group-file", "--cap", "--out", "--shape", "--all-shapes", "--chi", "--theta", "--format"},

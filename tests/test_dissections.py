@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -26,16 +26,21 @@ from isomers.dissections import (
     word_mask,
 )
 from isomers.partitions import Partition, all_partitions, dominance_leq, parse_partition
-from isomers.perms import parse_cycles
+from isomers.perms import generate, parse_cycles
 
 from oracles import (
+    act_raw,
+    components_of_word,
     covers_bitset,
     covers_from_leq,
     interval_dissections_raw,
     leq_composition,
     leq_dissection_raw,
+    raise_into_raw,
     random_permutation,
+    random_subgroup,
     raw_tabloids_of_shape,
+    symmetric_group,
 )
 
 
@@ -230,6 +235,14 @@ class TestRaiseOps:
             if a.component_of(s) > i:
                 assert a != b
 
+    @pytest.mark.parametrize("i", [0, -1, 5])
+    def test_rejects_component_index_outside_degree(self, i):
+        a = T("{1,2}{3}{4}", 4)
+        with pytest.raises(ValueError, match="component index"):
+            raise_into(i, 3, a)
+        with pytest.raises(ValueError, match="component index"):
+            raise_set(i, [3], a)
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_commutation_exhaustive(self, d):
         points = range(1, d + 1)
@@ -241,6 +254,65 @@ class TestRaiseOps:
                             x = raise_into(i1, s1, raise_into(i2, s2, a))
                             y = raise_into(i2, s2, raise_into(i1, s1, a))
                             assert x == y
+
+
+def word_cases():
+    """Every row-word of degree 0-4, by all_dissections, then a seeded sample of 300 at degree 5."""
+    words = []
+    for d in range(5):
+        got = [a.row_word() for a in all_dissections(d)]
+        assert sorted(got) == list(product(range(1, d + 1), repeat=d))
+        words.extend(got)
+    rng = random.Random(41)
+    return words + [tuple(rng.randint(1, 5) for _ in range(5)) for _ in range(300)]
+
+
+class TestWordPrimary:
+    """A Dissection stores its row-word: the unchecked word constructor against
+    the validating component one, and each word operation against a
+    component-wise reference."""
+
+    def test_trusted_matches_validating_constructor(self):
+        by_degree: dict[int, list] = {}
+        for w in word_cases():
+            comps = components_of_word(w)
+            t, v = Dissection._trusted(w), Dissection(comps)
+            assert t.components == v.components == comps
+            assert t.row_word() == v.row_word() == w
+            assert t == v and hash(t) == hash(v)
+            assert t.shape() == v.shape() == tuple(map(len, comps))
+            assert format_tabloid(t) == format_tabloid(v) == "".join("{" + ",".join(map(str, c)) + "}" for c in comps)
+            by_degree.setdefault(len(w), []).append((t, v, comps))
+        rng = random.Random(42)
+        for d, cases in by_degree.items():
+            pairs = product(cases, repeat=2) if d <= 3 else (rng.sample(cases, 2) for _ in range(2000))
+            for (t1, v1, c1), (t2, v2, c2) in pairs:
+                assert (t1 < v2) == (v1 < t2) == (c1 < c2)
+                assert (t1 <= v2) == (v1 <= t2) == (c1 <= c2)
+                assert (t1 == v2) == (c1 == c2)
+
+    def test_acted_by_matches_raw_action(self):
+        rng = random.Random(43)
+        groups = {0: generate([], degree=0), 1: generate([], degree=1)}
+        groups.update({d: symmetric_group(d) for d in range(2, 5)})
+        groups[5] = random_subgroup(rng, 5)
+        assert any(g != g.inverse() for g in groups[5].elements)  # so g and its inverse act apart
+        for w in word_cases():
+            comps = components_of_word(w)
+            for g in groups[len(w)].elements:
+                moved = Dissection._trusted(w).acted_by(g)
+                assert moved.components == act_raw(g.images, comps)
+                assert moved == Dissection(comps).acted_by(g) == Dissection(act_raw(g.images, comps))
+
+    def test_raise_into_matches_raw_move(self):
+        for w in word_cases():
+            comps = components_of_word(w)
+            a = Dissection._trusted(w)
+            for i in range(1, len(w) + 1):
+                for s in range(1, len(w) + 1):
+                    raised = raise_into(i, s, a)
+                    assert raised.components == raise_into_raw(i, s, comps)
+                    assert raised == Dissection(raise_into_raw(i, s, comps))
 
 
 class TestRaisingMoves:

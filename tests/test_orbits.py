@@ -16,6 +16,7 @@ from isomers.dissections import (
     parse_tabloid,
     raise_into,
     standard_tabloid,
+    tabloid_words,
 )
 from isomers.orbits import (
     TABLOID_CAP,
@@ -135,19 +136,22 @@ class TestOrbitSpace:
             assert got == raw
 
     def test_member_components_are_shared_within_a_space(self):
-        space = orbit_space(builtin("naphthalene").group, parse_partition("2^2,1^4", 8))
-        held: dict = {}
+        # a member's one stored form is its row-word: the very tuple its orbit
+        # holds, which is the one tabloid_words gathered for the shape
+        lam = parse_partition("2^2,1^4", 8)
+        space = orbit_space(builtin("naphthalene").group, lam)
+        held = {w: w for w in tabloid_words(lam)}
         for o in space:
-            for m in o.members:
-                for comp in m.components:
-                    assert held.setdefault(comp, comp) is comp
-        # 28 pairs, 8 singletons and the empty tuple, against 8 * 2520 slots
-        assert len(held) == 37
+            members = o.members
+            assert o.representative.row_word() is o.words[0]
+            for k, m in enumerate(members):
+                assert m.row_word() is o.words[k] is held[o.words[k]]
+                assert m in o
 
     def test_counting_builds_no_member(self, monkeypatch):
         built = []
         trusted = Dissection._trusted.__func__
-        monkeypatch.setattr(Dissection, "_trusted", classmethod(lambda cls, *a: built.append(a) or trusted(cls, *a)))
+        monkeypatch.setattr(Dissection, "_trusted", classmethod(lambda cls, w: built.append(w) or trusted(cls, w)))
         w = builtin("benzene").group
         lam = parse_partition("2,2,1,1", 6)
         for chi in linear_characters(w):
@@ -794,7 +798,7 @@ class TestValueTypes:
     def test_orbit_compares_and_hashes_by_identity(self):
         space = orbit_space(hexagon_group(), parse_partition("4,2", 6))
         a = space.orbits[0]
-        twin = Orbit(a.group, a.shape, a.words, a._build)
+        twin = Orbit(a.group, a.shape, a.words)
         assert a == a and a != twin and hash(a) == object.__hash__(a) and hash(twin) == object.__hash__(twin)
         assert {a: 0}.get(twin) is None
         assert a.masks is a.masks and twin.masks == a.masks
