@@ -18,8 +18,8 @@ intervals and raising moves are pointwise readings of that product.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations, product
-from operator import itemgetter, le, or_
+from itertools import combinations, product
+from operator import itemgetter, le
 from typing import Callable, Iterable, Sequence
 
 from .partitions import Partition, dominance_leq, in_M, raising_pair, shapes_between
@@ -46,7 +46,6 @@ __all__ = [
     "substitution_chain",
     "tabloid_formatter",
     "tabloid_words",
-    "word_mask",
 ]
 
 
@@ -241,24 +240,6 @@ def leq_dissection(a: Dissection, b: Dissection) -> bool:
     return all(map(le, beta, alpha))
 
 
-def word_mask(word: tuple[int, ...]) -> int:
-    """The prefix unions of the dissection with this row-word, except the last, packed into one integer.
-
-    Prefix union k fills byte-aligned row k, bit x for each of its points
-    x, so that ``leq_dissection(a, b)`` holds exactly when
-    ``word_mask(a.row_word()) & ~word_mask(b.row_word()) == 0``.  The rows
-    are joined as bytes, so the cost is linear in the d^2/8 bytes of the
-    mask rather than one shift of the growing mask per row.
-    """
-    d = len(word)
-    size = d // 8 + 1  # bytes for bits 0..d
-    bits = [0] * (d + 1)
-    for x, k in enumerate(word, start=1):
-        bits[k] |= 1 << x
-    rows = [union.to_bytes(size, "little") for union in accumulate(bits[1:d], or_)]
-    return int.from_bytes(b"".join(rows), "little")
-
-
 def raise_into(i: int, s: int, a: Dissection) -> Dissection:
     """Move element s into component i if it currently sits later; else a."""
     if not 1 <= i <= a.degree:
@@ -292,10 +273,19 @@ def shape_assignment(a: Dissection, b: Dissection, n: Sequence[int]) -> Dissecti
     n = tuple(n)
     if len(n) != d or sum(n) != d or not in_M(n):
         raise ValueError(f"{n} is not a non-negative composition of {d}")
-    alpha = a.row_word()
+    word = _assign_words(a.row_word(), b.row_word(), n)
+    return None if word is None else Dissection._trusted(word)
+
+
+def _assign_words(alpha: tuple[int, ...], beta: tuple[int, ...], n: tuple[int, ...]) -> tuple[int, ...] | None:
+    """shape_assignment on row-words, unchecked: the word of X, or None.
+
+    n must be a non-negative composition of the common degree.
+    """
+    d = len(alpha)
     arrivals: list[list[int]] = [[] for _ in range(d + 1)]
-    for x, beta in enumerate(b.row_word(), start=1):
-        arrivals[beta].append(x)
+    for x, bx in enumerate(beta, start=1):
+        arrivals[bx].append(x)
     pool: list[int] = []
     word = [0] * d
     for v in range(1, d + 1):
@@ -308,7 +298,7 @@ def shape_assignment(a: Dissection, b: Dissection, n: Sequence[int]) -> Dissecti
             return None  # an element passed its deadline, as one with beta_x > alpha_x must
         for x in chosen:
             word[x - 1] = v
-    return Dissection._trusted(tuple(word))
+    return tuple(word)
 
 
 def shape_feasible(a: Dissection, b: Dissection, n: Sequence[int]) -> bool:
@@ -434,4 +424,4 @@ def is_cover_tabloid(a: Dissection, b: Dissection) -> bool:
     if a == b or not leq_dissection(a, b):
         return False
     lam, mu = a.shape(), b.shape()
-    return not any(shape_feasible(a, b, nu) for nu in shapes_between(lam, mu) if nu.parts not in (lam, mu))
+    return not any(shape_feasible(a, b, nu) for nu in shapes_between(lam, mu)[1:-1])  # the ends are mu and lam

@@ -9,9 +9,10 @@ distinguished orbit families, in particular the ones holding chiral pairs.
 from __future__ import annotations
 
 import math
+from operator import le
 from typing import Callable, Iterator, Sequence
 
-from .dissections import Dissection, shape_feasible, tabloid_words, word_mask
+from .dissections import Dissection, _assign_words, tabloid_words
 from .partitions import Partition, dominance_leq, raising_pair, shapes_between
 from .perms import CapExceeded, LinearCharacter, PermGroup, Permutation, _close, _gather, _generated, relative_sign_character
 
@@ -84,12 +85,12 @@ class Orbit:
     """A W-orbit of tabloids: its members' row-words, sorted; the representative is the first.
 
     A member is a ``Dissection`` wrapped around its word on each access;
-    nothing else is stored per member until the masks are.  Equality and
+    nothing else is stored per member.  Equality and
     hashing are by identity: orbit spaces are memoized per group, so each
     orbit exists once, and dicts keyed by orbit never hash its members.
     """
 
-    __slots__ = ("group", "shape", "words", "_masks")
+    __slots__ = ("group", "shape", "words")
 
     def __init__(self, group: PermGroup, shape: Partition, words: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "group", group)
@@ -112,15 +113,6 @@ class Orbit:
     def members(self) -> tuple[Dissection, ...]:
         """The member tabloids, in word order."""
         return tuple(map(Dissection._trusted, self.words))
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        """word_mask of each member, in member order; built on first comparison."""
-        try:
-            return self._masks
-        except AttributeError:
-            object.__setattr__(self, "_masks", tuple(map(word_mask, self.words)))
-            return self._masks
 
     def __contains__(self, a: Dissection) -> bool:
         return a.row_word() in self.words
@@ -285,11 +277,12 @@ def _require_same_group(a: Orbit, b: Orbit) -> None:
 def orbit_leq(a: Orbit, b: Orbit) -> bool:
     """Factored dominance: some group translate of a's representative precedes b's.
 
-    The translates are exactly a's members, so the test runs on their masks.
+    The translates are exactly a's members, so the test is one pointwise
+    pass per member word: no point sits later in b's representative.
     """
     _require_same_group(a, b)
-    outside_b = ~b.masks[0]
-    return any(not m & outside_b for m in a.masks)
+    beta = b.words[0]
+    return any(all(map(le, beta, w)) for w in a.words)
 
 
 def orbit_adjacent(a: Orbit, b: Orbit) -> bool:
@@ -310,18 +303,20 @@ def orbit_cover(a: Orbit, b: Orbit) -> bool:
     strictly between two others has a shape strictly between theirs, so a
     translate is a cover unless some such shape is realizable between it
     and b's representative; with no such shape every comparable translate
-    of a distinct shape is a cover.
+    of a distinct shape is a cover.  The interval [lam, mu] lists its
+    shapes in decreasing lexicographic order, which dominance refines, so
+    it runs from mu to lam and the strict middles are its inner entries.
     """
     _require_same_group(a, b)
     lam, mu = a.shape, b.shape
-    outside_b = ~b.masks[0]
-    below = [Dissection._trusted(w) for w, m in zip(a.words, a.masks) if not m & outside_b]
-    if lam == mu or not below:
+    if lam == mu:
         return False  # comparable tabloids of one shape are equal
-    rb = b.representative
-    return not any(
-        shape_feasible(x, rb, nu) for nu in shapes_between(lam, mu) if nu != lam and nu != mu for x in below
-    )
+    inner = shapes_between(lam, mu)[1:-1]
+    if not inner:
+        return orbit_leq(a, b)
+    beta = b.words[0]
+    below = [w for w in a.words if all(map(le, beta, w))]
+    return bool(below) and not any(_assign_words(w, beta, nu.parts) is not None for nu in inner for w in below)
 
 
 def orbit_interval(a: Orbit, b: Orbit, spaces: dict[Partition, OrbitSpace] | None = None) -> list[Orbit]:

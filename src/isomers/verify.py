@@ -51,15 +51,19 @@ def verify_monotonicity(group: PermGroup, result: VerifyResult):
         result.check(f"monotone counts for character {k} (order {chi.order})", not violations)
 
 
-def _cover_oracle(lower: list[Orbit], upper: list[Orbit], middles: list[list[Orbit]]) -> set[tuple[Orbit, Orbit]]:
-    """Definitional covers between two strata: comparable, no strict middle."""
+def _cover_oracle(
+    lower: tuple[Orbit, ...], upper: tuple[Orbit, ...], middles: list[tuple[Orbit, ...]]
+) -> set[tuple[Orbit, Orbit]]:
+    """Definitional covers between two strata: comparable, no strict middle.
+
+    The middles below each upper orbit are collected once, then tested
+    against each lower orbit beneath it.
+    """
     out = set()
-    for a in lower:
-        for b in upper:
-            if not orbit_leq(a, b):
-                continue
-            blocked = any(orbit_leq(a, c) and orbit_leq(c, b) for stratum in middles for c in stratum)
-            if not blocked:
+    for b in upper:
+        below_b = [c for stratum in middles for c in stratum if orbit_leq(c, b)]
+        for a in lower:
+            if orbit_leq(a, b) and not any(orbit_leq(a, c) for c in below_b):
                 out.add((a, b))
     return out
 
@@ -85,12 +89,8 @@ def verify_covers(group: PermGroup, result: VerifyResult):
             ):
                 result.lines.append(f"skip cover oracle at {lam} vs {mu} (stratum too large)")
                 continue
-            lower = list(orbit_space(group, lam).orbits)
-            upper = list(orbit_space(group, mu).orbits)
-            middles = [
-                list(orbit_space(group, nu).orbits) for nu in between if nu not in (lam, mu)
-            ]
-            oracle = _cover_oracle(lower, upper, middles)
+            middles = [orbit_space(group, nu).orbits for nu in between[1:-1]]
+            oracle = _cover_oracle(orbit_space(group, lam).orbits, orbit_space(group, mu).orbits, middles)
             claimed = {(a, b) for a, b in comparable_pairs(group, [lam, mu]) if orbit_cover(a, b)}
             result.check(f"cover oracle {lam} vs {mu}: {len(oracle)} covers", claimed == oracle)
 
@@ -157,13 +157,12 @@ def verify_references(spec: SkeletonSpec, result: VerifyResult):
         result.check("structural merges", dict(diagram.merges) == ETHENE_MERGES)
 
 
-def verify_skeleton(spec: SkeletonSpec, covers: bool = True) -> VerifyResult:
+def verify_skeleton(spec: SkeletonSpec) -> VerifyResult:
     """The full suite for one skeleton's substitution group."""
     check_degree_cap(spec.degree)
     result = VerifyResult()
     verify_counts(spec.group, result)
     verify_monotonicity(spec.group, result)
-    if covers:
-        verify_covers(spec.group, result)
+    verify_covers(spec.group, result)
     verify_references(spec, result)
     return result

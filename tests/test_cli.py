@@ -588,8 +588,8 @@ CORPUS = [
     (("count", "--group-file", "d1000000badcycle.grp", "--shape", "1000000"), 3),
     (("orbits", "--group-file", "d1000000badcycle.grp", "--shape", "1000000"), 2),
     (("count", "--group-file", "binary.grp"), 2),
-    # degree 300 with few tabloids: the dominance interval and the prefix
-    # masks cost what the shapes hold, not what all of degree 300 would
+    # degree 300 with few tabloids: the dominance interval and the order
+    # tests cost what the shapes hold, not what all of degree 300 would
     (("poset", "--group-file", "d300.grp", "--shape", "299,1:300"), 0),
     (("diagram", "--group-file", "d300.grp", "--shape", "299,1:300"), 0),
     (("chiral", "--group-file", "d60.grp"), 2),

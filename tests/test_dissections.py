@@ -23,7 +23,6 @@ from isomers.dissections import (
     substitution_chain,
     tabloid_formatter,
     tabloid_words,
-    word_mask,
 )
 from isomers.partitions import Partition, all_partitions, dominance_leq, parse_partition
 from isomers.perms import generate, parse_cycles
@@ -139,22 +138,9 @@ class TestDominance:
             assert leq_dissection(a, b) == leq_dissection_raw(a.components, b.components)
         for d in range(1, 5):
             univ = all_dissections(d)
-            masks = [word_mask(a.row_word()) for a in univ]
-            for a, mask_a in zip(univ, masks):
-                for b, mask_b in zip(univ, masks):
-                    raw = leq_dissection_raw(a.components, b.components)
-                    assert leq_dissection(a, b) == raw == (not mask_a & ~mask_b)
-
-    def test_word_mask_across_byte_rows(self):
-        # degrees on either side of a byte boundary, where a mask row takes a second byte
-        rng = random.Random(5)
-        for d in (7, 8, 9, 15, 16, 17):
-            for _ in range(40):
-                a = b = random_dissection(rng, d)
-                for _ in range(rng.randint(0, 3)):
-                    b = raise_into(rng.randint(1, d), rng.randint(1, d), b)
-                for x, y in ((a, b), (b, a)):
-                    assert (not word_mask(x.row_word()) & ~word_mask(y.row_word())) == leq_dissection(x, y)
+            for a in univ:
+                for b in univ:
+                    assert leq_dissection(a, b) == leq_dissection_raw(a.components, b.components)
 
     def test_shape_map_is_monotone(self):
         rng = random.Random(4)
@@ -472,6 +458,54 @@ class TestLiftShape:
         assert not shape_feasible(a, b, n)
         with pytest.raises(ValueError):
             lift_shape(a, b, n)
+
+    def test_word_core_matches_shape_assignment(self):
+        # the unchecked row-word core orbit_cover calls gives shape_assignment's
+        # word, and that word has shape n inside the raw interval; None means
+        # n is absent from the raw interval
+        from isomers.dissections import _assign_words, shape_assignment
+        from isomers.partitions import all_compositions
+
+        def check(a, b, n, realizable):
+            word = _assign_words(a.row_word(), b.row_word(), n)
+            x = shape_assignment(a, b, n)
+            assert word == (None if x is None else x.row_word())
+            assert (word is not None) == (n in realizable)
+            if word is not None:
+                comps = components_of_word(word)
+                assert tuple(map(len, comps)) == n
+                assert leq_dissection_raw(a.components, comps) and leq_dissection_raw(comps, b.components)
+
+        def realizable_shapes(a, b):
+            if not leq_dissection_raw(a.components, b.components):
+                return set()
+            raw = interval_dissections_raw(a.components, b.components, a.degree)
+            return {
+                tuple(map(len, x))
+                for x in raw
+                if leq_dissection_raw(a.components, x) and leq_dissection_raw(x, b.components)
+            }
+
+        for d in range(1, 4):
+            univ = all_dissections(d)
+            for a in univ:
+                for b in univ:
+                    realizable = realizable_shapes(a, b)
+                    for n in all_compositions(d):
+                        check(a, b, n, realizable)
+        compositions = {d: all_compositions(d) for d in range(4, 9)}
+        rng = random.Random(19)
+        for _ in range(150):
+            d = rng.randint(4, 8)
+            a = b = random_dissection(rng, d)
+            for _ in range(rng.randint(0, 4)):
+                b = raise_into(rng.randint(1, d), rng.randint(1, d), b)
+            if rng.random() < 0.2:
+                a, b = b, a
+            realizable = realizable_shapes(a, b)
+            targets = [rng.choice(compositions[d])] + ([rng.choice(sorted(realizable))] if realizable else [])
+            for n in targets:
+                check(a, b, n, realizable)
 
     def test_rejects_outside_interval(self):
         a = T("{1}{2}{3}", 3)

@@ -480,7 +480,7 @@ class TestOrbitAdjacentAndCovers:
                     assert orbit_cover(a, b) == ((id(a), id(b)) in covers)
 
 
-class TestMaskComparisonsMatchTranslates:
+class TestWordComparisonsMatchTranslates:
     """orbit_leq and orbit_cover against their definitions over the translates g.ra."""
 
     @staticmethod
@@ -545,6 +545,24 @@ class TestComparablePairs:
                         if any(leq_dissection_raw(t, rb) for t in translates):
                             expected.add((a, b))
         assert set(pairs) == expected
+
+    def test_memory_follows_the_words_at_degree_1000(self):
+        # the order reads member words in place: the 1,000 orbits of shape
+        # 999,1 under a trivial degree-1000 group cost about their words
+        # (8 KB each), not a d^2/8-byte index per member
+        import tracemalloc
+
+        w = generate([], degree=1000)
+        shapes = [parse_partition("999,1", 1000), parse_partition("1000", 1000)]
+        tracemalloc.start()
+        try:
+            pairs = comparable_pairs(w, shapes)
+            covers = sum(orbit_cover(a, b) for a, b in pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == covers == 1000
+        assert peak < 32 * 2**20, peak
 
     def test_cap_refuses_before_building(self):
         w = generate([], degree=8)
@@ -801,7 +819,7 @@ class TestValueTypes:
         twin = Orbit(a.group, a.shape, a.words)
         assert a == a and a != twin and hash(a) == object.__hash__(a) and hash(twin) == object.__hash__(twin)
         assert {a: 0}.get(twin) is None
-        assert a.masks is a.masks and twin.masks == a.masks
+        assert Orbit.__slots__ == ("group", "shape", "words")  # nothing is cached per member
         with pytest.raises(AttributeError):
             a.members = ()
 
