@@ -9,10 +9,13 @@ distinguished orbit families, in particular the ones holding chiral pairs.
 from __future__ import annotations
 
 import math
-from operator import le
+from bisect import bisect_right
+from functools import reduce
+from itertools import accumulate, chain, compress
+from operator import and_, attrgetter, itemgetter, le, or_
 from typing import Callable, Iterator, Sequence
 
-from .dissections import Dissection, _assign_words, tabloid_words
+from .dissections import Dissection, tabloid_words
 from .partitions import Partition, dominance_leq, raising_pair, shapes_between
 from .perms import CapExceeded, LinearCharacter, PermGroup, Permutation, _close, _gather, _generated, relative_sign_character
 
@@ -121,10 +124,99 @@ class Orbit:
         return f"Orbit({self.representative}, size={self.size})"
 
 
+class _OrbitIndex:
+    """Bitsets over the tabloids of one orbit space, numbered orbit by orbit.
+
+    Tabloid i (the i-th member word, orbits in order) is bit n - 1 - i of
+    an int, so a bitset's n-digit binary text reads the tabloids in order,
+    and orbit k holds the run of tabloids bounds[k] to bounds[k + 1] - 1.
+    A column, the tabloids whose component at one point is at least one
+    level, is built on first lookup; the tabloids below or above a word
+    are ANDs and ORs of columns, gathered per level in C.  The orbits those
+    tabloids hit are read off the runs, and kept per orbit asked about as
+    one bit per orbit.  Components are bytes: a shape under TABLOID_CAP has
+    at most eight parts, since l parts give at least l! tabloids.
+    """
+
+    __slots__ = ("orbits", "bounds", "size", "levels", "columns", "_under", "_over")
+
+    def __init__(self, space: OrbitSpace):
+        self.orbits = space.orbits
+        self.bounds = tuple(accumulate((orbit.size for orbit in space.orbits), initial=0))
+        self.size = self.bounds[-1]
+        self.levels = len(space.shape.trimmed())
+        self.columns: dict[int, list[int | None]] = {}  # per level k, per point, its column once built
+        self._under: dict[Orbit, int] = {}
+        self._over: dict[Orbit, int] = {}
+
+    def _columns(self, k: int, points: list[int]) -> list[int]:
+        """The columns of level k at these 0-based points, each built on first lookup."""
+        level = self.columns.get(k)
+        if level is None:
+            level = self.columns[k] = [None] * len(self.orbits[0].words[0])
+        cols = list(map(level.__getitem__, points))
+        if None in cols:
+            table = b"0" * k + b"1" * (256 - k)  # translates a component byte v to "1" exactly when v >= k
+            for i, x in enumerate(points):
+                if cols[i] is None:
+                    words = chain.from_iterable(map(attrgetter("words"), self.orbits))
+                    cols[i] = level[x] = int(bytes(map(itemgetter(x), words)).translate(table), 2)
+        return cols
+
+    def below(self, beta: tuple[int, ...]) -> int:
+        """The tabloids at or below the one with row-word beta: no point sits in an earlier component."""
+        top = max(beta)
+        if top > self.levels:
+            return 0
+        bits = (1 << self.size) - 1
+        for k in range(2, top + 1):
+            bits = reduce(and_, self._columns(k, list(compress(range(len(beta)), map(k.__eq__, beta)))), bits)
+        return bits
+
+    def above(self, alpha: tuple[int, ...]) -> int:
+        """The tabloids at or above the one with row-word alpha: no point sits in a later component."""
+        late = 0
+        for k in range(1, self.levels):  # a point at k in alpha is late at k + 1 or beyond
+            late = reduce(or_, self._columns(k + 1, list(compress(range(len(alpha)), map(k.__eq__, alpha)))), late)
+        return ((1 << self.size) - 1) ^ late
+
+    def hits(self, bits: int) -> list[int]:
+        """The positions of the orbits holding a tabloid of bits, ascending: one find per orbit hit."""
+        text = f"{bits:0{self.size}b}"
+        bounds, out = self.bounds, []
+        i = text.find("1")
+        while i >= 0:
+            k = bisect_right(bounds, i) - 1
+            out.append(k)
+            i = text.find("1", bounds[k + 1])
+        return out
+
+    def _hit_orbits(self, bits: int) -> int:
+        """The orbits holding a tabloid of bits, one bit each: orbit k is bit len(orbits) - 1 - k."""
+        text = bytearray(b"0") * len(self.orbits)
+        for k in self.hits(bits):
+            text[k] = 49  # "1"
+        return int(text, 2)
+
+    def under(self, b: Orbit) -> int:
+        """The orbits c here with c <= b: those holding a tabloid below b's representative (memoized)."""
+        bits = self._under.get(b)
+        if bits is None:
+            bits = self._under[b] = self._hit_orbits(self.below(b.words[0]))
+        return bits
+
+    def over(self, a: Orbit) -> int:
+        """The orbits c here with a <= c: those holding a tabloid above a's representative (memoized)."""
+        bits = self._over.get(a)
+        if bits is None:
+            bits = self._over[a] = self._hit_orbits(self.above(a.words[0]))
+        return bits
+
+
 class OrbitSpace:
     """All W-orbits on the tabloids of one shape, in representative order."""
 
-    __slots__ = ("group", "shape", "orbits", "_positions")
+    __slots__ = ("group", "shape", "orbits", "_positions", "_index")
 
     def __init__(self, group: PermGroup, shape: Partition, orbits: tuple[Orbit, ...]):
         object.__setattr__(self, "group", group)
@@ -156,6 +248,15 @@ class OrbitSpace:
         except AttributeError:
             object.__setattr__(self, "_positions", {w: k for k, orbit in enumerate(self.orbits) for w in orbit.words})
             return self._positions
+
+    @property
+    def index(self) -> _OrbitIndex:
+        """The bitset index over this space's tabloids; built on first lookup, its columns on theirs."""
+        try:
+            return self._index
+        except AttributeError:
+            object.__setattr__(self, "_index", _OrbitIndex(self))
+            return self._index
 
     def orbit_of(self, a: Dissection) -> Orbit:
         k = self.positions.get(a.row_word())
@@ -293,34 +394,38 @@ def orbit_adjacent(a: Orbit, b: Orbit) -> bool:
     return a != b and orbit_leq(a, b)
 
 
-def orbit_cover(a: Orbit, b: Orbit) -> bool:
-    """Neighbour test in the orbit order, through tabloid-level covers.
+def _index(group: PermGroup, nu: Partition) -> _OrbitIndex:
+    """The index of shape nu's orbit space, read straight from the group memo once built: this runs per orbit pair."""
+    space = group._memo.get(("orbit_space", nu))
+    return (orbit_space(group, nu) if space is None else space).index
 
-    The open interval between the orbits is the image of the open tabloid
-    intervals over all comparable translates of a's representative, so the
-    orbits are neighbours exactly when every comparable translate pair is a
-    tabloid cover (and at least one comparable translate exists).  A tabloid
-    strictly between two others has a shape strictly between theirs, so a
-    translate is a cover unless some such shape is realizable between it
-    and b's representative; with no such shape every comparable translate
-    of a distinct shape is a cover.  The interval [lam, mu] lists its
-    shapes in decreasing lexicographic order, which dominance refines, so
-    it runs from mu to lam and the strict middles are its inner entries.
+
+def orbit_cover(a: Orbit, b: Orbit) -> bool:
+    """Neighbour test in the orbit order: a < b with no orbit strictly between.
+
+    An orbit strictly between has a shape strictly between theirs (two
+    comparable tabloids of one shape are equal).  The interval [lam, mu]
+    lists its shapes in decreasing lexicographic order, which dominance
+    refines, so it runs from mu to lam and the strict middles are its inner
+    entries.  For each middle shape nu, the orbits of shape nu below b and
+    those above a are two memoized bitsets of nu's index, and an orbit
+    lies between exactly when it is in both: one AND per middle shape.
     """
     _require_same_group(a, b)
-    lam, mu = a.shape, b.shape
-    if lam == mu:
-        return False  # comparable tabloids of one shape are equal
-    inner = shapes_between(lam, mu)[1:-1]
-    if not inner:
-        return orbit_leq(a, b)
-    beta = b.words[0]
-    below = [w for w in a.words if all(map(le, beta, w))]
-    return bool(below) and not any(_assign_words(w, beta, nu.parts) is not None for nu in inner for w in below)
+    if a.shape == b.shape or not orbit_leq(a, b):
+        return False
+    for nu in shapes_between(a.shape, b.shape)[1:-1]:
+        index = _index(a.group, nu)
+        if index.under(b) & index.over(a):
+            return False
+    return True
 
 
 def orbit_interval(a: Orbit, b: Orbit, spaces: dict[Partition, OrbitSpace] | None = None) -> list[Orbit]:
-    """All orbits c with a <= c <= b, across every intermediate shape."""
+    """All orbits c with a <= c <= b, across every intermediate shape.
+
+    Per shape, one AND of the index's orbits below b and orbits above a.
+    """
     if not orbit_leq(a, b):
         raise ValueError("a does not precede b in the orbit order")
     group = a.group
@@ -330,9 +435,9 @@ def orbit_interval(a: Orbit, b: Orbit, spaces: dict[Partition, OrbitSpace] | Non
     for lam in shapes_between(a.shape, b.shape):
         if lam not in spaces:
             spaces[lam] = orbit_space(group, lam)
-        for c in spaces[lam]:
-            if orbit_leq(a, c) and orbit_leq(c, b):
-                out.append(c)
+        index = spaces[lam].index
+        text = f"{index.under(b) & index.over(a):0{len(index.orbits)}b}"
+        out.extend(compress(index.orbits, map("1".__eq__, text)))
     return out
 
 
@@ -352,7 +457,9 @@ def comparable_pairs(group: PermGroup, shapes: Sequence[Partition]) -> list[tupl
     Shapes are visited in the given order, lower shape outermost, and the
     orbits of each in representative order.  Before any orbit space is
     built, a lower bound on the orbit pairs to compare is checked against
-    POSET_PAIR_CAP.
+    POSET_PAIR_CAP.  For each upper orbit, one AND of the lower index's
+    columns gives the lower tabloids below its representative, and the
+    lower orbits they hit are read off their runs.
     """
     steps = [(lam, mu) for lam in shapes for mu in shapes if lam != mu and dominance_leq(lam, mu)]
     bound = sum(_fewest_orbits(group, lam) * _fewest_orbits(group, mu) for lam, mu in steps)
@@ -362,8 +469,12 @@ def comparable_pairs(group: PermGroup, shapes: Sequence[Partition]) -> list[tupl
         )
     pairs = []
     for lam, mu in steps:
-        upper = orbit_space(group, mu)
-        pairs.extend((a, b) for a in orbit_space(group, lam) for b in upper if orbit_leq(a, b))
+        lower, upper = orbit_space(group, lam), orbit_space(group, mu)
+        index, above = lower.index, [[] for _ in lower.orbits]
+        for b in upper:
+            for k in index.hits(index.below(b.words[0])):
+                above[k].append(b)
+        pairs.extend((a, b) for a, row in zip(lower.orbits, above) for b in row)
     return pairs
 
 

@@ -42,7 +42,7 @@ def _parts(x) -> tuple[int, ...]:
 class Partition:
     """A weakly decreasing composition of d, stored padded to length d."""
 
-    __slots__ = ("parts", "_text")
+    __slots__ = ("parts", "_text", "_hash")
 
     def __init__(self, parts: Iterable[int], d: int | None = None):
         p = tuple(parts)
@@ -87,7 +87,12 @@ class Partition:
         return isinstance(other, Partition) and self.parts == other.parts
 
     def __hash__(self):
-        return hash(("Partition", self.parts))
+        """Hashed on first use: shapes key the orbit-space memo and shapes_between's cache."""
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(("Partition", self.parts)))
+            return self._hash
 
     def __lt__(self, other):  # lexicographic, for deterministic sorting only
         return self.parts < other.parts

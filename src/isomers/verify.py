@@ -69,13 +69,15 @@ def _cover_oracle(
 
 
 def verify_covers(group: PermGroup, result: VerifyResult):
-    """Witness-search orbit covers equal open-interval-emptiness covers.
+    """orbit_cover's covers equal the definitional open-interval-emptiness covers.
 
-    Runs across every dominance-comparable shape pair whose strata (the
-    endpoints and everything between) stay small enough for the
-    definitional oracle; larger pairs are reported as skipped.  Stratum
-    sizes come from the counting formula, so nothing big is materialized
-    just to be skipped.
+    The claimed side reads each middle shape's bitset index (comparable
+    pairs, then one AND per middle shape); the oracle side scans every
+    middle orbit with orbit_leq alone.  Runs across every
+    dominance-comparable shape pair whose strata (the endpoints and
+    everything between) stay small enough for the definitional oracle;
+    larger pairs are reported as skipped.  Stratum sizes come from the
+    counting formula, so nothing big is materialized just to be skipped.
     """
     shapes = all_partitions(group.degree)
     counts = {lam: count_types(group, lam) for lam in shapes}

@@ -2,7 +2,9 @@
 
 Everything here works from first principles (definitional orderings, raw
 enumeration, open-interval scans) and never calls the library's shortcut
-criteria, so agreement is meaningful evidence.
+criteria, so agreement is meaningful evidence.  The one library call is
+the orbit-cover witness search's realizability test, checked on its own
+against raw intervals.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import random
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations, product
 
-from isomers.partitions import Partition
+from isomers.dissections import _assign_words
+from isomers.partitions import Partition, shapes_between
 from isomers.perms import DEFAULT_CAP, CapExceeded, PermGroup, Permutation, generate
 
 
@@ -65,6 +68,26 @@ def covers_bitset(universe, leq):
             if not (up[i] & down[j]):
                 out.add((universe[i], universe[j]))
     return out
+
+
+def orbit_cover_by_witness(a, b) -> bool:
+    """Whether orbit b covers orbit a, by a witness search over a's member words.
+
+    The open orbit interval is the image of the open tabloid intervals
+    between the members of a below b's representative beta and beta
+    itself, and a tabloid strictly between has a shape strictly between.
+    So a < b is a cover when some member lies below beta and no such shape
+    is realizable between any of them and beta.  Realizability is the
+    library's earliest-deadline witness producer on row-words, which
+    test_dissections checks against the raw interval; the pointwise word
+    order is spelled out here.
+    """
+    if a.shape == b.shape:
+        return False
+    beta = b.words[0]
+    below = [w for w in a.words if all(bx <= wx for bx, wx in zip(beta, w))]
+    inner = shapes_between(a.shape, b.shape)[1:-1]
+    return bool(below) and not any(_assign_words(w, beta, nu.parts) is not None for nu in inner for w in below)
 
 
 # -- raw enumerations ----------------------------------------------------------

@@ -460,9 +460,10 @@ class TestLiftShape:
             lift_shape(a, b, n)
 
     def test_word_core_matches_shape_assignment(self):
-        # the unchecked row-word core orbit_cover calls gives shape_assignment's
-        # word, and that word has shape n inside the raw interval; None means
-        # n is absent from the raw interval
+        # the unchecked row-word core, which the orbit-cover witness oracle
+        # in oracles.py calls, gives shape_assignment's word, and that word
+        # has shape n inside the raw interval; None means n is absent from
+        # the raw interval
         from isomers.dissections import _assign_words, shape_assignment
         from isomers.partitions import all_compositions
 

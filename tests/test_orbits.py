@@ -50,6 +50,7 @@ from oracles import (
     conjugated_theta_exponent,
     leq_composition,
     leq_dissection_raw,
+    orbit_cover_by_witness,
     random_permutation,
     random_subgroup,
     raw_orbits,
@@ -468,7 +469,7 @@ class TestOrbitAdjacentAndCovers:
 
     def test_covers_match_hasse_oracle_d5_groups(self):
         # degree 5 reaches the regime where tabloid covers may join
-        # non-adjacent shapes; the witness route must still match
+        # non-adjacent shapes; the index route must still match
         rng = random.Random(38)
         for _ in range(4):
             w = random_subgroup(rng, 5)
@@ -569,6 +570,145 @@ class TestComparablePairs:
         with pytest.raises(ValueError, match="poset cap"):
             comparable_pairs(w, all_partitions(8))
         assert not [key for key in w._memo if key[0] == "orbit_space"]
+
+
+def dihedral8_group():
+    return generate([parse_cycles("(12345678)", 8), parse_cycles("(18)(27)(36)(45)", 8)])
+
+
+class TestIndexMatchesDefinitions:
+    """comparable_pairs, orbit_cover and orbit_interval, read off the bitset index, against their definitions.
+
+    comparable_pairs is the orbit_leq scan over every orbit pair of a shape
+    step, in its order; orbit_cover is the witness search over comparable
+    member words; orbit_interval is orbit_leq on both sides over every
+    orbit of every shape in the interval.
+    """
+
+    # a step with more orbit pairs than ALL_PAIRS checks its covers on the
+    # comparable pairs only; intervals are checked on a stride of at most
+    # INTERVALS comparable pairs per step
+    ALL_PAIRS = 3000
+    INTERVALS = 60
+
+    @classmethod
+    def _check_step(cls, group, lam, mu, seen):
+        lower, upper = orbit_space(group, lam), orbit_space(group, mu)
+        pairs = comparable_pairs(group, [lam, mu])
+        assert pairs == [(a, b) for a in lower for b in upper if orbit_leq(a, b)]
+        if len(lower) * len(upper) <= cls.ALL_PAIRS:
+            candidates = [(a, b) for a in lower for b in upper]
+        else:
+            candidates = pairs
+        between, comparable = shapes_between(lam, mu), set(pairs)
+        for a, b in candidates:
+            cover = orbit_cover(a, b)
+            assert cover == orbit_cover_by_witness(a, b), (a, b)
+            assert not orbit_cover(b, a)
+            if (a, b) in comparable:
+                seen.add(("cover" if cover else "comparable", len(between) > 2))
+                seen.add(("regular lower orbit", a.size == group.order))
+        for a, b in pairs[:: -(-len(pairs) // cls.INTERVALS) or 1]:
+            spaces = [orbit_space(group, nu) for nu in between]
+            interval = orbit_interval(a, b)
+            assert interval == [c for space in spaces for c in space if orbit_leq(a, c) and orbit_leq(c, b)]
+            # a middle shape whose AND came out empty
+            seen.add(("gap", len({c.shape for c in interval}) < len(between)))
+
+    @classmethod
+    def _check_group(cls, group, steps=None):
+        seen = set()
+        if steps is None:
+            shapes = all_partitions(group.degree)
+            steps = [(lam, mu) for lam in shapes for mu in shapes if lam != mu and dominance_leq(lam, mu)]
+        for lam, mu in steps:
+            cls._check_step(group, lam, mu, seen)
+        return seen
+
+    @pytest.mark.parametrize("name", ["ethene", "benzene"])
+    def test_builtin_every_comparable_shape_pair(self, name):
+        seen = self._check_group(builtin(name).group)
+        assert {("cover", False), ("comparable", True), ("regular lower orbit", True)} <= seen
+
+    def test_naphthalene_pairs(self):
+        w = builtin("naphthalene").group
+        steps = [
+            tuple(parse_partition(text, 8) for text in pair.split(":"))
+            for pair in (
+                "4,3,1:4,4",
+                "5,1,1,1:5,2,1",
+                "4,2,2:5,3",
+                "3,3,1,1:4,4",
+                "5,1,1,1:6,2",
+                "4,4:8",
+                "3,3,1,1:5,3",
+                "4,2,1,1:5,2,1",
+                "3,2,2,1:4,2,2",
+            )
+        ]
+        seen = self._check_group(w, steps)
+        assert {("cover", False), ("comparable", True), ("gap", True), ("regular lower orbit", True)} <= seen
+
+    @pytest.mark.parametrize(
+        "gens",
+        [["(12)", "(12345)"], ["(123)", "(12345)"], ["(12345)"]],
+        ids=["S5", "A5", "C5"],
+    )
+    def test_degree_5_groups(self, gens):
+        seen = self._check_group(generate([parse_cycles(g, 5) for g in gens]))
+        assert {("cover", False), ("comparable", True), ("regular lower orbit", True)} <= seen
+
+    def test_dihedral_8(self):
+        steps = [
+            tuple(parse_partition(text, 8) for text in pair.split(":"))
+            for pair in ("4,2,2:5,3", "3,3,1,1:6,2", "5,1,1,1:7,1", "4,4:8", "3,3,2:4,3,1", "4,3,1:4,4")
+        ]
+        seen = self._check_group(dihedral8_group(), steps)
+        expected = {("cover", False), ("cover", True), ("comparable", True), ("gap", True), ("regular lower orbit", True)}
+        assert expected <= seen
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_trivial_group(self, d):
+        # for time, the steps with more than 6,000 orbit pairs are left out:
+        # one of 21 at degree 5, 18 of 53 at degree 6 (up to 259,200 pairs)
+        w = generate([], degree=d)
+        shapes = all_partitions(d)
+        steps = [
+            (lam, mu)
+            for lam in shapes
+            for mu in shapes
+            if lam != mu and dominance_leq(lam, mu) and len(orbit_space(w, lam)) * len(orbit_space(w, mu)) <= 6_000
+        ]
+        seen = self._check_group(w, steps)
+        assert len(steps) == {1: 0, 2: 1, 3: 3, 4: 10, 5: 20, 6: 35}[d]
+        if d >= 2:
+            assert ("regular lower orbit", True) in seen
+        if d >= 5:
+            assert {("comparable", True), ("gap", True)} <= seen
+        if d == 5:
+            assert ("cover", True) in seen  # a cover that skips a shape
+
+    def test_incomparable_shapes_give_no_pairs(self):
+        w = builtin("benzene").group
+        lam, mu = parse_partition("3,3", 6), parse_partition("4,1,1", 6)
+        assert comparable_pairs(w, [lam, mu]) == comparable_pairs(w, [mu, lam]) == []
+        assert not any(orbit_cover(a, b) or orbit_cover(b, a) for a in orbit_space(w, lam) for b in orbit_space(w, mu))
+
+    def test_degree_1000_poset_builds_no_column(self, tmp_path, capsys, monkeypatch):
+        # every tabloid of 999,1 lies below the one tabloid of 1000, whose
+        # word names no level above 1, and the step has no middle shape, so
+        # the poset reads no column
+        from isomers.cli import main
+        from isomers.orbits import _OrbitIndex
+
+        def refuse(*args):
+            raise AssertionError("an index column was built")
+
+        monkeypatch.setattr(_OrbitIndex, "_columns", refuse)
+        path = tmp_path / "trivial.grp"
+        path.write_text("degree 1000\n")
+        assert main(["poset", "--group-file", str(path), "--shape", "999,1:1000"]) == 0
+        assert capsys.readouterr().out.count("[cover]") == 1000
 
 
 class TestOrbitInterval:

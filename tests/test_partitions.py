@@ -271,6 +271,22 @@ class TestCentralizerOrder:
                 assert math.factorial(d) // z == census[lam.trimmed()]
 
 
+class TestHash:
+    def test_cached_hash_follows_equality(self):
+        for d in range(1, 7):
+            for lam in all_partitions(d):
+                twin = Partition(lam.trimmed(), d)
+                assert hash(lam) == hash(twin) == hash(("Partition", lam.parts)) == hash(lam)
+                assert {lam: 1}[twin] == 1
+
+    def test_hash_is_stored_once(self):
+        lam = P("3,2,1", 6)
+        with pytest.raises(AttributeError):
+            lam._hash
+        hash(lam)
+        assert lam._hash == hash(("Partition", lam.parts))
+
+
 class TestTextFormat:
     @pytest.mark.parametrize(
         "text,parts",
