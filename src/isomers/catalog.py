@@ -13,16 +13,7 @@ import math
 from typing import Iterable, Sequence
 
 from .dissections import Dissection, parse_tabloid, tabloid_formatter
-from .orbits import (
-    Orbit,
-    OrbitSpace,
-    _Record,
-    classify_chiral,
-    comparable_pairs,
-    orbit_cover,
-    orbit_space,
-    refine,
-)
+from .orbits import Orbit, OrbitSpace, _Record, classify_chiral, orbit_poset, orbit_space, refine
 from .partitions import Partition, all_partitions, raising_pair
 from .perms import PermGroup, generate, parse_cycles
 
@@ -31,7 +22,6 @@ __all__ = [
     "DiagramNode",
     "GeneticDiagram",
     "SkeletonSpec",
-    "assign_letters",
     "builtin",
     "emit_dot",
     "genetic_diagram",
@@ -39,6 +29,7 @@ __all__ = [
     "kauffmann_count",
     "korner_relations",
     "orbit_listing_json",
+    "orbit_names",
 ]
 
 BUILTIN_NAMES = ("benzene", "ethene", "naphthalene")
@@ -166,40 +157,42 @@ def kauffmann_count(lam: Partition) -> int:
     return total // 4
 
 
-def orbit_name(letter: str, shape: Partition) -> str:
-    return f"{letter}_({shape})"
-
-
-def assign_letters(
-    space: OrbitSpace,
-    pinned: tuple[tuple[str, Dissection], ...] | None,
+def orbit_names(
+    space: OrbitSpace, letters: dict[Partition, tuple[tuple[str, Dissection], ...]] | None
 ) -> dict[Orbit, str]:
-    """Pinned letters by orbit membership, canonical a, b, c, ... otherwise."""
-    names: dict[Orbit, str] = {}
-    if pinned is not None:
+    """Each orbit's name, such as ``a_(4,2)``: a letter, then the shape.
+
+    ``letters`` is a skeleton's ``letters`` or ``structural_letters``
+    table, or None.  When it pins this shape, each orbit takes the letter
+    of the tabloid it holds; otherwise the orbits take a, b, c, ... in
+    representative order, and o26, o27, ... past the alphabet.  The dict
+    runs in representative order either way.
+    """
+    pinned = letters.get(space.shape) if letters else None
+    if pinned is None:
+        alphabet = "abcdefghijklmnopqrstuvwxyz"
+        chosen = {orbit: alphabet[k] if k < 26 else f"o{k}" for k, orbit in enumerate(space.orbits)}
+    else:
+        chosen = {}
         for letter, tab in pinned:
             holder = space.orbit_of(tab)
-            if holder in names:
+            if holder in chosen:
                 raise ValueError(f"two letters pin the same orbit of {space.shape}")
-            names[holder] = letter
-        if len(names) != len(space.orbits):
+            chosen[holder] = letter
+        if len(chosen) != len(space.orbits):
             raise ValueError(f"letter table for {space.shape} does not cover every orbit")
-        return names
-    alphabet = "abcdefghijklmnopqrstuvwxyz"
-    for k, orbit in enumerate(space.orbits):
-        names[orbit] = alphabet[k] if k < 26 else f"o{k}"
-    return names
+    suffix = f"_({space.shape})"
+    return {orbit: chosen[orbit] + suffix for orbit in space.orbits}
 
 
 def korner_relations() -> list[tuple[str, str]]:
     """The comparabilities between benzene tri- and di-substitution orbits."""
     spec = builtin("benzene")
-    lam = Partition([3, 3], 6)
-    mu = Partition([4, 2], 6)
-    pairs = comparable_pairs(spec.group, [lam, mu])
-    lower_names = assign_letters(orbit_space(spec.group, lam), spec.letters.get(lam))
-    upper_names = assign_letters(orbit_space(spec.group, mu), spec.letters.get(mu))
-    return sorted((orbit_name(lower_names[a], lam), orbit_name(upper_names[b], mu)) for a, b in pairs)
+    shapes = [Partition([3, 3], 6), Partition([4, 2], 6)]
+    names = {}
+    for lam in shapes:
+        names.update(orbit_names(orbit_space(spec.group, lam), spec.letters))
+    return sorted((names[a], names[b]) for a, b, _ in orbit_poset(spec.group, shapes))
 
 
 def json_text(payload) -> str:
@@ -280,63 +273,52 @@ def genetic_diagram(spec: SkeletonSpec, shapes: Sequence[Partition] | None = Non
     if shapes is None:
         shapes = all_partitions(spec.degree)
     shapes = sorted(shapes, key=lambda p: p.parts, reverse=True)
-    pairs = comparable_pairs(group, shapes)
-    spaces = {lam: orbit_space(group, lam) for lam in shapes}
-    names: dict[Partition, dict[Orbit, str]] = {}
-    for lam in shapes:
-        pinned = spec.letters.get(lam) if spec.letters else None
-        names[lam] = assign_letters(spaces[lam], pinned)
+    poset = orbit_poset(group, shapes)
+    spaces = [orbit_space(group, lam) for lam in shapes]
+    names: dict[Orbit, str] = {}
+    for space in spaces:
+        names.update(orbit_names(space, spec.letters))
 
-    chiral: dict[str, bool] = {}
+    chiral: dict[Orbit, bool] = {}
     if spec.extended is not None:
         for lam in shapes:
-            report = classify_chiral(group, spec.extended, lam)
-            for entry in report.entries:
-                for fine in entry.fine_orbits:
-                    chiral[orbit_name(names[lam][fine], lam)] = entry.is_pair
+            for entry in classify_chiral(group, spec.extended, lam).entries:
+                chiral.update(dict.fromkeys(entry.fine_orbits, entry.is_pair))
 
-    structural: dict[str, str] = {}
+    structural: dict[Orbit, str] = {}
     merges: list[tuple[str, tuple[str, ...]]] = []
     if spec.structural is not None:
-        for lam in shapes:
-            coarse = orbit_space(spec.structural, lam)
-            pinned = spec.structural_letters.get(lam) if spec.structural_letters else None
-            coarse_names = assign_letters(coarse, pinned)
-            for c, fines in refine(coarse, spaces[lam]).items():
-                cname = orbit_name(coarse_names[c], lam)
-                members = tuple(orbit_name(names[lam][f], lam) for f in fines)
-                for m in members:
-                    structural[m] = cname
-                if len(members) > 1:
-                    merges.append((cname, members))
+        for space in spaces:
+            coarse = orbit_space(spec.structural, space.shape)
+            coarse_names = orbit_names(coarse, spec.structural_letters)
+            for c, fines in refine(coarse, space).items():
+                structural.update(dict.fromkeys(fines, coarse_names[c]))
+                if len(fines) > 1:
+                    merges.append((coarse_names[c], tuple(map(names.__getitem__, fines))))
 
-    nodes = []
-    for lam in shapes:
-        for orbit in spaces[lam].orbits:
-            nm = orbit_name(names[lam][orbit], lam)
-            nodes.append(
-                DiagramNode(
-                    name=nm,
-                    shape=lam,
-                    size=orbit.size,
-                    representative=orbit.representative,
-                    chiral_pair=chiral.get(nm),
-                    structural_class=structural.get(nm),
-                )
-            )
-
+    nodes = tuple(
+        DiagramNode(
+            name=names[orbit],
+            shape=space.shape,
+            size=orbit.size,
+            representative=orbit.representative,
+            chiral_pair=chiral.get(orbit),
+            structural_class=structural.get(orbit),
+        )
+        for space in spaces
+        for orbit in space.orbits
+    )
     edges = []
     extras = []
-    for a, b in pairs:
-        pair = (orbit_name(names[a.shape][a], a.shape), orbit_name(names[b.shape][b], b.shape))
-        if orbit_cover(a, b):
-            edges.append(pair)
+    for a, b, cover in poset:
+        if cover:
+            edges.append((names[a], names[b]))
         elif raising_pair(a.shape, b.shape) is not None:
-            extras.append(pair)
+            extras.append((names[a], names[b]))
     return GeneticDiagram(
         skeleton=spec.name,
         degree=spec.degree,
-        nodes=tuple(nodes),
+        nodes=nodes,
         edges=tuple(sorted(edges)),
         extra_relations=tuple(sorted(extras)),
         merges=tuple(sorted(merges)),

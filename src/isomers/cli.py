@@ -13,11 +13,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .catalog import BUILTIN_NAMES, SkeletonSpec, assign_letters, builtin, emit_dot, genetic_diagram, json_text, orbit_name
-from .catalog import orbit_listing_json
+from .catalog import BUILTIN_NAMES, SkeletonSpec, builtin, emit_dot, genetic_diagram, json_text
+from .catalog import orbit_listing_json, orbit_names
 from .counting import build_report, check_scalar_cap
 from .dissections import tabloid_formatter
-from .orbits import check_degree_cap, check_tabloid_cap, classify_chiral, comparable_pairs, orbit_cover, orbit_space
+from .orbits import check_degree_cap, check_tabloid_cap, classify_chiral, orbit_poset, orbit_space
 from .partitions import Partition, all_partitions, format_partition, parse_partition
 from .perms import CapExceeded, LinearCharacter, PermGroup, generate, linear_characters, parse_cycles
 from .verify import verify_skeleton
@@ -176,9 +176,7 @@ def cmd_orbits(args) -> int:
     spec, shapes = resolve_skeleton(args, args.cap)
     named = []
     for lam in shapes:
-        space = orbit_space(spec.group, lam)
-        names = _diagram_names(spec, lam, space)
-        named.extend((names[orbit], orbit) for orbit in space)
+        named.extend((name, orbit) for orbit, name in orbit_names(orbit_space(spec.group, lam), spec.letters).items())
     if args.format == "json":
         _emit(orbit_listing_json(named), args.out)
     else:
@@ -187,19 +185,13 @@ def cmd_orbits(args) -> int:
     return EXIT_OK
 
 
-def _diagram_names(spec: SkeletonSpec, lam: Partition, space) -> dict:
-    pinned = spec.letters.get(lam) if spec.letters else None
-    letters = assign_letters(space, pinned)
-    return {orbit: orbit_name(letters[orbit], lam) for orbit in space}
-
-
 def cmd_poset(args) -> int:
     spec, shapes = resolve_skeleton(args, args.cap)
-    pairs = comparable_pairs(spec.group, shapes)
+    poset = orbit_poset(spec.group, shapes)
     names = {}
-    for lam in {orbit.shape for pair in pairs for orbit in pair}:
-        names.update(_diagram_names(spec, lam, orbit_space(spec.group, lam)))
-    lines = sorted(f"{names[a]} < {names[b]}  [{'cover' if orbit_cover(a, b) else 'comparable'}]" for a, b in pairs)
+    for lam in {orbit.shape for a, b, _ in poset for orbit in (a, b)}:
+        names.update(orbit_names(orbit_space(spec.group, lam), spec.letters))
+    lines = sorted(f"{names[a]} < {names[b]}  [{'cover' if cover else 'comparable'}]" for a, b, cover in poset)
     _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
     return EXIT_OK
 

@@ -27,11 +27,9 @@ from .perms import Permutation, _gather
 
 __all__ = [
     "Dissection",
-    "all_dissections",
     "all_tabloids",
     "format_tabloid",
     "interval_dissections",
-    "interval_shapes",
     "is_cover_dissection",
     "is_cover_tabloid",
     "leq_dissection",
@@ -160,11 +158,6 @@ def parse_tabloid(text: str, d: int | None = None) -> Dissection:
         if len(comps) > d:
             comps = comps[:d] if all(not c for c in comps[d:]) else comps
     return Dissection(comps, d)
-
-
-def all_dissections(d: int) -> list[Dissection]:
-    """Every ordered dissection of [1,d]; there are d**d of them."""
-    return sorted(map(Dissection._trusted, product(range(1, d + 1), repeat=d)))
 
 
 def tabloid_words(lam: Partition) -> tuple[tuple[int, ...], ...]:
@@ -349,11 +342,6 @@ def interval_dissections(a: Dissection, b: Dissection) -> list[Dissection]:
         raise ValueError("a does not precede b")
     alpha, beta = a.row_word(), b.row_word()
     return sorted(map(Dissection._trusted, product(*(range(bx, ax + 1) for ax, bx in zip(alpha, beta)))))
-
-
-def interval_shapes(a: Dissection, b: Dissection) -> set[tuple[int, ...]]:
-    """Shapes attained on the interval [a, b]."""
-    return {x.shape() for x in interval_dissections(a, b)}
 
 
 def substitution_chain(a: Dissection, b: Dissection) -> list[tuple[int, int]]:

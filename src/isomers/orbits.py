@@ -29,19 +29,19 @@ __all__ = [
     "check_tabloid_cap",
     "check_theta_mask",
     "classify_chiral",
-    "comparable_pairs",
     "is_character_orbit",
     "orbit_adjacent",
     "orbit_cover",
     "orbit_interval",
     "orbit_leq",
+    "orbit_poset",
     "orbit_space",
     "reaction_pairs",
     "refine",
     "stabilizer",
 ]
 
-# comparable_pairs refuses requests with more orbit pairs than this to compare
+# orbit_poset refuses requests with more orbit pairs than this to compare
 POSET_PAIR_CAP = 250_000
 # orbit_space refuses shapes with more tabloids than this
 TABLOID_CAP = 100_000
@@ -395,47 +395,44 @@ def orbit_adjacent(a: Orbit, b: Orbit) -> bool:
 
 
 def _index(group: PermGroup, nu: Partition) -> _OrbitIndex:
-    """The index of shape nu's orbit space, read straight from the group memo once built: this runs per orbit pair."""
+    """The index of shape nu's orbit space, read straight from the group memo once built."""
     space = group._memo.get(("orbit_space", nu))
     return (orbit_space(group, nu) if space is None else space).index
 
 
-def orbit_cover(a: Orbit, b: Orbit) -> bool:
-    """Neighbour test in the orbit order: a < b with no orbit strictly between.
+def _middles(group: PermGroup, lam: Partition, mu: Partition) -> list[_OrbitIndex]:
+    """The indexes of the shapes strictly between lam and mu.
 
-    An orbit strictly between has a shape strictly between theirs (two
-    comparable tabloids of one shape are equal).  The interval [lam, mu]
-    lists its shapes in decreasing lexicographic order, which dominance
-    refines, so it runs from mu to lam and the strict middles are its inner
-    entries.  For each middle shape nu, the orbits of shape nu below b and
-    those above a are two memoized bitsets of nu's index, and an orbit
-    lies between exactly when it is in both: one AND per middle shape.
+    An orbit strictly between a of shape lam and b of shape mu has a shape
+    strictly between theirs (two comparable tabloids of one shape are
+    equal).  The interval [lam, mu] lists its shapes in decreasing
+    lexicographic order, which dominance refines, so it runs from mu to lam
+    and the strict middles are its inner entries.  Per middle index, the
+    orbits below b and those above a are two memoized bitsets, and an orbit
+    lies between exactly when it is in both: a comparable pair is a cover
+    when ``not any(ix.under(b) & ix.over(a) for ix in middles)``.
     """
+    return [_index(group, nu) for nu in shapes_between(lam, mu)[1:-1]]
+
+
+def orbit_cover(a: Orbit, b: Orbit) -> bool:
+    """Neighbour test in the orbit order: a < b with no orbit strictly between."""
     _require_same_group(a, b)
     if a.shape == b.shape or not orbit_leq(a, b):
         return False
-    for nu in shapes_between(a.shape, b.shape)[1:-1]:
-        index = _index(a.group, nu)
-        if index.under(b) & index.over(a):
-            return False
-    return True
+    return not any(ix.under(b) & ix.over(a) for ix in _middles(a.group, a.shape, b.shape))
 
 
-def orbit_interval(a: Orbit, b: Orbit, spaces: dict[Partition, OrbitSpace] | None = None) -> list[Orbit]:
+def orbit_interval(a: Orbit, b: Orbit) -> list[Orbit]:
     """All orbits c with a <= c <= b, across every intermediate shape.
 
     Per shape, one AND of the index's orbits below b and orbits above a.
     """
     if not orbit_leq(a, b):
         raise ValueError("a does not precede b in the orbit order")
-    group = a.group
-    if spaces is None:
-        spaces = {}
     out = []
     for lam in shapes_between(a.shape, b.shape):
-        if lam not in spaces:
-            spaces[lam] = orbit_space(group, lam)
-        index = spaces[lam].index
+        index = _index(a.group, lam)
         text = f"{index.under(b) & index.over(a):0{len(index.orbits)}b}"
         out.extend(compress(index.orbits, map("1".__eq__, text)))
     return out
@@ -451,15 +448,17 @@ def _fewest_orbits(group: PermGroup, lam: Partition) -> int:
     return -(-_tabloid_count(lam) // group.order)
 
 
-def comparable_pairs(group: PermGroup, shapes: Sequence[Partition]) -> list[tuple[Orbit, Orbit]]:
-    """Every orbit pair a < b between distinct, dominance-comparable shapes.
+def orbit_poset(group: PermGroup, shapes: Sequence[Partition]) -> list[tuple[Orbit, Orbit, bool]]:
+    """Every orbit pair a < b between distinct, dominance-comparable shapes, with its cover flag.
 
     Shapes are visited in the given order, lower shape outermost, and the
     orbits of each in representative order.  Before any orbit space is
     built, a lower bound on the orbit pairs to compare is checked against
     POSET_PAIR_CAP.  For each upper orbit, one AND of the lower index's
     columns gives the lower tabloids below its representative, and the
-    lower orbits they hit are read off their runs.
+    lower orbits they hit are read off their runs.  Each pair is
+    comparable by construction, so its flag is the middle-shape AND of
+    ``_middles`` alone, with the middle indexes resolved once per shape step.
     """
     steps = [(lam, mu) for lam in shapes for mu in shapes if lam != mu and dominance_leq(lam, mu)]
     bound = sum(_fewest_orbits(group, lam) * _fewest_orbits(group, mu) for lam, mu in steps)
@@ -467,15 +466,17 @@ def comparable_pairs(group: PermGroup, shapes: Sequence[Partition]) -> list[tupl
         raise CapExceeded(
             f"at least {bound} orbit pairs to compare, above the poset cap of {POSET_PAIR_CAP}; request fewer shapes"
         )
-    pairs = []
+    out = []
     for lam, mu in steps:
         lower, upper = orbit_space(group, lam), orbit_space(group, mu)
         index, above = lower.index, [[] for _ in lower.orbits]
         for b in upper:
             for k in index.hits(index.below(b.words[0])):
                 above[k].append(b)
-        pairs.extend((a, b) for a, row in zip(lower.orbits, above) for b in row)
-    return pairs
+        middles = _middles(group, lam, mu)
+        for a, row in zip(lower.orbits, above):
+            out.extend((a, b, not any(ix.under(b) & ix.over(a) for ix in middles)) for b in row)
+    return out
 
 
 def reaction_pairs(group: PermGroup, lam: Partition, mu: Partition) -> list[tuple[Orbit, Orbit]]:
@@ -486,7 +487,7 @@ def reaction_pairs(group: PermGroup, lam: Partition, mu: Partition) -> list[tupl
     """
     if raising_pair(lam, mu) is None:
         raise ValueError(f"shapes {lam} and {mu} are not adjacent")
-    return comparable_pairs(group, [lam, mu])
+    return [(a, b) for a, b, _ in orbit_poset(group, [lam, mu])]
 
 
 def is_character_orbit(

@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 
 __all__ = [
     "Partition",
-    "all_compositions",
     "all_partitions",
     "adjacent_raising_chain",
     "centralizer_order",
@@ -330,25 +329,6 @@ def covers_above(lam: Partition) -> list[Partition]:
                 if is_cover_partition(lam, cand) and cand not in found:
                     found.append(cand)
     return sorted(found, key=lambda p: p.parts, reverse=True)
-
-
-def all_compositions(d: int) -> list[tuple[int, ...]]:
-    """All length-d non-negative integer tuples summing to d (the set M_d)."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(pos: int, remaining: int, acc: list[int]):
-        if pos == d - 1:
-            acc.append(remaining)
-            out.append(tuple(acc))
-            acc.pop()
-            return
-        for k in range(remaining + 1):
-            acc.append(k)
-            rec(pos + 1, remaining - k, acc)
-            acc.pop()
-
-    rec(0, d, [])
-    return out
 
 
 def centralizer_order(lam: Partition | Sequence[int]) -> int:

@@ -401,10 +401,6 @@ class LinearCharacter:
         return f"LinearCharacter(order={self.order}, group={self.group!r})"
 
 
-def unit_character(group: PermGroup) -> LinearCharacter:
-    return LinearCharacter(group, 1, dict.fromkeys(group.elements, 0))
-
-
 def _cayley(group: PermGroup) -> tuple[dict[tuple[int, ...], int], list[tuple[int, int, int]]]:
     """Walk positions of the elements' images and edges (a, i, b) along x -> x*g_i (memoized per group).
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .catalog import SkeletonSpec, genetic_diagram, kauffmann_count, korner_relations
 from .counting import build_report, count_types, monotonicity_check
-from .orbits import Orbit, check_degree_cap, comparable_pairs, orbit_cover, orbit_leq, orbit_space
+from .orbits import Orbit, check_degree_cap, orbit_leq, orbit_poset, orbit_space
 from .partitions import Partition, all_partitions, dominance_leq, shapes_between
 from .perms import PermGroup, linear_characters
 
@@ -69,7 +69,7 @@ def _cover_oracle(
 
 
 def verify_covers(group: PermGroup, result: VerifyResult):
-    """orbit_cover's covers equal the definitional open-interval-emptiness covers.
+    """orbit_poset's covers equal the definitional open-interval-emptiness covers.
 
     The claimed side reads each middle shape's bitset index (comparable
     pairs, then one AND per middle shape); the oracle side scans every
@@ -93,7 +93,7 @@ def verify_covers(group: PermGroup, result: VerifyResult):
                 continue
             middles = [orbit_space(group, nu).orbits for nu in between[1:-1]]
             oracle = _cover_oracle(orbit_space(group, lam).orbits, orbit_space(group, mu).orbits, middles)
-            claimed = {(a, b) for a, b in comparable_pairs(group, [lam, mu]) if orbit_cover(a, b)}
+            claimed = {(a, b) for a, b, cover in orbit_poset(group, [lam, mu]) if cover}
             result.check(f"cover oracle {lam} vs {mu}: {len(oracle)} covers", claimed == oracle)
 
 

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations, product
 
-from isomers.dissections import _assign_words
+from isomers.dissections import Dissection, _assign_words, interval_dissections
 from isomers.partitions import Partition, shapes_between
 from isomers.perms import DEFAULT_CAP, CapExceeded, PermGroup, Permutation, generate
 
@@ -128,6 +128,16 @@ def raw_tabloids_of_shape(sizes):
 
     rec(0, tuple(range(1, d + 1)), [])
     return out
+
+
+def all_dissections(d: int) -> list[Dissection]:
+    """Every ordered dissection of [1,d], sorted; there are d**d of them."""
+    return sorted(map(Dissection._trusted, product(range(1, d + 1), repeat=d)))
+
+
+def interval_shapes(a: Dissection, b: Dissection) -> set[tuple[int, ...]]:
+    """Shapes attained on the interval [a, b]."""
+    return {x.shape() for x in interval_dissections(a, b)}
 
 
 def raw_all_tabloids(d):

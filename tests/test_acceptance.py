@@ -15,7 +15,6 @@ from isomers.catalog import builtin, genetic_diagram, kauffmann_count, korner_re
 from isomers.counting import build_report, combinatorially_equivalent, count_types, monotonicity_check
 from isomers.dissections import (
     Dissection,
-    all_dissections,
     all_tabloids,
     is_cover_dissection,
     is_cover_tabloid,
@@ -27,7 +26,6 @@ from isomers.orbits import is_character_orbit, orbit_cover, orbit_leq, orbit_spa
 from isomers.partitions import (
     Partition,
     adjacent_raising_chain,
-    all_compositions,
     all_partitions,
     covers_above,
     dominance_leq,
@@ -40,7 +38,7 @@ from isomers.partitions import (
 )
 from isomers.perms import generate, linear_characters, parse_cycles
 
-from oracles import leq_composition, random_permutation, random_subgroup
+from oracles import all_dissections, leq_composition, random_permutation, random_subgroup, raw_compositions
 
 # -- shared helpers ------------------------------------------------------------
 
@@ -293,7 +291,7 @@ def test_criterion_7_property_suite():
     start = time.time()
     rng = random.Random(20260809)
     # built once per degree; rng.choice reads only a list's length, so the draws do not depend on this
-    compositions = {d: all_compositions(d) for d in range(2, 8)}
+    compositions = {d: raw_compositions(d) for d in range(2, 8)}
     partitions = {d: all_partitions(d) for d in range(2, 8)}
 
     # (a) exhaustive cover agreement, d <= 5

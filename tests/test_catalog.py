@@ -7,7 +7,6 @@ from isomers.catalog import (
     DiagramNode,
     GeneticDiagram,
     SkeletonSpec,
-    assign_letters,
     builtin,
     emit_dot,
     genetic_diagram,
@@ -15,10 +14,10 @@ from isomers.catalog import (
     kauffmann_count,
     korner_relations,
     orbit_listing_json,
-    orbit_name,
+    orbit_names,
 )
 from isomers.counting import count_brute, count_scalar, count_types
-from isomers.dissections import format_tabloid
+from isomers.dissections import format_tabloid, parse_tabloid
 from isomers.orbits import orbit_space
 from isomers.partitions import all_partitions, parse_partition
 from isomers.perms import generate, parse_cycles
@@ -101,6 +100,40 @@ class TestKorner:
 
     def test_count(self):
         assert len(korner_relations()) == 6
+
+
+class TestOrbitNames:
+    def test_pinned_letters_in_representative_order(self):
+        spec = builtin("benzene")
+        space = orbit_space(spec.group, parse_partition("4,2", 6))
+        names = orbit_names(space, spec.letters)
+        assert list(names) == list(space.orbits)
+        assert names[space.orbit_of(parse_tabloid("{1,2,3,4}{5,6}", 6))] == "b_(4,2)"
+        assert sorted(names.values()) == ["a_(4,2)", "b_(4,2)", "c_(4,2)"]
+
+    def test_past_the_alphabet(self):
+        # the trivial group leaves the 60 tabloids of 2,1^3 apart
+        space = orbit_space(generate([], degree=5), parse_partition("2,1,1,1", 5))
+        names = list(orbit_names(space, None).values())
+        assert len(names) == 60
+        assert names[:3] == ["a_(2,1^3)", "b_(2,1^3)", "c_(2,1^3)"]
+        assert names[25:28] == ["z_(2,1^3)", "o26_(2,1^3)", "o27_(2,1^3)"]
+        assert names[-1] == "o59_(2,1^3)"
+
+    def test_two_letters_on_one_orbit(self):
+        spec = builtin("benzene")
+        lam = parse_partition("4,2", 6)
+        # {1,2,3,4}{5,6} and {2,3,4,5}{1,6} are one para orbit under the hexagon
+        letters = {lam: (("a", parse_tabloid("{1,2,3,4}{5,6}", 6)), ("b", parse_tabloid("{2,3,4,5}{1,6}", 6)))}
+        with pytest.raises(ValueError, match="two letters pin the same orbit"):
+            orbit_names(orbit_space(spec.group, lam), letters)
+
+    def test_table_missing_an_orbit(self):
+        spec = builtin("benzene")
+        lam = parse_partition("4,2", 6)
+        letters = {lam: spec.letters[lam][:2]}
+        with pytest.raises(ValueError, match="does not cover every orbit"):
+            orbit_names(orbit_space(spec.group, lam), letters)
 
 
 ETHENE_PAPER_EDGES = {
@@ -257,9 +290,7 @@ def listing_rows(group, shapes, letters=None):
     """(name, orbit) rows as ``orbits`` lists them."""
     rows = []
     for lam in shapes:
-        space = orbit_space(group, lam)
-        names = assign_letters(space, letters.get(lam) if letters else None)
-        rows.extend((orbit_name(names[orbit], lam), orbit) for orbit in space)
+        rows.extend((name, orbit) for orbit, name in orbit_names(orbit_space(group, lam), letters).items())
     return rows
 
 

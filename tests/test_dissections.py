@@ -6,11 +6,9 @@ import pytest
 
 from isomers.dissections import (
     Dissection,
-    all_dissections,
     all_tabloids,
     format_tabloid,
     interval_dissections,
-    interval_shapes,
     is_cover_dissection,
     is_cover_tabloid,
     leq_dissection,
@@ -29,15 +27,18 @@ from isomers.perms import generate, parse_cycles
 
 from oracles import (
     act_raw,
+    all_dissections,
     components_of_word,
     covers_bitset,
     covers_from_leq,
     interval_dissections_raw,
+    interval_shapes,
     leq_composition,
     leq_dissection_raw,
     raise_into_raw,
     random_permutation,
     random_subgroup,
+    raw_compositions,
     raw_tabloids_of_shape,
     symmetric_group,
 )
@@ -362,8 +363,6 @@ class TestLiftShape:
     def test_random_triples(self):
         # every shape in the dominance interval either lifts with all three
         # postconditions or is genuinely absent from the interval
-        from isomers.partitions import all_compositions
-
         rng = random.Random(11)
         hits = 0
         while hits < 120:
@@ -373,7 +372,7 @@ class TestLiftShape:
                 continue
             mids = [
                 n
-                for n in all_compositions(d)
+                for n in raw_compositions(d)
                 if dominance_leq(a.shape(), n) and dominance_leq(n, b.shape())
             ]
             n = rng.choice(mids)
@@ -394,8 +393,6 @@ class TestLiftShape:
 
     def test_feasibility_matches_raw_enumeration(self):
         from isomers.dissections import shape_feasible
-        from isomers.partitions import all_compositions
-
         rng = random.Random(18)
         hits = 0
         while hits < 60:
@@ -409,7 +406,7 @@ class TestLiftShape:
                 for x in interval_dissections_raw(a.components, b.components, d)
                 if leq_dissection_raw(a.components, x) and leq_dissection_raw(x, b.components)
             }
-            for n in all_compositions(d):
+            for n in raw_compositions(d):
                 assert shape_feasible(a, b, n) == (n in realizable)
 
     def test_feasibility_exhaustive_tabloid_pairs_d5(self):
@@ -465,7 +462,6 @@ class TestLiftShape:
         # has shape n inside the raw interval; None means n is absent from
         # the raw interval
         from isomers.dissections import _assign_words, shape_assignment
-        from isomers.partitions import all_compositions
 
         def check(a, b, n, realizable):
             word = _assign_words(a.row_word(), b.row_word(), n)
@@ -492,9 +488,9 @@ class TestLiftShape:
             for a in univ:
                 for b in univ:
                     realizable = realizable_shapes(a, b)
-                    for n in all_compositions(d):
+                    for n in raw_compositions(d):
                         check(a, b, n, realizable)
-        compositions = {d: all_compositions(d) for d in range(4, 9)}
+        compositions = {d: raw_compositions(d) for d in range(4, 9)}
         rng = random.Random(19)
         for _ in range(150):
             d = rng.randint(4, 8)
@@ -529,8 +525,6 @@ class TestIntervalShapes:
         # the attained shapes are exactly the feasible members of the
         # dominance interval; the containment can be strict from d=4 up
         from isomers.dissections import shape_feasible
-        from isomers.partitions import all_compositions
-
         rng = random.Random(12)
         hits = 0
         while hits < 60:
@@ -541,7 +535,7 @@ class TestIntervalShapes:
             hits += 1
             interval = {
                 tuple(n)
-                for n in all_compositions(d)
+                for n in raw_compositions(d)
                 if dominance_leq(a.shape(), n) and dominance_leq(n, b.shape())
             }
             attained = interval_shapes(a, b)

@@ -24,12 +24,12 @@ from isomers.orbits import (
     Orbit,
     OrbitSpace,
     classify_chiral,
-    comparable_pairs,
     is_character_orbit,
     orbit_adjacent,
     orbit_cover,
     orbit_interval,
     orbit_leq,
+    orbit_poset,
     orbit_space,
     reaction_pairs,
     refine,
@@ -525,13 +525,13 @@ class TestWordComparisonsMatchTranslates:
 
 
 class TestComparablePairs:
-    """comparable_pairs against the definition on raw tabloids and raw dominance."""
+    """orbit_poset's pairs against the definition on raw tabloids and raw dominance."""
 
     @pytest.mark.parametrize("name", ["ethene", "benzene"])
     def test_matches_definition(self, name):
         w = builtin(name).group
         shapes = all_partitions(w.degree)
-        pairs = comparable_pairs(w, shapes)
+        pairs = [(a, b) for a, b, _ in orbit_poset(w, shapes)]
         assert all(a.shape != b.shape for a, b in pairs)
         assert len(set(pairs)) == len(pairs)
         expected = set()
@@ -557,18 +557,18 @@ class TestComparablePairs:
         shapes = [parse_partition("999,1", 1000), parse_partition("1000", 1000)]
         tracemalloc.start()
         try:
-            pairs = comparable_pairs(w, shapes)
-            covers = sum(orbit_cover(a, b) for a, b in pairs)
+            poset = orbit_poset(w, shapes)
+            covers = sum(orbit_cover(a, b) for a, b, _ in poset)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(pairs) == covers == 1000
+        assert len(poset) == covers == sum(cover for *_, cover in poset) == 1000
         assert peak < 32 * 2**20, peak
 
     def test_cap_refuses_before_building(self):
         w = generate([], degree=8)
         with pytest.raises(ValueError, match="poset cap"):
-            comparable_pairs(w, all_partitions(8))
+            orbit_poset(w, all_partitions(8))
         assert not [key for key in w._memo if key[0] == "orbit_space"]
 
 
@@ -577,37 +577,41 @@ def dihedral8_group():
 
 
 class TestIndexMatchesDefinitions:
-    """comparable_pairs, orbit_cover and orbit_interval, read off the bitset index, against their definitions.
+    """orbit_poset, orbit_cover and orbit_interval, read off the bitset index, against their definitions.
 
-    comparable_pairs is the orbit_leq scan over every orbit pair of a shape
-    step, in its order; orbit_cover is the witness search over comparable
-    member words; orbit_interval is orbit_leq on both sides over every
-    orbit of every shape in the interval.
+    orbit_poset's pairs are the orbit_leq scan over every orbit pair of a
+    shape step, in its order, and each pair's flag is orbit_cover and the
+    witness search over comparable member words; orbit_interval is
+    orbit_leq on both sides over every orbit of every shape in the interval.
     """
 
-    # a step with more orbit pairs than ALL_PAIRS checks its covers on the
-    # comparable pairs only; intervals are checked on a stride of at most
-    # INTERVALS comparable pairs per step
+    # a step with at most ALL_PAIRS orbit pairs also checks that its
+    # incomparable pairs are no covers; intervals are checked on a stride of
+    # at most INTERVALS comparable pairs per step
     ALL_PAIRS = 3000
     INTERVALS = 60
+    # a step with no middle shape and one with several
+    MIDDLES = {("middle shapes", 0), ("middle shapes", 2)}
 
     @classmethod
     def _check_step(cls, group, lam, mu, seen):
         lower, upper = orbit_space(group, lam), orbit_space(group, mu)
-        pairs = comparable_pairs(group, [lam, mu])
+        poset = orbit_poset(group, [lam, mu])
+        pairs = [(a, b) for a, b, _ in poset]
         assert pairs == [(a, b) for a in lower for b in upper if orbit_leq(a, b)]
-        if len(lower) * len(upper) <= cls.ALL_PAIRS:
-            candidates = [(a, b) for a in lower for b in upper]
-        else:
-            candidates = pairs
-        between, comparable = shapes_between(lam, mu), set(pairs)
-        for a, b in candidates:
-            cover = orbit_cover(a, b)
-            assert cover == orbit_cover_by_witness(a, b), (a, b)
+        between = shapes_between(lam, mu)
+        seen.add(("middle shapes", min(len(between) - 2, 2)))  # none, one, or several
+        for a, b, cover in poset:
+            assert cover == orbit_cover(a, b) == orbit_cover_by_witness(a, b), (a, b)
             assert not orbit_cover(b, a)
-            if (a, b) in comparable:
-                seen.add(("cover" if cover else "comparable", len(between) > 2))
-                seen.add(("regular lower orbit", a.size == group.order))
+            seen.add(("cover" if cover else "comparable", len(between) > 2))
+            seen.add(("regular lower orbit", a.size == group.order))
+        if len(lower) * len(upper) <= cls.ALL_PAIRS:
+            comparable = set(pairs)
+            for a in lower:
+                for b in upper:
+                    if (a, b) not in comparable:
+                        assert not orbit_cover(a, b) and not orbit_cover_by_witness(a, b), (a, b)
         for a, b in pairs[:: -(-len(pairs) // cls.INTERVALS) or 1]:
             spaces = [orbit_space(group, nu) for nu in between]
             interval = orbit_interval(a, b)
@@ -628,7 +632,7 @@ class TestIndexMatchesDefinitions:
     @pytest.mark.parametrize("name", ["ethene", "benzene"])
     def test_builtin_every_comparable_shape_pair(self, name):
         seen = self._check_group(builtin(name).group)
-        assert {("cover", False), ("comparable", True), ("regular lower orbit", True)} <= seen
+        assert {("cover", False), ("comparable", True), ("regular lower orbit", True)} | self.MIDDLES <= seen
 
     def test_naphthalene_pairs(self):
         w = builtin("naphthalene").group
@@ -647,7 +651,26 @@ class TestIndexMatchesDefinitions:
             )
         ]
         seen = self._check_group(w, steps)
-        assert {("cover", False), ("comparable", True), ("gap", True), ("regular lower orbit", True)} <= seen
+        expected = {("cover", False), ("comparable", True), ("gap", True), ("regular lower orbit", True)}
+        assert expected | self.MIDDLES <= seen
+
+    def test_naphthalene_every_step_up_to_10000_pairs(self):
+        # 87 of the 164 steps under POSET_PAIR_CAP, with 0 to 19 middle
+        # shapes; the flags are checked on a stride of at most 100 per step
+        w = builtin("naphthalene").group
+        shapes = all_partitions(8)
+        middles = []
+        for lam in shapes:
+            for mu in shapes:
+                lower, upper = orbit_space(w, lam), orbit_space(w, mu)
+                if lam == mu or not dominance_leq(lam, mu) or len(lower) * len(upper) > 10_000:
+                    continue
+                poset = orbit_poset(w, [lam, mu])
+                assert [(a, b) for a, b, _ in poset] == [(a, b) for a in lower for b in upper if orbit_leq(a, b)]
+                for a, b, cover in poset[:: -(-len(poset) // 100)]:
+                    assert cover == orbit_cover(a, b) == orbit_cover_by_witness(a, b), (a, b)
+                middles.append(len(shapes_between(lam, mu)) - 2)
+        assert len(middles) == 87 and set(middles) == set(range(20))
 
     @pytest.mark.parametrize(
         "gens",
@@ -656,7 +679,7 @@ class TestIndexMatchesDefinitions:
     )
     def test_degree_5_groups(self, gens):
         seen = self._check_group(generate([parse_cycles(g, 5) for g in gens]))
-        assert {("cover", False), ("comparable", True), ("regular lower orbit", True)} <= seen
+        assert {("cover", False), ("comparable", True), ("regular lower orbit", True)} | self.MIDDLES <= seen
 
     def test_dihedral_8(self):
         steps = [
@@ -665,7 +688,7 @@ class TestIndexMatchesDefinitions:
         ]
         seen = self._check_group(dihedral8_group(), steps)
         expected = {("cover", False), ("cover", True), ("comparable", True), ("gap", True), ("regular lower orbit", True)}
-        assert expected <= seen
+        assert expected | self.MIDDLES <= seen
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_trivial_group(self, d):
@@ -682,7 +705,9 @@ class TestIndexMatchesDefinitions:
         seen = self._check_group(w, steps)
         assert len(steps) == {1: 0, 2: 1, 3: 3, 4: 10, 5: 20, 6: 35}[d]
         if d >= 2:
-            assert ("regular lower orbit", True) in seen
+            assert {("regular lower orbit", True), ("middle shapes", 0)} <= seen
+        if d >= 4:
+            assert ("middle shapes", 2) in seen
         if d >= 5:
             assert {("comparable", True), ("gap", True)} <= seen
         if d == 5:
@@ -691,7 +716,7 @@ class TestIndexMatchesDefinitions:
     def test_incomparable_shapes_give_no_pairs(self):
         w = builtin("benzene").group
         lam, mu = parse_partition("3,3", 6), parse_partition("4,1,1", 6)
-        assert comparable_pairs(w, [lam, mu]) == comparable_pairs(w, [mu, lam]) == []
+        assert orbit_poset(w, [lam, mu]) == orbit_poset(w, [mu, lam]) == []
         assert not any(orbit_cover(a, b) or orbit_cover(b, a) for a in orbit_space(w, lam) for b in orbit_space(w, mu))
 
     def test_degree_1000_poset_builds_no_column(self, tmp_path, capsys, monkeypatch):

@@ -5,7 +5,6 @@ import pytest
 from isomers.partitions import (
     Partition,
     adjacent_raising_chain,
-    all_compositions,
     all_partitions,
     centralizer_order,
     common_prefix_len,
@@ -50,7 +49,7 @@ class TestDominance:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_partial_order_axioms(self, d):
-        univ = all_compositions(d)
+        univ = raw_compositions(d)
         for x in univ:
             assert dominance_leq(x, x)
         for x in univ:
@@ -83,7 +82,7 @@ class TestRaisingOp:
         assert not in_M(out)
 
     def test_stays_inside_iff_donor_positive(self):
-        for l in all_compositions(4):
+        for l in raw_compositions(4):
             for i in range(1, 4):
                 for j in range(i + 1, 5):
                     assert in_M(raising_op(i, j, l)) == (l[j - 1] >= 1)
@@ -107,7 +106,7 @@ class TestStats:
         assert total == 2
 
     def test_dominance_iff_gaps_nonnegative(self):
-        univ = all_compositions(4)
+        univ = raw_compositions(4)
         for l in univ:
             for m in univ:
                 gaps, _ = prefix_gaps(l, m)
@@ -144,7 +143,7 @@ class TestRaisingChain:
 
     def test_all_comparable_pairs_small(self):
         for d in (2, 3, 4, 5):
-            univ = all_compositions(d)
+            univ = raw_compositions(d)
             for l in univ:
                 for m in univ:
                     if dominance_leq(l, m):
@@ -162,7 +161,7 @@ class TestCovers:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_cover_composition_vs_oracle(self, d):
-        univ = all_compositions(d)
+        univ = raw_compositions(d)
         oracle = covers_from_leq(univ, leq_composition)
         for l in univ:
             for m in univ:

@@ -18,7 +18,6 @@ from isomers.perms import (
     parse_cycles,
     relative_sign_character,
     _generated,
-    unit_character,
 )
 
 from oracles import (
