@@ -13,7 +13,15 @@ import math
 from typing import Iterable, Sequence
 
 from .dissections import Dissection, parse_tabloid, tabloid_formatter
-from .orbits import Orbit, OrbitSpace, _Record, classify_chiral, orbit_poset, orbit_space, refine
+from .orbits import (
+    Orbit,
+    OrbitSpace,
+    _Record,
+    classify_chiral,
+    orbit_poset,
+    orbit_space,
+    refine,
+)
 from .partitions import Partition, all_partitions, raising_pair
 from .perms import PermGroup, generate, parse_cycles
 
@@ -282,8 +290,10 @@ def genetic_diagram(spec: SkeletonSpec, shapes: Sequence[Partition] | None = Non
     chiral: dict[Orbit, bool] = {}
     if spec.extended is not None:
         for lam in shapes:
-            for entry in classify_chiral(group, spec.extended, lam).entries:
-                chiral.update(dict.fromkeys(entry.fine_orbits, entry.is_pair))
+            report = classify_chiral(group, spec.extended, lam)
+            for entry in report.entries:
+                for fine in entry.fine_orbits:
+                    chiral[fine] = entry.is_pair
 
     structural: dict[Orbit, str] = {}
     merges: list[tuple[str, tuple[str, ...]]] = []
@@ -292,9 +302,10 @@ def genetic_diagram(spec: SkeletonSpec, shapes: Sequence[Partition] | None = Non
             coarse = orbit_space(spec.structural, space.shape)
             coarse_names = orbit_names(coarse, spec.structural_letters)
             for c, fines in refine(coarse, space).items():
-                structural.update(dict.fromkeys(fines, coarse_names[c]))
+                for f in fines:
+                    structural[f] = coarse_names[c]
                 if len(fines) > 1:
-                    merges.append((coarse_names[c], tuple(map(names.__getitem__, fines))))
+                    merges.append((coarse_names[c], tuple(names[f] for f in fines)))
 
     nodes = tuple(
         DiagramNode(

@@ -176,7 +176,9 @@ def cmd_orbits(args) -> int:
     spec, shapes = resolve_skeleton(args, args.cap)
     named = []
     for lam in shapes:
-        named.extend((name, orbit) for orbit, name in orbit_names(orbit_space(spec.group, lam), spec.letters).items())
+        space = orbit_space(spec.group, lam)
+        names = orbit_names(space, spec.letters)
+        named.extend((names[orbit], orbit) for orbit in space)
     if args.format == "json":
         _emit(orbit_listing_json(named), args.out)
     else:

@@ -400,19 +400,19 @@ def _index(group: PermGroup, nu: Partition) -> _OrbitIndex:
     return (orbit_space(group, nu) if space is None else space).index
 
 
-def _middles(group: PermGroup, lam: Partition, mu: Partition) -> list[_OrbitIndex]:
-    """The indexes of the shapes strictly between lam and mu.
+def _cover_test(group: PermGroup, lam: Partition, mu: Partition) -> Callable[[Orbit, Orbit], bool]:
+    """The cover test for comparable orbit pairs a < b of shapes lam < mu.
 
-    An orbit strictly between a of shape lam and b of shape mu has a shape
-    strictly between theirs (two comparable tabloids of one shape are
-    equal).  The interval [lam, mu] lists its shapes in decreasing
-    lexicographic order, which dominance refines, so it runs from mu to lam
-    and the strict middles are its inner entries.  Per middle index, the
-    orbits below b and those above a are two memoized bitsets, and an orbit
-    lies between exactly when it is in both: a comparable pair is a cover
-    when ``not any(ix.under(b) & ix.over(a) for ix in middles)``.
+    An orbit strictly between a and b has a shape strictly between theirs
+    (two comparable tabloids of one shape are equal).  The interval
+    [lam, mu] lists its shapes in decreasing lexicographic order, which
+    dominance refines, so it runs from mu to lam and the strict middles are
+    its inner entries.  Per middle index, the orbits below b and those above
+    a are two memoized bitsets, and an orbit lies between exactly when it is
+    in both.  The middle indexes are resolved once, when the test is made.
     """
-    return [_index(group, nu) for nu in shapes_between(lam, mu)[1:-1]]
+    middles = [_index(group, nu) for nu in shapes_between(lam, mu)[1:-1]]
+    return lambda a, b: not any(ix.under(b) & ix.over(a) for ix in middles)
 
 
 def orbit_cover(a: Orbit, b: Orbit) -> bool:
@@ -420,7 +420,7 @@ def orbit_cover(a: Orbit, b: Orbit) -> bool:
     _require_same_group(a, b)
     if a.shape == b.shape or not orbit_leq(a, b):
         return False
-    return not any(ix.under(b) & ix.over(a) for ix in _middles(a.group, a.shape, b.shape))
+    return _cover_test(a.group, a.shape, b.shape)(a, b)
 
 
 def orbit_interval(a: Orbit, b: Orbit) -> list[Orbit]:
@@ -457,8 +457,8 @@ def orbit_poset(group: PermGroup, shapes: Sequence[Partition]) -> list[tuple[Orb
     POSET_PAIR_CAP.  For each upper orbit, one AND of the lower index's
     columns gives the lower tabloids below its representative, and the
     lower orbits they hit are read off their runs.  Each pair is
-    comparable by construction, so its flag is the middle-shape AND of
-    ``_middles`` alone, with the middle indexes resolved once per shape step.
+    comparable by construction, so its flag is ``_cover_test`` alone, made
+    once per shape step.
     """
     steps = [(lam, mu) for lam in shapes for mu in shapes if lam != mu and dominance_leq(lam, mu)]
     bound = sum(_fewest_orbits(group, lam) * _fewest_orbits(group, mu) for lam, mu in steps)
@@ -473,9 +473,9 @@ def orbit_poset(group: PermGroup, shapes: Sequence[Partition]) -> list[tuple[Orb
         for b in upper:
             for k in index.hits(index.below(b.words[0])):
                 above[k].append(b)
-        middles = _middles(group, lam, mu)
+        is_cover = _cover_test(group, lam, mu)
         for a, row in zip(lower.orbits, above):
-            out.extend((a, b, not any(ix.under(b) & ix.over(a) for ix in middles)) for b in row)
+            out.extend((a, b, is_cover(a, b)) for b in row)
     return out
 
 

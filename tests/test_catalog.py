@@ -123,7 +123,7 @@ class TestOrbitNames:
     def test_two_letters_on_one_orbit(self):
         spec = builtin("benzene")
         lam = parse_partition("4,2", 6)
-        # {1,2,3,4}{5,6} and {2,3,4,5}{1,6} are one para orbit under the hexagon
+        # {1,2,3,4}{5,6} and {2,3,4,5}{1,6} are one ortho orbit (b_(4,2)) under the hexagon
         letters = {lam: (("a", parse_tabloid("{1,2,3,4}{5,6}", 6)), ("b", parse_tabloid("{2,3,4,5}{1,6}", 6)))}
         with pytest.raises(ValueError, match="two letters pin the same orbit"):
             orbit_names(orbit_space(spec.group, lam), letters)

@@ -586,22 +586,25 @@ class TestIndexMatchesDefinitions:
     """
 
     # a step with at most ALL_PAIRS orbit pairs also checks that its
-    # incomparable pairs are no covers; intervals are checked on a stride of
-    # at most INTERVALS comparable pairs per step
+    # incomparable pairs are no covers; by default the flags are checked on
+    # every pair and the intervals on a stride of at most INTERVALS
+    # comparable pairs per step
     ALL_PAIRS = 3000
     INTERVALS = 60
     # a step with no middle shape and one with several
     MIDDLES = {("middle shapes", 0), ("middle shapes", 2)}
 
     @classmethod
-    def _check_step(cls, group, lam, mu, seen):
+    def _check_step(cls, group, lam, mu, seen, flags=None, intervals=INTERVALS):
         lower, upper = orbit_space(group, lam), orbit_space(group, mu)
         poset = orbit_poset(group, [lam, mu])
         pairs = [(a, b) for a, b, _ in poset]
         assert pairs == [(a, b) for a in lower for b in upper if orbit_leq(a, b)]
         between = shapes_between(lam, mu)
         seen.add(("middle shapes", min(len(between) - 2, 2)))  # none, one, or several
-        for a, b, cover in poset:
+        # flags are checked on a stride of at most `flags` pairs, or on every pair
+        stride = (-(-len(poset) // flags) or 1) if flags else 1
+        for a, b, cover in poset[::stride]:
             assert cover == orbit_cover(a, b) == orbit_cover_by_witness(a, b), (a, b)
             assert not orbit_cover(b, a)
             seen.add(("cover" if cover else "comparable", len(between) > 2))
@@ -611,8 +614,9 @@ class TestIndexMatchesDefinitions:
             for a in lower:
                 for b in upper:
                     if (a, b) not in comparable:
-                        assert not orbit_cover(a, b) and not orbit_cover_by_witness(a, b), (a, b)
-        for a, b in pairs[:: -(-len(pairs) // cls.INTERVALS) or 1]:
+                        assert not orbit_cover(a, b) and not orbit_cover(b, a), (a, b)
+                        assert not orbit_cover_by_witness(a, b), (a, b)
+        for a, b in pairs[:: -(-len(pairs) // intervals) or 1]:
             spaces = [orbit_space(group, nu) for nu in between]
             interval = orbit_interval(a, b)
             assert interval == [c for space in spaces for c in space if orbit_leq(a, c) and orbit_leq(c, b)]
@@ -620,13 +624,13 @@ class TestIndexMatchesDefinitions:
             seen.add(("gap", len({c.shape for c in interval}) < len(between)))
 
     @classmethod
-    def _check_group(cls, group, steps=None):
+    def _check_group(cls, group, steps=None, flags=None, intervals=INTERVALS):
         seen = set()
         if steps is None:
             shapes = all_partitions(group.degree)
             steps = [(lam, mu) for lam in shapes for mu in shapes if lam != mu and dominance_leq(lam, mu)]
         for lam, mu in steps:
-            cls._check_step(group, lam, mu, seen)
+            cls._check_step(group, lam, mu, seen, flags, intervals)
         return seen
 
     @pytest.mark.parametrize("name", ["ethene", "benzene"])
@@ -656,21 +660,22 @@ class TestIndexMatchesDefinitions:
 
     def test_naphthalene_every_step_up_to_10000_pairs(self):
         # 87 of the 164 steps under POSET_PAIR_CAP, with 0 to 19 middle
-        # shapes; the flags are checked on a stride of at most 100 per step
+        # shapes; for time, the flags are checked on a stride of at most 100
+        # pairs per step and the intervals on a stride of at most 5
         w = builtin("naphthalene").group
         shapes = all_partitions(8)
-        middles = []
-        for lam in shapes:
-            for mu in shapes:
-                lower, upper = orbit_space(w, lam), orbit_space(w, mu)
-                if lam == mu or not dominance_leq(lam, mu) or len(lower) * len(upper) > 10_000:
-                    continue
-                poset = orbit_poset(w, [lam, mu])
-                assert [(a, b) for a, b, _ in poset] == [(a, b) for a in lower for b in upper if orbit_leq(a, b)]
-                for a, b, cover in poset[:: -(-len(poset) // 100)]:
-                    assert cover == orbit_cover(a, b) == orbit_cover_by_witness(a, b), (a, b)
-                middles.append(len(shapes_between(lam, mu)) - 2)
-        assert len(middles) == 87 and set(middles) == set(range(20))
+        steps = [
+            (lam, mu)
+            for lam in shapes
+            for mu in shapes
+            if lam != mu
+            and dominance_leq(lam, mu)
+            and len(orbit_space(w, lam)) * len(orbit_space(w, mu)) <= 10_000
+        ]
+        seen = self._check_group(w, steps, flags=100, intervals=5)
+        assert len(steps) == 87
+        assert {len(shapes_between(lam, mu)) - 2 for lam, mu in steps} == set(range(20))
+        assert {("cover", False), ("comparable", True), ("regular lower orbit", True)} | self.MIDDLES <= seen
 
     @pytest.mark.parametrize(
         "gens",
