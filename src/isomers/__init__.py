@@ -33,7 +33,6 @@ from .dissections import (
     lift_shape,
     parse_tabloid,
     raise_into,
-    raise_set,
     raising_moves,
     standard_tabloid,
     substitution_chain,
@@ -62,7 +61,6 @@ from .partitions import (
     adjacent_raising_chain,
     centralizer_order,
     covers_above,
-    dominance_cmp,
     dominance_leq,
     format_partition,
     is_cover_composition,

@@ -352,16 +352,10 @@ def emit_dot(diagram: GeneticDiagram) -> str:
     by_shape: dict[str, list[DiagramNode]] = {}
     for node in diagram.nodes:
         by_shape.setdefault(str(node.shape), []).append(node)
-    shape_order = []
-    seen = set()
-    for node in diagram.nodes:
-        if str(node.shape) not in seen:
-            seen.add(str(node.shape))
-            shape_order.append(str(node.shape))
-    for k, shape_text in enumerate(shape_order):
+    for k, (shape_text, nodes) in enumerate(by_shape.items()):
         lines.append(f"  subgraph cluster_{k} {{")
         lines.append(f"    label={_quote(shape_text)};")
-        for node in sorted(by_shape[shape_text], key=lambda n: n.name):
+        for node in sorted(nodes, key=lambda n: n.name):
             attrs = [f"label={_quote(node.name)}"]
             if node.chiral_pair:
                 attrs.append("peripheries=2")

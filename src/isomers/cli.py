@@ -19,7 +19,7 @@ from .counting import build_report, check_scalar_cap
 from .dissections import tabloid_formatter
 from .orbits import check_degree_cap, check_tabloid_cap, classify_chiral, orbit_poset, orbit_space
 from .partitions import Partition, all_partitions, format_partition, parse_partition
-from .perms import CapExceeded, LinearCharacter, PermGroup, generate, linear_characters, parse_cycles
+from .perms import DEFAULT_CAP, CapExceeded, LinearCharacter, PermGroup, generate, linear_characters, parse_cycles
 from .verify import verify_skeleton
 
 EXIT_OK = 0
@@ -243,7 +243,7 @@ def build_parser() -> _Parser:
     source = _Parser(add_help=False)
     source.add_argument("--builtin", help=f"builtin skeleton: {', '.join(BUILTIN_NAMES)}")
     source.add_argument("--group-file", help="path to a group-spec text file")
-    source.add_argument("--cap", type=int, default=100_000, help="largest group order allowed (closure, builtins)")
+    source.add_argument("--cap", type=int, default=DEFAULT_CAP, help="largest group order allowed (closure, builtins)")
     source.add_argument("--out", help="write output to this path instead of stdout")
     shape = _Parser(add_help=False)
     shape.add_argument("--shape", help=SHAPE_HELP)

@@ -36,10 +36,7 @@ __all__ = [
     "lift_shape",
     "parse_tabloid",
     "raise_into",
-    "raise_set",
     "raising_moves",
-    "shape_assignment",
-    "shape_feasible",
     "standard_tabloid",
     "substitution_chain",
     "tabloid_formatter",
@@ -244,36 +241,16 @@ def raise_into(i: int, s: int, a: Dissection) -> Dissection:
     return Dissection._trusted(tuple(word))
 
 
-def raise_set(i: int, xs: Iterable[int], a: Dissection) -> Dissection:
-    """Apply raise_into for every element of xs (the moves commute)."""
-    for s in xs:
-        a = raise_into(i, s, a)
-    return a
+def _assign_words(alpha: tuple[int, ...], beta: tuple[int, ...], n: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The row-word of some X with a <= X <= b and shape(X) = n, or None when none exists.
 
-
-def shape_assignment(a: Dissection, b: Dissection, n: Sequence[int]) -> Dissection | None:
-    """Some X with a <= X <= b and shape(X) = n, or None when impossible.
-
-    An element sitting in component beta of b and alpha of a may occupy any
-    component of X in [beta, alpha]; filling components in order and always
-    spending the elements with the earliest deadline alpha decides
+    alpha and beta are the row-words of a and b and n a non-negative
+    composition of their common degree; nothing is checked.  An element
+    sitting in component beta_x of b and alpha_x of a may occupy any
+    component of X in [beta_x, alpha_x]; filling components in order and
+    always spending the elements with the earliest deadline alpha_x decides
     feasibility exactly.  Ties break on the element, so the result is
     deterministic.
-    """
-    if a.degree != b.degree:
-        raise ValueError("degree mismatch")
-    d = a.degree
-    n = tuple(n)
-    if len(n) != d or sum(n) != d or not in_M(n):
-        raise ValueError(f"{n} is not a non-negative composition of {d}")
-    word = _assign_words(a.row_word(), b.row_word(), n)
-    return None if word is None else Dissection._trusted(word)
-
-
-def _assign_words(alpha: tuple[int, ...], beta: tuple[int, ...], n: tuple[int, ...]) -> tuple[int, ...] | None:
-    """shape_assignment on row-words, unchecked: the word of X, or None.
-
-    n must be a non-negative composition of the common degree.
     """
     d = len(alpha)
     arrivals: list[list[int]] = [[] for _ in range(d + 1)]
@@ -294,11 +271,6 @@ def _assign_words(alpha: tuple[int, ...], beta: tuple[int, ...], n: tuple[int, .
     return tuple(word)
 
 
-def shape_feasible(a: Dissection, b: Dissection, n: Sequence[int]) -> bool:
-    """Whether the interval [a, b] contains a dissection of shape n."""
-    return shape_assignment(a, b, n) is not None
-
-
 def lift_shape(a: Dissection, b: Dissection, n: Sequence[int]) -> Dissection:
     """The canonical X with a <= X <= b and shape(X) = n.
 
@@ -312,10 +284,10 @@ def lift_shape(a: Dissection, b: Dissection, n: Sequence[int]) -> Dissection:
         raise ValueError("a does not precede b")
     if not in_M(n) or not dominance_leq(a.shape(), n) or not dominance_leq(n, b.shape()):
         raise ValueError(f"target shape {n} outside the dominance interval")
-    out = shape_assignment(a, b, n)
-    if out is None:
+    word = _assign_words(a.row_word(), b.row_word(), n)
+    if word is None:
         raise ValueError(f"no dissection of shape {n} lies between {a} and {b}")
-    return out
+    return Dissection._trusted(word)
 
 
 def raising_moves(a: Dissection, b: Dissection) -> list[tuple[int, int]] | None:
@@ -411,5 +383,6 @@ def is_cover_tabloid(a: Dissection, b: Dissection) -> bool:
         raise ValueError("both arguments must be tabloids")
     if a == b or not leq_dissection(a, b):
         return False
-    lam, mu = a.shape(), b.shape()
-    return not any(shape_feasible(a, b, nu) for nu in shapes_between(lam, mu)[1:-1])  # the ends are mu and lam
+    alpha, beta = a.row_word(), b.row_word()
+    middles = shapes_between(a.shape(), b.shape())[1:-1]  # the ends are mu and lam
+    return all(_assign_words(alpha, beta, nu.parts) is None for nu in middles)

@@ -394,12 +394,6 @@ def orbit_adjacent(a: Orbit, b: Orbit) -> bool:
     return a != b and orbit_leq(a, b)
 
 
-def _index(group: PermGroup, nu: Partition) -> _OrbitIndex:
-    """The index of shape nu's orbit space, read straight from the group memo once built."""
-    space = group._memo.get(("orbit_space", nu))
-    return (orbit_space(group, nu) if space is None else space).index
-
-
 def _cover_test(group: PermGroup, lam: Partition, mu: Partition) -> Callable[[Orbit, Orbit], bool]:
     """The cover test for comparable orbit pairs a < b of shapes lam < mu.
 
@@ -411,7 +405,7 @@ def _cover_test(group: PermGroup, lam: Partition, mu: Partition) -> Callable[[Or
     a are two memoized bitsets, and an orbit lies between exactly when it is
     in both.  The middle indexes are resolved once, when the test is made.
     """
-    middles = [_index(group, nu) for nu in shapes_between(lam, mu)[1:-1]]
+    middles = [orbit_space(group, nu).index for nu in shapes_between(lam, mu)[1:-1]]
     return lambda a, b: not any(ix.under(b) & ix.over(a) for ix in middles)
 
 
@@ -432,7 +426,7 @@ def orbit_interval(a: Orbit, b: Orbit) -> list[Orbit]:
         raise ValueError("a does not precede b in the orbit order")
     out = []
     for lam in shapes_between(a.shape, b.shape):
-        index = _index(a.group, lam)
+        index = orbit_space(a.group, lam).index
         text = f"{index.under(b) & index.over(a):0{len(index.orbits)}b}"
         out.extend(compress(index.orbits, map("1".__eq__, text)))
     return out

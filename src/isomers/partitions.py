@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import accumulate
+from operator import le
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -20,7 +21,6 @@ __all__ = [
     "centralizer_order",
     "common_prefix_len",
     "covers_above",
-    "dominance_cmp",
     "dominance_leq",
     "format_partition",
     "in_M",
@@ -64,14 +64,6 @@ class Partition:
 
     def trimmed(self) -> tuple[int, ...]:
         return self.parts[: len(self.parts) - self.parts.count(0)]  # the zeros are a suffix
-
-    def multiplicities(self) -> tuple[int, ...]:
-        """(m_1, ..., m_d) with m_k the number of parts equal to k."""
-        m = [0] * self.d
-        for k in self.parts:
-            if k > 0:
-                m[k - 1] += 1
-        return tuple(m)
 
     def __iter__(self):
         return iter(self.parts)
@@ -149,29 +141,11 @@ def _check_same_d(l, m):
         raise ValueError(f"length mismatch: {len(l)} vs {len(m)}")
 
 
-def dominance_cmp(l: Sequence[int], m: Sequence[int]) -> str:
-    """Single-scan comparison: 'lt', 'eq', 'gt' or 'incomparable'."""
-    l, m = _parts(l), _parts(m)
-    _check_same_d(l, m)
-    below = above = True
-    sl = sm = 0
-    for a, b in zip(l, m):
-        sl += a
-        sm += b
-        if sl > sm:
-            below = False
-        elif sl < sm:
-            above = False
-        if not (below or above):
-            return "incomparable"
-    if below and above:
-        return "eq"
-    return "lt" if below else "gt"
-
-
 def dominance_leq(l: Sequence[int], m: Sequence[int]) -> bool:
     """True iff every prefix sum of l is at most that of m."""
-    return dominance_cmp(l, m) in ("lt", "eq")
+    l, m = _parts(l), _parts(m)
+    _check_same_d(l, m)
+    return all(map(le, accumulate(l), accumulate(m)))
 
 
 def raising_op(i: int, j: int, l: Sequence[int]) -> tuple[int, ...]:
@@ -270,33 +244,23 @@ def is_cover_partition(lam: Partition, mu: Partition) -> bool:
 
 
 def all_partitions(d: int) -> list[Partition]:
-    """All partitions of d in decreasing lexicographic order."""
+    """All partitions of d in decreasing lexicographic order: the whole dominance interval [1^d, d]."""
     if d < 1:
         raise ValueError("d must be positive")
-    out: list[Partition] = []
-
-    def rec(remaining: int, maxpart: int, acc: list[int]):
-        if remaining == 0:
-            out.append(Partition(acc, d))
-            return
-        for k in range(min(maxpart, remaining), 0, -1):
-            acc.append(k)
-            rec(remaining - k, k, acc)
-            acc.pop()
-
-    rec(d, d, [])
-    return out
+    return list(shapes_between((1,) * d, (d,) + (0,) * (d - 1)))
 
 
 @lru_cache(maxsize=None)
 def shapes_between(lam: Partition | Sequence[int], mu: Partition | Sequence[int]) -> tuple[Partition, ...]:
-    """The closed dominance interval [lam, mu] of partitions, in all_partitions order (cached).
+    """The closed dominance interval [lam, mu] of partitions, in decreasing lexicographic order (cached).
 
-    Empty unless lam <= mu; lam and mu may be Partitions or part tuples.
-    Only partitions whose every prefix sum lies between those of lam and
-    mu are visited, so the cost follows the interval, not all of P_d.
+    Empty unless lam <= mu; lam and mu may be Partitions or part tuples of
+    one length.  Only partitions whose every prefix sum lies between those
+    of lam and mu are visited, so the cost follows the interval, not all of
+    P_d.
     """
     lam, mu = _parts(lam), _parts(mu)
+    _check_same_d(lam, mu)
     d = len(lam)
     lo, hi = tuple(accumulate(lam)), tuple(accumulate(mu))
     out: list[Partition] = []

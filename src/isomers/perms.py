@@ -155,10 +155,6 @@ class Permutation:
     def cycle_type(self) -> Partition:
         return Partition(_cycle_key(self.images), self.degree)
 
-    def cycle_counts(self) -> tuple[int, ...]:
-        """(c_1, ..., c_d) with c_k the number of k-cycles."""
-        return self.cycle_type().multiplicities()
-
     def sign(self) -> int:
         return -1 if (self.degree - len(_cycle_key(self.images))) % 2 else 1
 

@@ -1,5 +1,5 @@
 import hashlib
-import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -464,6 +464,23 @@ class TestContract:
                 with_all.append(info.name)
                 assert [name for name in module.__all__ if not hasattr(module, name)] == [], info.name
         assert {"catalog", "counting", "dissections", "orbits", "partitions", "perms"} <= set(with_all)
+
+    def test_every_traced_name_resolves(self):
+        # perfbench wraps these names by (module, attribute); a deleted or
+        # renamed one would otherwise fail only the traced benchmark run
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        probes = [entry[:2] for entry in spans.SPANNED + spans.COUNTED]
+        missing = []
+        for module, attr in probes:
+            obj = importlib.import_module(f"isomers.{module}")
+            for part in attr.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append((module, attr))
+        assert len(probes) > 20 and missing == []
 
     FLAGS = {
         "count": {"--builtin", "--group-file", "--cap", "--out", "--shape", "--all-shapes", "--chi", "--theta", "--format"},

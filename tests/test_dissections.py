@@ -6,6 +6,7 @@ import pytest
 
 from isomers.dissections import (
     Dissection,
+    _assign_words,
     all_tabloids,
     format_tabloid,
     interval_dissections,
@@ -15,7 +16,6 @@ from isomers.dissections import (
     lift_shape,
     parse_tabloid,
     raise_into,
-    raise_set,
     raising_moves,
     standard_tabloid,
     substitution_chain,
@@ -53,6 +53,18 @@ def random_dissection(rng, d):
     for point in range(1, d + 1):
         comps[rng.randrange(d)].append(point)
     return Dissection(comps)
+
+
+def raise_all(i, xs, a):
+    """raise_into for every element of xs, in order."""
+    for s in xs:
+        a = raise_into(i, s, a)
+    return a
+
+
+def feasible(a, b, n):
+    """Whether the interval [a, b] holds a dissection of shape n, by the earliest-deadline core."""
+    return _assign_words(a.row_word(), b.row_word(), tuple(n)) is not None
 
 
 def comparable_pairs_upto_4():
@@ -183,8 +195,10 @@ class TestRaiseOps:
             assert b.shape() == raising_op(i, j, a.shape())
 
     def test_empty_set_is_identity(self):
+        # no move, or only moves into an element's own or a later component, leave a as it is
         a = T("{1,2}{3,4}", 4)
-        assert raise_set(1, [], a) == a
+        assert raise_all(1, [], a) == a
+        assert raise_all(2, [1, 2, 3, 4], a) == a
 
     def test_set_action_order_free(self):
         rng = random.Random(6)
@@ -195,7 +209,7 @@ class TestRaiseOps:
             i = rng.randint(1, d)
             shuffled = xs[:]
             rng.shuffle(shuffled)
-            assert raise_set(i, xs, a) == raise_set(i, shuffled, a)
+            assert raise_all(i, xs, a) == raise_all(i, shuffled, a)
 
     def test_set_shape_identity(self):
         from isomers.partitions import raising_op
@@ -209,7 +223,7 @@ class TestRaiseOps:
             expected = a.shape()
             for s in xs:
                 expected = raising_op(i, a.component_of(s), expected)
-            assert raise_set(i, xs, a).shape() == expected
+            assert raise_all(i, xs, a).shape() == expected
 
     def test_monotone(self):
         rng = random.Random(8)
@@ -227,8 +241,6 @@ class TestRaiseOps:
         a = T("{1,2}{3}{4}", 4)
         with pytest.raises(ValueError, match="component index"):
             raise_into(i, 3, a)
-        with pytest.raises(ValueError, match="component index"):
-            raise_set(i, [3], a)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_commutation_exhaustive(self, d):
@@ -392,7 +404,6 @@ class TestLiftShape:
             hits += 1
 
     def test_feasibility_matches_raw_enumeration(self):
-        from isomers.dissections import shape_feasible
         rng = random.Random(18)
         hits = 0
         while hits < 60:
@@ -407,13 +418,12 @@ class TestLiftShape:
                 if leq_dissection_raw(a.components, x) and leq_dissection_raw(x, b.components)
             }
             for n in raw_compositions(d):
-                assert shape_feasible(a, b, n) == (n in realizable)
+                assert feasible(a, b, n) == (n in realizable)
 
     def test_feasibility_exhaustive_tabloid_pairs_d5(self):
         # every comparable tabloid pair at five points, every partition:
         # the deadline-driven feasibility decision must match the set of
         # shapes actually present in the raw interval
-        from isomers.dissections import shape_feasible
 
         tabs = sorted({t for lam in all_partitions(5) for t in all_tabloids(lam)})
         n = len(tabs)
@@ -438,34 +448,34 @@ class TestLiftShape:
                         present.add(tabs[k].shape())
                 for nu in shapes:
                     if dominance_leq(a.shape(), nu) and dominance_leq(nu, b.shape()):
-                        assert shape_feasible(a, b, nu) == (nu in present)
+                        assert feasible(a, b, nu) == (nu in present)
                         checked += 1
         assert checked > 10000
 
     def test_known_unreachable_shape(self):
         # the dominance interval admits (1,3,0,0,1) but the dissection
         # interval provably contains no dissection of that shape
-        from isomers.dissections import shape_feasible
 
         a = Dissection([(4,), (), (5,), (), (1, 2, 3)])
         b = Dissection([(3, 4), (1, 2), (5,), (), ()])
         n = (1, 3, 0, 0, 1)
         assert leq_dissection(a, b)
         assert dominance_leq(a.shape(), n) and dominance_leq(n, b.shape())
-        assert not shape_feasible(a, b, n)
+        assert not feasible(a, b, n)
         with pytest.raises(ValueError):
             lift_shape(a, b, n)
 
-    def test_word_core_matches_shape_assignment(self):
+    def test_word_core_matches_lift_shape(self):
         # the unchecked row-word core, which the orbit-cover witness oracle
-        # in oracles.py calls, gives shape_assignment's word, and that word
-        # has shape n inside the raw interval; None means n is absent from
-        # the raw interval
-        from isomers.dissections import _assign_words, shape_assignment
-
+        # in oracles.py calls, gives lift_shape's word, and that word has
+        # shape n inside the raw interval; None, where lift_shape raises,
+        # means n is absent from the raw interval
         def check(a, b, n, realizable):
             word = _assign_words(a.row_word(), b.row_word(), n)
-            x = shape_assignment(a, b, n)
+            try:
+                x = lift_shape(a, b, n)
+            except ValueError:
+                x = None
             assert word == (None if x is None else x.row_word())
             assert (word is not None) == (n in realizable)
             if word is not None:
@@ -510,6 +520,19 @@ class TestLiftShape:
         with pytest.raises(ValueError):
             lift_shape(a, b, (0, 0, 3))
 
+    @pytest.mark.parametrize(
+        "n",
+        [(2, 1), (2, 1, 0, 0), (3, 1, -1), (2, 2, 0), (1, 1, 0)],
+        ids=["short", "long", "negative", "sum_above", "sum_below"],
+    )
+    def test_rejects_malformed_target(self, n):
+        # wrong length, a negative entry, a sum above or below the degree:
+        # the checks before the unchecked core refuse each one
+        a = T("{1}{2}{3}", 3)
+        b = T("{1,2,3}", 3)
+        with pytest.raises(ValueError):
+            lift_shape(a, b, n)
+
 
 class TestIntervalShapes:
     def test_singleton(self):
@@ -524,7 +547,6 @@ class TestIntervalShapes:
     def test_image_is_feasible_part_of_dominance_interval(self):
         # the attained shapes are exactly the feasible members of the
         # dominance interval; the containment can be strict from d=4 up
-        from isomers.dissections import shape_feasible
         rng = random.Random(12)
         hits = 0
         while hits < 60:
@@ -540,20 +562,19 @@ class TestIntervalShapes:
             }
             attained = interval_shapes(a, b)
             assert attained <= interval
-            assert attained == {n for n in interval if shape_feasible(a, b, n)}
+            assert attained == {n for n in interval if feasible(a, b, n)}
 
     def test_tabloid_intervals_have_shape_gaps_from_d5(self):
         # frozen counterexample: the middle partition (3,1,1) sits between
         # the shapes in dominance yet no tabloid of that shape sits between
         # the tabloids, so the pair is a cover across non-adjacent shapes
-        from isomers.dissections import shape_feasible
 
         a = T("{1,2}{3,4}{5}", 5)
         b = T("{1,2,5}{3,4}", 5)
         assert leq_dissection(a, b)
         mid = (3, 1, 1, 0, 0)
         assert dominance_leq(a.shape(), mid) and dominance_leq(mid, b.shape())
-        assert not shape_feasible(a, b, mid)
+        assert not feasible(a, b, mid)
         tabloid_shapes = {x.shape() for x in interval_dissections(a, b) if x.is_tabloid()}
         assert tabloid_shapes == {a.shape(), b.shape()}
         assert is_cover_tabloid(a, b)

@@ -522,6 +522,11 @@ class TestWordComparisonsMatchTranslates:
                     direct = [nu for nu in shapes if leq_composition(lam, nu) and leq_composition(nu, mu)]
                     between = [nu.parts for nu in shapes_between(lam, mu)]
                     assert between == sorted(direct, reverse=True)  # all_partitions order
+        # shapes of different degrees are refused, not read as an interval
+        with pytest.raises(ValueError):
+            shapes_between(Partition([2, 1], 3), Partition([4], 4))
+        with pytest.raises(ValueError):
+            shapes_between(Partition([4], 4), Partition([2, 1], 3))
 
 
 class TestComparablePairs:

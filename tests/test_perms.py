@@ -114,10 +114,6 @@ class TestCycleType:
     def test_identity(self):
         assert Permutation.identity(4).cycle_type().trimmed() == (1, 1, 1, 1)
 
-    def test_counts_match_type(self):
-        p = parse_cycles("(12)(345)", 6)
-        assert p.cycle_counts() == (1, 1, 1, 0, 0, 0)
-
 
 class TestGenerate:
     def test_benzene_order(self):
