@@ -3,8 +3,8 @@
 Four independent routes compute the number of group orbits of tabloids per
 shape (optionally filtered by a character pair): the scalar product of the
 generalized cycle index with a product of complete homogeneous and
-elementary symmetric functions, a conjugacy
-class formula, its unit-character specialization over cycle types, Ruch's
+elementary symmetric functions, a conjugacy class formula (whose
+unit-character case over cycle types is ``count_types``), Ruch's
 double-coset formula, and definitional brute force.  All arithmetic is
 exact: rationals throughout, sums of roots of unity reduced against
 cyclotomic polynomials, so every integrality assertion is sharp.
@@ -48,30 +48,27 @@ __all__ = [
 
 # -- exact root-of-unity sums -------------------------------------------------
 
+def _divmod_monic(num: Sequence, den: Sequence[int]) -> tuple[list, list]:
+    """Quotient and remainder of num by the monic den, coefficients low degree first."""
+    rem, deg = list(num), len(den) - 1
+    quot = [0] * (len(rem) - deg)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = rem[k + deg]
+        if c:
+            for i, dc in enumerate(den):
+                rem[k + i] -= c * dc
+    return quot, rem[:deg]
+
+
 @lru_cache(maxsize=None)
 def _cyclotomic(n: int) -> tuple[int, ...]:
-    """Coefficients (low degree first) of the n-th cyclotomic polynomial."""
-    # divide x^n - 1 by the cyclotomic polynomials of all proper divisors
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    """Coefficients (low degree first) of the n-th cyclotomic polynomial: x^n - 1 divided by every Phi_d, d | n, d < n."""
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
-        if n % d:
-            continue
-        div = [Fraction(c) for c in _cyclotomic(d)]
-        poly = _polydiv_exact(poly, div)
-    assert all(c.denominator == 1 for c in poly)
-    return tuple(int(c) for c in poly)
-
-
-def _polydiv_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    num = list(num)
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1] / den[-1]
-        out[k] = c
-        for i, dc in enumerate(den):
-            num[k + i] -= c * dc
-    assert all(c == 0 for c in num[: len(den) - 1])
-    return out
+        if n % d == 0:
+            poly, rem = _divmod_monic(poly, _cyclotomic(d))
+            assert not any(rem)
+    return tuple(poly)
 
 
 class RootOfUnitySum:
@@ -128,24 +125,18 @@ class RootOfUnitySum:
         return RootOfUnitySum(self.order, {(-e) % self.order: c for e, c in self.coeffs.items()})
 
     def _reduced(self) -> list[Fraction]:
-        phi = _cyclotomic(self.order) if self.order > 1 else (Fraction(-1), Fraction(1))
-        deg = len(phi) - 1
-        rem = [Fraction(0)] * self.order
+        """The coefficients reduced modulo the cyclotomic polynomial, below its degree."""
+        coeffs = [Fraction(0)] * self.order
         for e, c in self.coeffs.items():
-            rem[e] += c
-        for k in range(len(rem) - 1, deg - 1, -1):
-            c = rem[k] / phi[-1]
-            if c:
-                for i, pc in enumerate(phi):
-                    rem[k - deg + i] -= c * pc
-        return rem[:deg] if deg else [Fraction(0)]
+            coeffs[e] += c
+        return _divmod_monic(coeffs, _cyclotomic(self.order))[1]
 
     def as_fraction(self) -> Fraction | None:
         """The rational value, or None when the sum is irrational."""
         red = self._reduced()
-        if any(c != 0 for c in red[1:]):
+        if any(red[1:]):
             return None
-        return red[0] if red else Fraction(0)
+        return red[0]
 
     def __eq__(self, other):
         if not isinstance(other, (RootOfUnitySum, Fraction, int)):
@@ -469,15 +460,20 @@ def build_report(
     chi_label: str = "1",
     theta_label: str = "1",
 ) -> CountReport:
-    """Run every applicable counting route for one shape and compare."""
+    """Run every applicable counting route for one shape and compare.
+
+    In the unit case the class formula is its cycle-type specialization,
+    so its one value fills both columns.
+    """
     unit_case = (chi is None or chi.order == 1) and not any(theta or ())
+    via_classes = count_classes(group, chi, lam, theta)
     return CountReport(
         shape=lam,
         chi_label=chi_label,
         theta_label=theta_label,
         via_scalar=count_scalar(group, chi, lam, theta),
-        via_classes=count_classes(group, chi, lam, theta),
-        via_types=count_types(group, lam) if unit_case else None,
+        via_classes=via_classes,
+        via_types=via_classes if unit_case else None,
         via_ruch=count_ruch(group, lam) if unit_case else None,
         via_brute=count_brute(group, lam, chi, theta),
     )

@@ -333,30 +333,11 @@ def substitution_chain(a: Dissection, b: Dissection) -> list[tuple[int, int]]:
     if pair is None or a == b or not leq_dissection(a, b):
         raise ValueError("shapes are not adjacent with a < b")
     i, j = pair
-    if a.components[: i - 1] != b.components[: i - 1]:
-        raise RuntimeError("prefixes disagree below the raise index")
-    extra = set(b.components[i - 1]) - set(a.components[i - 1])
-    if len(extra) != 1:
-        raise RuntimeError("no single entering element at the raise index")
-    moves: list[tuple[int, int]] = []
-    s = extra.pop()
-    cur_i = i
-    while True:
-        moves.append((cur_i, s))
-        nxt = a.component_of(s)
-        if nxt <= cur_i:
-            raise RuntimeError("element does not move upward")
-        if nxt == j:
-            break
-        leaving = set(b.components[nxt - 1]) - (set(a.components[nxt - 1]) - {s})
-        if len(leaving) != 1:
-            raise RuntimeError("chain step is not a single swap")
-        cur_i, s = nxt, leaving.pop()
-    result = a
-    for i_k, s_k in moves:
-        result = raise_into(i_k, s_k, result)
-    if result != b:
-        raise RuntimeError("substitution chain fails to reach the target")
+    moves = raising_moves(a, b)
+    # each s_k sits in component i_{k+1} of a, so the components strictly increase
+    sources = [i_k for i_k, _ in moves[1:]] + [j]
+    if moves[0][0] != i or any(a.component_of(s) != src for (_, s), src in zip(moves, sources)):
+        raise RuntimeError("the raising moves do not form a chain from i to j")
     return moves
 
 

@@ -8,12 +8,11 @@ distinguished orbit families, in particular the ones holding chiral pairs.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from functools import reduce
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, repeat
 from operator import and_, attrgetter, itemgetter, le, or_
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .dissections import Dissection, tabloid_words
 from .partitions import Partition, dominance_leq, raising_pair, shapes_between
@@ -265,36 +264,39 @@ class OrbitSpace:
         return self.orbits[k]
 
 
-def check_tabloid_cap(shapes: Sequence[Partition]):
-    """Refuse, before any enumeration, a shape with more than TABLOID_CAP tabloids.
+def _tabloids(parts: Iterable[int], d: int) -> int:
+    """The multinomial d!/prod(parts_i!) of parts summing to d, or a partial product past TABLOID_CAP.
 
-    The multinomial d!/prod(lam_i!) is built as a product of binomials, one
-    factor at a time.  The partial products only grow, so the check stops
-    at the first one past the cap and never forms a huge factorial.
+    It is built as a product of binomials, one factor at a time.  The
+    partial products only grow, so it stops at the first one past the cap
+    and never forms a huge factorial.
     """
+    tabloids, left = 1, d
+    for part in parts:
+        k = min(part, left - part)
+        for i in range(1, k + 1):
+            tabloids = tabloids * (left - k + i) // i
+            if tabloids > TABLOID_CAP:
+                return tabloids
+        left -= part
+    return tabloids
+
+
+def check_tabloid_cap(shapes: Sequence[Partition]):
+    """Refuse, before any enumeration, a shape with more than TABLOID_CAP tabloids."""
     for lam in shapes:
-        tabloids, left = 1, lam.d
-        for part in lam.trimmed():
-            k = min(part, left - part)
-            for i in range(1, k + 1):
-                tabloids = tabloids * (left - k + i) // i
-                if tabloids > TABLOID_CAP:
-                    raise CapExceeded(f"shape {lam} has more than {TABLOID_CAP} tabloids, the tabloid cap")
-            left -= part
+        if _tabloids(lam.trimmed(), lam.d) > TABLOID_CAP:
+            raise CapExceeded(f"shape {lam} has more than {TABLOID_CAP} tabloids, the tabloid cap")
 
 
 def check_degree_cap(d: int):
     """Refuse, from the degree alone, a request over every shape of degree d past TABLOID_CAP.
 
     The finest shape 1^d has d! tabloids, the most of any shape of degree
-    d, so it bounds them all.  The factorial stops once it passes the cap,
-    and no d-part partition is built.
+    d, so it bounds them all.  No d-part partition is built.
     """
-    tabloids = 1
-    for k in range(2, d + 1):
-        tabloids *= k
-        if tabloids > TABLOID_CAP:
-            raise CapExceeded(f"shape 1^{d} has more than {TABLOID_CAP} tabloids, the tabloid cap")
+    if _tabloids(repeat(1, d), d) > TABLOID_CAP:
+        raise CapExceeded(f"shape 1^{d} has more than {TABLOID_CAP} tabloids, the tabloid cap")
 
 
 def check_theta_mask(lam: Partition, theta: tuple[bool, ...] | None) -> tuple[bool, ...]:
@@ -432,14 +434,9 @@ def orbit_interval(a: Orbit, b: Orbit) -> list[Orbit]:
     return out
 
 
-def _tabloid_count(lam: Partition) -> int:
-    """The multinomial d!/prod(lam_i!): the number of tabloids of shape lam."""
-    return math.factorial(lam.d) // math.prod(math.factorial(k) for k in lam)
-
-
 def _fewest_orbits(group: PermGroup, lam: Partition) -> int:
     """A lower bound on the orbit count of shape lam: no orbit outgrows the group."""
-    return -(-_tabloid_count(lam) // group.order)
+    return -(-_tabloids(lam.trimmed(), lam.d) // group.order)
 
 
 def orbit_poset(group: PermGroup, shapes: Sequence[Partition]) -> list[tuple[Orbit, Orbit, bool]]:
@@ -454,6 +451,7 @@ def orbit_poset(group: PermGroup, shapes: Sequence[Partition]) -> list[tuple[Orb
     comparable by construction, so its flag is ``_cover_test`` alone, made
     once per shape step.
     """
+    check_tabloid_cap(shapes)  # so the bound below is exact
     steps = [(lam, mu) for lam in shapes for mu in shapes if lam != mu and dominance_leq(lam, mu)]
     bound = sum(_fewest_orbits(group, lam) * _fewest_orbits(group, mu) for lam, mu in steps)
     if bound > POSET_PAIR_CAP:

@@ -9,8 +9,6 @@ import math
 import random
 import time
 
-import pytest
-
 from isomers.catalog import builtin, genetic_diagram, kauffmann_count, korner_relations
 from isomers.counting import build_report, combinatorially_equivalent, count_types, monotonicity_check
 from isomers.dissections import (
@@ -24,7 +22,6 @@ from isomers.dissections import (
 )
 from isomers.orbits import is_character_orbit, orbit_cover, orbit_leq, orbit_space, reaction_pairs, refine
 from isomers.partitions import (
-    Partition,
     adjacent_raising_chain,
     all_partitions,
     covers_above,

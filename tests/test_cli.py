@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.util
 import json
@@ -481,6 +482,26 @@ class TestContract:
             if not callable(obj):
                 missing.append((module, attr))
         assert len(probes) > 20 and missing == []
+
+    def test_every_module_level_import_is_read(self):
+        # an import nothing reads costs start-up time and misstates what a
+        # module depends on; __all__ and the package's re-exports count as reads
+        root = Path(__file__).resolve().parents[1]
+        unread = []
+        for path in sorted([*(root / "src" / "isomers").glob("*.py"), *(root / "tests").glob("*.py")]):
+            tree = ast.parse(path.read_text(), str(path))
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                    read.update(ast.literal_eval(node.value))
+            for node in tree.body:
+                if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read and path.name != "__init__.py":
+                        unread.append(f"{path.relative_to(root)}: {name}")
+        assert unread == []
 
     FLAGS = {
         "count": {"--builtin", "--group-file", "--cap", "--out", "--shape", "--all-shapes", "--chi", "--theta", "--format"},

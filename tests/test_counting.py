@@ -20,8 +20,9 @@ from isomers.counting import (
     monotonicity_check,
     scalar_product,
     young_character_index,
+    _cyclotomic,
 )
-from isomers.partitions import Partition, all_partitions, centralizer_order, dominance_leq, parse_partition
+from isomers.partitions import Partition, all_partitions, centralizer_order, parse_partition
 from isomers.perms import LinearCharacter, generate, linear_characters, parse_cycles
 
 from oracles import monomial_h_coefficient, random_subgroup, restricted_sign_exponent, symmetric_group, young_subgroup
@@ -72,6 +73,19 @@ class TestRootOfUnitySum:
         # a sixth root squared is a cube root
         z6 = RootOfUnitySum.root(1, 6)
         assert (z6 * z6) == RootOfUnitySum.root(1, 3)
+
+    def test_cyclotomic_divisor_product_is_x_to_the_n_minus_1(self):
+        # checks the division without dividing: x^n - 1 is the product of Phi_d over d | n
+        for n in range(1, 31):
+            poly = [1]
+            for d in (d for d in range(1, n + 1) if n % d == 0):
+                phi = _cyclotomic(d)
+                out = [0] * (len(poly) + len(phi) - 1)
+                for i, a in enumerate(poly):
+                    for j, b in enumerate(phi):
+                        out[i + j] += a * b
+                poly = out
+            assert poly == [-1] + [0] * (n - 1) + [1], n
 
 
 class TestCycleIndex:

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
@@ -33,7 +33,6 @@ from oracles import (
     covers_from_leq,
     interval_dissections_raw,
     interval_shapes,
-    leq_composition,
     leq_dissection_raw,
     raise_into_raw,
     random_permutation,
@@ -632,6 +631,18 @@ class TestSubstitutionChain:
                 assert nxt > ci
                 cur = raise_into(ci, cs, cur)
             assert cur == b
+
+    def test_is_raising_moves_exhaustive(self):
+        # every pair of degree <= 4 it accepts: the chain is the pointwise move list
+        accepted = 0
+        for a, b in comparable_pairs_upto_4():
+            try:
+                chain = substitution_chain(a, b)
+            except ValueError:
+                continue
+            accepted += 1
+            assert chain == raising_moves(a, b)
+        assert accepted == 2503
 
     def test_rejects_non_adjacent(self):
         a = T("{1}{2}{3}{4}", 4)

@@ -23,6 +23,8 @@ from isomers.orbits import (
     ChiralEntry,
     Orbit,
     OrbitSpace,
+    check_degree_cap,
+    check_tabloid_cap,
     classify_chiral,
     is_character_orbit,
     orbit_adjacent,
@@ -168,6 +170,18 @@ class TestOrbitSpace:
             orbit_space(w, parse_partition("1^9", 9))
         assert not [key for key in w._memo if key[0] == "orbit_space"]
         assert len(orbit_space(w, parse_partition("5,1^4", 9))) == math.factorial(9) // math.factorial(5)
+
+    def test_degree_cap_is_the_finest_shape_cap(self):
+        for d in range(1, 13):
+            refusals = []
+            for check in (lambda: check_degree_cap(d), lambda: check_tabloid_cap([Partition((1,) * d)])):
+                try:
+                    check()
+                    refusals.append(None)
+                except CapExceeded as exc:
+                    refusals.append(str(exc))
+            assert refusals[0] == refusals[1], d
+            assert (refusals[0] is not None) == (d >= 9), d
 
 
 def _definitional_cases():
@@ -574,6 +588,13 @@ class TestComparablePairs:
         w = generate([], degree=8)
         with pytest.raises(ValueError, match="poset cap"):
             orbit_poset(w, all_partitions(8))
+        assert not [key for key in w._memo if key[0] == "orbit_space"]
+
+    def test_tabloid_cap_refuses_before_building(self):
+        # the pair bound passes, and the shapes under the cap come first
+        w = generate([parse_cycles("(123456789)", 9)])
+        with pytest.raises(CapExceeded, match="tabloid cap"):
+            orbit_poset(w, [parse_partition(s, 9) for s in ("8,1", "9", "1^9")])
         assert not [key for key in w._memo if key[0] == "orbit_space"]
 
 

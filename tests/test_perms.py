@@ -7,7 +7,7 @@ import pytest
 from isomers.counting import young_character_index
 from isomers.dissections import parse_tabloid
 from isomers.orbits import is_character_orbit, orbit_space, stabilizer
-from isomers.partitions import Partition, all_partitions, parse_partition
+from isomers.partitions import parse_partition
 from isomers.perms import (
     CapExceeded,
     PermGroup,
