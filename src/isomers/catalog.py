@@ -319,12 +319,13 @@ def genetic_diagram(spec: SkeletonSpec, shapes: Sequence[Partition] | None = Non
         for space in spaces
         for orbit in space.orbits
     )
+    one_step = {(lam, mu) for lam in shapes for mu in shapes if raising_pair(lam, mu) is not None}
     edges = []
     extras = []
     for a, b, cover in poset:
         if cover:
             edges.append((names[a], names[b]))
-        elif raising_pair(a.shape, b.shape) is not None:
+        elif (a.shape, b.shape) in one_step:
             extras.append((names[a], names[b]))
     return GeneticDiagram(
         skeleton=spec.name,

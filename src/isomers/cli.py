@@ -9,9 +9,9 @@ bad input).
 
 from __future__ import annotations
 
-import argparse
+import os
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 
 from .catalog import BUILTIN_NAMES, SkeletonSpec, builtin, emit_dot, genetic_diagram, json_text
 from .catalog import orbit_listing_json, orbit_names
@@ -33,9 +33,9 @@ class UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
+def _stem(path: str) -> str:
+    """The file name without its last suffix: the skeleton name of a group file."""
+    return os.path.splitext(os.path.basename(path))[0]
 
 
 def load_group_file(path: str, cap: int, check_degree=None) -> PermGroup:
@@ -47,7 +47,8 @@ def load_group_file(path: str, cap: int, check_degree=None) -> PermGroup:
     past a cap 3, then a bad generator 2, then a closure past ``cap`` 3.
     """
     try:
-        lines = Path(path).read_text().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read group file {path}: {exc}") from None
     content = [ln.strip() for ln in lines if ln.strip() and not ln.strip().startswith("#")]
@@ -82,7 +83,7 @@ def resolve_skeleton(args, cap: int, scalar: bool = False) -> tuple[SkeletonSpec
         return spec, resolve_shapes(text, spec.degree, scalar)
     shapes: list[Partition] = []
     group = load_group_file(args.group_file, cap, lambda d: shapes.extend(resolve_shapes(text, d, scalar)))
-    return SkeletonSpec(name=Path(args.group_file).stem, degree=group.degree, group=group), shapes
+    return SkeletonSpec(name=_stem(args.group_file), degree=group.degree, group=group), shapes
 
 
 def resolve_shapes(text: str | None, d: int, scalar: bool = False) -> list[Partition]:
@@ -145,7 +146,8 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
         return
     try:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc}") from None
 
@@ -207,7 +209,7 @@ def cmd_diagram(args) -> int:
 
 def cmd_chiral(args) -> int:
     if args.group_file and not args.builtin:  # a group file gives no extended group, so it is not read
-        raise UsageError(f"skeleton {Path(args.group_file).stem!r} has no stereoisomerism group")
+        raise UsageError(f"skeleton {_stem(args.group_file)!r} has no stereoisomerism group")
     spec, shapes = resolve_skeleton(args, args.cap)
     if spec.extended is None:
         raise UsageError(f"skeleton {spec.name!r} has no stereoisomerism group")
@@ -237,45 +239,162 @@ def cmd_verify(args) -> int:
 
 SHAPE_HELP = "SHAPE[:SHAPE...], each a partition such as 4,2 or 2^2,1^2 (default: every shape of the degree)"
 
+# A flag is (kind, default, metavar, help): kind is str or int for a value,
+# a tuple of choices (the first the default), or bool for a switch.
+SOURCE_FLAGS = {
+    "--builtin": (str, None, "NAME", f"builtin skeleton: {', '.join(BUILTIN_NAMES)}"),
+    "--group-file": (str, None, "PATH", "path to a group-spec text file"),
+    "--cap": (int, DEFAULT_CAP, "N", f"largest group order allowed (closure, builtins; default: {DEFAULT_CAP})"),
+    "--out": (str, None, "PATH", "write output to this path instead of stdout"),
+}
+SHAPE_FLAG = {"--shape": (str, None, "SHAPE", SHAPE_HELP)}
+TEXT_OR_JSON = {"--format": (("text", "json"), "text", "", "output format (default: text)")}
 
-def build_parser() -> _Parser:
-    """Each subcommand gets only the flags its command reads; any other flag is a usage error."""
-    source = _Parser(add_help=False)
-    source.add_argument("--builtin", help=f"builtin skeleton: {', '.join(BUILTIN_NAMES)}")
-    source.add_argument("--group-file", help="path to a group-spec text file")
-    source.add_argument("--cap", type=int, default=DEFAULT_CAP, help="largest group order allowed (closure, builtins)")
-    source.add_argument("--out", help="write output to this path instead of stdout")
-    shape = _Parser(add_help=False)
-    shape.add_argument("--shape", help=SHAPE_HELP)
+# Each subcommand: its run function, its summary and the only flags it takes.
+COMMANDS = {
+    "count": (
+        cmd_count,
+        "count orbits per shape along every route",
+        {
+            **SOURCE_FLAGS,
+            **SHAPE_FLAG,
+            "--all-shapes": (bool, False, "", "report every partition of the degree (the default; not with --shape)"),
+            "--chi": (str, None, "CHI", "character index (0 is the unit) or kernel:<cycles;cycles>"),
+            "--theta": (str, None, "MASK", "0/1 sign mask over the shape's parts"),
+            **TEXT_OR_JSON,
+        },
+    ),
+    "orbits": (cmd_orbits, "list orbit representatives and sizes", {**SOURCE_FLAGS, **SHAPE_FLAG, **TEXT_OR_JSON}),
+    "poset": (cmd_poset, "print comparabilities and covers between orbits", {**SOURCE_FLAGS, **SHAPE_FLAG}),
+    "diagram": (
+        cmd_diagram,
+        "emit the genetic diagram as DOT or JSON",
+        {**SOURCE_FLAGS, **SHAPE_FLAG, "--format": (("dot", "json"), "dot", "", "output format (default: dot)")},
+    ),
+    "chiral": (cmd_chiral, "split extended-group orbits into pairs and singles", {**SOURCE_FLAGS, **SHAPE_FLAG, **TEXT_OR_JSON}),
+    "verify": (cmd_verify, "run the agreement, monotonicity, and cover suites", SOURCE_FLAGS),
+}
+EXCLUSIVE = {"--shape", "--all-shapes"}  # count takes at most one of them
 
-    parser = _Parser(prog="isomers", description="substitution-isomer enumeration from skeleton symmetry groups")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, summary, parents, formats=()):
-        p = sub.add_parser(name, help=summary, parents=parents)
-        p.set_defaults(run=fn)
-        if formats:
-            p.add_argument("--format", default=formats[0], choices=formats)
-        return p
+def _read_option(token: str, names: tuple[str, ...]) -> tuple[str, str | None] | None:
+    """token as (flag, its ``=`` value or None), ("", None) if it is an unknown option, None if it is a value.
 
-    count = command("count", cmd_count, "count orbits per shape along every route", [source], ("text", "json"))
-    shapes = count.add_mutually_exclusive_group()
-    shapes.add_argument("--shape", help=SHAPE_HELP)
-    shapes.add_argument("--all-shapes", action="store_true", help="report every partition of the degree (the default)")
-    count.add_argument("--chi", help="character index (0 is the unit) or kernel:<cycles;cycles>")
-    count.add_argument("--theta", help="0/1 sign mask over the shape's parts")
-    command("orbits", cmd_orbits, "list orbit representatives and sizes", [source, shape], ("text", "json"))
-    command("poset", cmd_poset, "print comparabilities and covers between orbits", [source, shape])
-    command("diagram", cmd_diagram, "emit the genetic diagram as DOT or JSON", [source, shape], ("dot", "json"))
-    command("chiral", cmd_chiral, "split extended-group orbits into pairs and singles", [source, shape], ("text", "json"))
-    command("verify", cmd_verify, "run the agreement, monotonicity, and cover suites", [source])
-    return parser
+    A long flag may be given by any unique prefix, and ``-h`` is
+    ``--help``.  A token starting with '-' is still a value when it is
+    '-' or '--', a negative number or holds a space.
+    """
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    if token.startswith("--"):
+        head, eq, value = token.partition("=")
+        hits = [head] if head in names else [name for name in names if name.startswith(head)]
+        if len(hits) > 1:
+            raise UsageError(f"ambiguous option: {head} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], value if eq else None
+    elif token.startswith("-h"):
+        return "--help", token[2:] or None
+    whole, dot, fraction = token[1:].partition(".")
+    if (whole + fraction).isdecimal() and (fraction or not dot) or " " in token:  # -5, -.5, -2.5
+        return None
+    return "", None
+
+
+def _switch(flag: str, value: str | None, command: str | None):
+    """Refuse a value given to a switch; print the help of command (None: the top level) for --help."""
+    if value is not None:
+        raise UsageError(f"{flag} takes no value, got {value!r}")
+    if flag == "--help":
+        sys.stdout.write(help_text(command))
+        raise SystemExit(EXIT_OK)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command and its flag values, each flag defaulted when not given; the last of a repeated flag wins.
+
+    ``--help`` prints help and exits 0 where it is read, so a mistake
+    before it still wins; any other mistake raises UsageError.  Every
+    token is classified first, so an ambiguous prefix is refused wherever
+    it stands; a token no flag reads is refused only at the end; ``--``
+    ends the flags.  These are argparse's rules: every argv argparse
+    accepted parses to the values it gave (``TestParser``).
+    """
+    stray: list[str] = []
+    for k, token in enumerate(argv):
+        option = _read_option(token, ("--help",))
+        if option is None:
+            command, argv = token, argv[k + 1 :]
+            break
+        if option[0]:
+            _switch(*option, None)
+        stray.append(token)
+    else:
+        raise UsageError(f"a command is required: {', '.join(COMMANDS)}")
+    if command not in COMMANDS:
+        raise UsageError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
+    flags = COMMANDS[command][2]
+    if "--" in argv:
+        cut = argv.index("--")
+        argv, stray = argv[:cut], stray + argv[cut:]
+    options = [_read_option(token, (*flags, "--help")) for token in argv]
+    values = {flag: spec[1] for flag, spec in flags.items()}
+    given = set()
+    k = 0
+    while k < len(argv):
+        option, k = options[k], k + 1
+        if option is None or not option[0]:
+            stray.append(argv[k - 1])
+            continue
+        flag, value = option
+        kind = flags[flag][0] if flag in flags else bool
+        if kind is bool:
+            _switch(flag, value, command)
+            value = True
+        else:
+            if value is None:
+                if k == len(argv) or options[k] is not None:
+                    raise UsageError(f"{flag} expects a value")
+                value, k = argv[k], k + 1
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise UsageError(f"{flag} expects an integer, got {value!r}") from None
+            elif kind is not str and value not in kind:
+                raise UsageError(f"{flag} must be one of {', '.join(kind)}, got {value!r}")
+        given.add(flag)
+        if flag in EXCLUSIVE and EXCLUSIVE <= given:
+            raise UsageError(f"{' and '.join(sorted(EXCLUSIVE))} exclude each other")
+        values[flag] = value
+    if stray:
+        raise UsageError(f"unrecognized arguments: {' '.join(stray)}")
+    return SimpleNamespace(command=command, **{flag[2:].replace("-", "_"): value for flag, value in values.items()})
+
+
+def help_text(command: str | None) -> str:
+    """The help of one subcommand, or of the top level when command is None, from COMMANDS."""
+    if command is None:
+        rows = [(name, summary) for name, (_, summary, _) in COMMANDS.items()]
+        head = "usage: isomers COMMAND [FLAGS]\n\nsubstitution-isomer enumeration from skeleton symmetry groups\n\ncommands:"
+        tail = "\n\n'isomers COMMAND -h' lists the flags of a command.\n"
+    else:
+        _, summary, flags = COMMANDS[command]
+        rows = [("-h, --help", "show this help and exit")]
+        for flag, (kind, _, metavar, text) in flags.items():
+            if isinstance(kind, tuple):
+                metavar = "{" + ",".join(kind) + "}"
+            rows.append((f"{flag} {metavar}".rstrip(), text))
+        head = f"usage: isomers {command} [FLAGS]\n\n{summary}\n\nflags:"
+        tail = "\n"
+    width = max(len(left) for left, _ in rows) + 2
+    return head + "".join(f"\n  {left:<{width}}{text}" for left, text in rows) + tail
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.run(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        return COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return EXIT_USAGE

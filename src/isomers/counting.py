@@ -7,17 +7,18 @@ elementary symmetric functions, a conjugacy class formula (whose
 unit-character case over cycle types is ``count_types``), Ruch's
 double-coset formula, and definitional brute force.  All arithmetic is
 exact: rationals throughout, sums of roots of unity reduced against
-cyclotomic polynomials, so every integrality assertion is sharp.
+cyclotomic polynomials, so every integrality assertion is sharp.  Values
+that are integers stay ints; ``fractions`` is imported only where a route
+divides, so a command that never counts never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product, repeat
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .orbits import _Record, check_theta_mask, is_character_orbit, orbit_space
 from .partitions import (
@@ -27,6 +28,11 @@ from .partitions import (
     dominance_leq,
 )
 from .perms import DEFAULT_CAP, CapExceeded, LinearCharacter, PermGroup
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Rational = int | Fraction
 
 __all__ = [
     "CountReport",
@@ -80,21 +86,21 @@ class RootOfUnitySum:
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs: dict[int, Fraction]):
+    def __init__(self, order: int, coeffs: dict[int, Rational]):
         self.order = order
         self.coeffs = {e % order: c for e, c in coeffs.items() if c != 0}
 
     @classmethod
     def root(cls, exponent: int, order: int) -> "RootOfUnitySum":
-        return cls(order, {exponent % order: Fraction(1)})
+        return cls(order, {exponent % order: 1})
 
     @classmethod
     def of(cls, value) -> "RootOfUnitySum":
         if isinstance(value, RootOfUnitySum):
             return value
-        return cls(1, {0: Fraction(value)})
+        return cls(1, {0: value})
 
-    def _lift(self, order: int) -> dict[int, Fraction]:
+    def _lift(self, order: int) -> dict[int, Rational]:
         step = order // self.order
         return {e * step: c for e, c in self.coeffs.items()}
 
@@ -103,7 +109,7 @@ class RootOfUnitySum:
         n = math.lcm(self.order, other.order)
         coeffs = self._lift(n)
         for e, c in other._lift(n).items():
-            coeffs[e] = coeffs.get(e, Fraction(0)) + c
+            coeffs[e] = coeffs.get(e, 0) + c
         return RootOfUnitySum(n, coeffs)
 
     __radd__ = __add__
@@ -112,11 +118,11 @@ class RootOfUnitySum:
         other = RootOfUnitySum.of(other)
         n = math.lcm(self.order, other.order)
         a, b = self._lift(n), other._lift(n)
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, Rational] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
                 e = (ea + eb) % n
-                coeffs[e] = coeffs.get(e, Fraction(0)) + ca * cb
+                coeffs[e] = coeffs.get(e, 0) + ca * cb
         return RootOfUnitySum(n, coeffs)
 
     __rmul__ = __mul__
@@ -124,14 +130,14 @@ class RootOfUnitySum:
     def conjugate(self) -> "RootOfUnitySum":
         return RootOfUnitySum(self.order, {(-e) % self.order: c for e, c in self.coeffs.items()})
 
-    def _reduced(self) -> list[Fraction]:
+    def _reduced(self) -> list[Rational]:
         """The coefficients reduced modulo the cyclotomic polynomial, below its degree."""
-        coeffs = [Fraction(0)] * self.order
+        coeffs = [0] * self.order
         for e, c in self.coeffs.items():
             coeffs[e] += c
         return _divmod_monic(coeffs, _cyclotomic(self.order))[1]
 
-    def as_fraction(self) -> Fraction | None:
+    def as_fraction(self) -> Rational | None:
         """The rational value, or None when the sum is irrational."""
         red = self._reduced()
         if any(red[1:]):
@@ -139,6 +145,8 @@ class RootOfUnitySum:
         return red[0]
 
     def __eq__(self, other):
+        from fractions import Fraction
+
         if not isinstance(other, (RootOfUnitySum, Fraction, int)):
             return NotImplemented
         diff = self + (RootOfUnitySum.of(other) * -1)
@@ -152,21 +160,21 @@ class RootOfUnitySum:
 
 
 def _char_value(chi: LinearCharacter, perm):
-    """chi's value as Fraction (orders 1, 2) or RootOfUnitySum."""
+    """chi's value as an int (orders 1, 2) or RootOfUnitySum."""
     e = chi.exponent(perm) % chi.order
     if chi.order <= 2:
-        return Fraction(-1) if e else Fraction(1)
+        return -1 if e else 1
     return RootOfUnitySum.root(e, chi.order)
 
 
-def _exactify(value) -> Fraction:
-    """Collapse to a Fraction, failing loudly if irrational."""
+def _exactify(value) -> Rational:
+    """Collapse to an int or Fraction, failing loudly if irrational."""
     if isinstance(value, RootOfUnitySum):
         f = value.as_fraction()
         if f is None:
             raise ArithmeticError(f"value is not rational: {value!r}")
         return f
-    return Fraction(value)
+    return value
 
 
 def _as_count(value) -> int:
@@ -187,18 +195,18 @@ class PowerSumPoly:
 
     __slots__ = ("degree", "coeffs")
 
-    def __init__(self, degree: int, coeffs: dict[tuple[int, ...], Fraction | RootOfUnitySum]):
+    def __init__(self, degree: int, coeffs: dict[tuple[int, ...], Rational | RootOfUnitySum]):
         self.degree = degree
         self.coeffs = {k: v for k, v in coeffs.items() if not _is_zero(v)}
 
     def coefficient(self, key: Sequence[int]):
-        return self.coeffs.get(tuple(sorted((k for k in key if k), reverse=True)), Fraction(0))
+        return self.coeffs.get(tuple(sorted((k for k in key if k), reverse=True)), 0)
 
     def __eq__(self, other):
         if not isinstance(other, PowerSumPoly) or self.degree != other.degree:
             return False
         keys = set(self.coeffs) | set(other.coeffs)
-        return all(_is_zero(self.coeffs.get(k, 0) + other.coeffs.get(k, 0) * Fraction(-1)) for k in keys)
+        return all(_is_zero(self.coeffs.get(k, 0) + other.coeffs.get(k, 0) * -1) for k in keys)
 
     def __repr__(self):
         terms = " + ".join(f"({v})p_{list(k)}" for k, v in sorted(self.coeffs.items()))
@@ -227,6 +235,8 @@ def cycle_index(group: PermGroup, chi: LinearCharacter | None = None) -> PowerSu
         exps = repeat(0) if unit else map(chi.exponent, group.elements)
         for (key, e), c in Counter(zip(group.cycle_keys(), exps)).items():
             tallies.setdefault(key, Counter())[e % n] += c
+        from fractions import Fraction
+
         weight = Fraction(1, group.order)
         index = PowerSumPoly(
             group.degree,
@@ -265,6 +275,8 @@ def check_scalar_cap(shapes: Sequence[Partition]):
 @lru_cache(maxsize=None)
 def _h_or_e(n: int, signed: bool) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
     """h_n, or e_n when signed, in the power-sum basis: sum of (sign of alpha) p_alpha / z_alpha."""
+    from fractions import Fraction
+
     keys = [alpha.trimmed() for alpha in all_partitions(n)]
     return tuple((k, Fraction(_sign_of_type(k, n) if signed else 1, centralizer_order(k))) for k in keys)
 
@@ -279,13 +291,13 @@ def young_character_index(lam: Partition, theta: tuple[bool, ...] | None = None)
     elementary e_n for a masked one.  The group is never built.
     """
     check_scalar_cap([lam])
-    coeffs: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+    coeffs: dict[tuple[int, ...], Rational] = {(): 1}
     for part, masked in zip(lam.trimmed(), check_theta_mask(lam, theta)):
-        nxt: dict[tuple[int, ...], Fraction] = {}
+        nxt: dict[tuple[int, ...], Rational] = {}
         for key, c in coeffs.items():
             for hkey, hc in _h_or_e(part, masked):
                 merged = tuple(sorted(key + hkey, reverse=True))
-                nxt[merged] = nxt.get(merged, Fraction(0)) + c * hc
+                nxt[merged] = nxt.get(merged, 0) + c * hc
         coeffs = nxt
     return PowerSumPoly(lam.d, coeffs)
 
@@ -294,7 +306,7 @@ def scalar_product(f: PowerSumPoly, g: PowerSumPoly):
     """Hall pairing: power sums are orthogonal with norm the centralizer order."""
     if f.degree != g.degree:
         raise ValueError("degree mismatch")
-    total: Fraction | RootOfUnitySum = Fraction(0)
+    total: Rational | RootOfUnitySum = 0
     for key, fv in f.coeffs.items():
         gv = g.coeffs.get(key)
         if gv is None:
@@ -353,6 +365,8 @@ def count_classes(
     common cycle type contributes its class sums weighted by centralizer
     ratios and block signs.
     """
+    from fractions import Fraction
+
     d = group.degree
     if lam.d != d:
         raise ValueError("shape degree differs from group degree")
@@ -369,10 +383,10 @@ def count_classes(
         if not splits:
             continue
         if chi is None or chi.order == 1:
-            class_sum: Fraction | RootOfUnitySum = Fraction(type_count)
+            class_sum: Rational | RootOfUnitySum = type_count
         else:
             in_type = (cls for cls in group.classes if cls.cycle_type.trimmed() == census_key)
-            class_sum = sum((_char_value(chi, cls.representative) * len(cls) for cls in in_type), Fraction(0))
+            class_sum = sum(_char_value(chi, cls.representative) * len(cls) for cls in in_type)
         z_alpha = centralizer_order(census_key)
         for split in splits:
             ratio = Fraction(z_alpha, math.prod(centralizer_order(b) for b in split))
@@ -388,12 +402,14 @@ def count_types(group: PermGroup, lam: Partition) -> int:
 
 def count_ruch(group: PermGroup, lam: Partition) -> int:
     """Double-coset count over cycle types shared with the Young subgroup."""
+    from fractions import Fraction
+
     d = group.degree
     if lam.d != d:
         raise ValueError("shape degree differs from group degree")
     blocks = lam.trimmed()
     young_order = math.prod(math.factorial(k) for k in blocks)
-    total = Fraction(0)
+    total = 0
     for key, w_count in group.cycle_type_census().items():
         young_count = 0
         for split in _split_multiset(key, blocks):

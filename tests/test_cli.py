@@ -443,17 +443,27 @@ class TestDeterminism:
 
 class TestContract:
     def test_import_loads_no_dataclasses_inspect_or_json(self):
-        # compared against the interpreter's start set, so a site hook that
-        # loads one of these modules does not fail the test
+        # a bare interpreter (no site, so no site hook loads anything) imports
+        # the CLI, then runs the argv through main; stderr's last line is the
+        # modules the import added and whether fractions is loaded at exit
         probe = (
-            "import sys; before = set(sys.modules); import isomers.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before)))"
+            "import sys; before = set(sys.modules); import isomers.cli; added = sorted(set(sys.modules) - before); "
+            "code = isomers.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+            "print((code, added, 'fractions' in sys.modules), file=sys.stderr)"
         )
-        src = str(Path(isomers.cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        env = {**os.environ, "PYTHONPATH": str(Path(isomers.cli.__file__).resolve().parents[1])}
+
+        def request(*argv):
+            done = subprocess.run([sys.executable, "-S", "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60)
+            return ast.literal_eval(done.stderr.splitlines()[-1])
+
+        code, added, fractions = request()
+        unused = {"argparse", "gettext", "locale", "fractions", "decimal", "numbers", "json", "dataclasses", "inspect", "pathlib"}
+        assert code == 0 and unused.isdisjoint(added) and not fractions
+        probed = {"catalog", "cli", "counting", "dissections", "orbits", "perms", "verify"}  # perfbench's spans
+        assert {f"isomers.{name}" for name in probed} <= set(added)
+        assert request("poset", "--builtin", "ethene") == (0, added, False)
+        assert request("count", "--builtin", "ethene", "--shape", "2,2") == (0, added, True)
 
     def test_every_all_name_resolves(self):
         # a name left in __all__ after its definition is gone would otherwise
@@ -555,6 +565,138 @@ class TestContract:
         for argv in examples:
             code, _, err = run(capsys, *argv[1:])
             assert code == 0, (argv, err)
+
+
+# Recorded from the argparse parser the table-driven one replaced: the values
+# of each command given no flags, then argv with the values that differ from
+# those, or the exit code.  Long flags take a unique prefix and ``=value``, the
+# last of a repeated flag wins and a negative number is a value.
+PARSE_SOURCE = {"builtin": None, "group_file": None, "cap": 100000, "out": None}
+PARSE_DEFAULTS = {
+    "count": {
+        "command": "count",
+        **PARSE_SOURCE,
+        "format": "text",
+        "shape": None,
+        "all_shapes": False,
+        "chi": None,
+        "theta": None,
+    },
+    "orbits": {"command": "orbits", **PARSE_SOURCE, "shape": None, "format": "text"},
+    "poset": {"command": "poset", **PARSE_SOURCE, "shape": None},
+    "diagram": {"command": "diagram", **PARSE_SOURCE, "shape": None, "format": "dot"},
+    "chiral": {"command": "chiral", **PARSE_SOURCE, "shape": None, "format": "text"},
+    "verify": {"command": "verify", **PARSE_SOURCE},
+}
+PARSE_TABLE = [
+    # accepted: the values that differ from PARSE_DEFAULTS
+    (("count", "--builtin", "benzene"), {"builtin": "benzene"}),
+    (("count", "--builtin=benzene", "--shape=4,2"), {"builtin": "benzene", "shape": "4,2"}),
+    (
+        ("count", "--bui", "benzene", "--sh", "4,2", "--fo", "json"),
+        {"builtin": "benzene", "format": "json", "shape": "4,2"},
+    ),
+    (
+        ("count", "--bui=benzene", "--gr=g.grp", "--ca=7", "--o=x"),
+        {"builtin": "benzene", "group_file": "g.grp", "cap": 7, "out": "x"},
+    ),
+    (("count", "--builtin", "benzene", "--builtin", "ethene"), {"builtin": "ethene"}),
+    (("count", "--builtin", "ethene", "--shape", "4", "--shape", "2,2"), {"builtin": "ethene", "shape": "2,2"}),
+    (("count", "--builtin", "ethene", "--all-shapes", "--all-shapes"), {"builtin": "ethene", "all_shapes": True}),
+    (("count", "--builtin", "ethene", "--al"), {"builtin": "ethene", "all_shapes": True}),
+    (("count", "--builtin", "ethene", "--format", "json", "--format", "text"), {"builtin": "ethene"}),
+    (("count", "--group-file", "g.grp", "--cap", "-5"), {"group_file": "g.grp", "cap": -5}),
+    (("count", "--builtin", "ethene", "--chi", "-1"), {"builtin": "ethene", "chi": "-1"}),
+    (("count", "--builtin", "ethene", "--chi", "-.5"), {"builtin": "ethene", "chi": "-.5"}),
+    (("count", "--builtin", "ethene", "--chi", "-2.5"), {"builtin": "ethene", "chi": "-2.5"}),
+    (("count", "--builtin", "ethene", "--chi", "-a b"), {"builtin": "ethene", "chi": "-a b"}),
+    (("count", "--builtin", "-"), {"builtin": "-"}),
+    (("count", "--builtin="), {"builtin": ""}),
+    (("count", "--shape=--x"), {"shape": "--x"}),
+    (("count", "--shape=4=2"), {"shape": "4=2"}),
+    (("count", "--cap", " 7 "), {"cap": 7}),
+    (("count", "--cap", "1_0"), {"cap": 10}),
+    (("count", "--cap", "+3"), {"cap": 3}),
+    (("count", "--cap=-12"), {"cap": -12}),
+    (
+        ("count", "--builtin", "ethene", "--theta", "10", "--chi", "kernel:(12)(34)", "--out", "x.txt"),
+        {"builtin": "ethene", "out": "x.txt", "chi": "kernel:(12)(34)", "theta": "10"},
+    ),
+    (("count",), {}),
+    (("orbits", "--builtin", "ethene", "--format", "json"), {"builtin": "ethene", "format": "json"}),
+    (("orbits", "--builtin", "ethene", "--s", "2^2"), {"builtin": "ethene", "shape": "2^2"}),
+    (("poset", "--builtin", "ethene", "--shape", "2^2:3,1"), {"builtin": "ethene", "shape": "2^2:3,1"}),
+    (("diagram", "--builtin", "ethene"), {"builtin": "ethene"}),
+    (("diagram", "--builtin", "ethene", "--form=json"), {"builtin": "ethene", "format": "json"}),
+    (("chiral", "--builtin", "ethene", "--f", "text"), {"builtin": "ethene"}),
+    (("verify", "--builtin", "ethene", "--cap", "0"), {"builtin": "ethene", "cap": 0}),
+    (("verify", "--g", "x.grp", "--o", "out", "--c", "9"), {"group_file": "x.grp", "cap": 9, "out": "out"}),
+    # refused: exit 2 with error[usage]
+    ((), 2),
+    (("bogus",), 2),
+    (("cou",), 2),
+    (("--builtin", "ethene", "count"), 2),
+    (("count", "extra"), 2),
+    (("orbits", "--builtin", "ethene", "--chi", "1"), 2),
+    (("verify", "--builtin", "ethene", "--shape", "4"), 2),
+    (("poset", "--builtin", "ethene", "--format", "json"), 2),
+    (("count", "--builtin"), 2),
+    (("count", "--builtin", "--shape", "4"), 2),
+    (("count", "--format", "xml"), 2),
+    (("count", "--format", "JSON"), 2),
+    (("diagram", "--format", "text"), 2),
+    (("count", "--cap", "abc"), 2),
+    (("count", "--cap", "1.5"), 2),
+    (("count", "--cap", ""), 2),
+    (("count", "--cap", "-0x1"), 2),
+    (("count", "--chi", "-1e5"), 2),
+    (("count", "--shape", "4", "--all-shapes"), 2),
+    (("count", "--all-shapes", "--shape", "4"), 2),
+    (("count", "--c", "5"), 2),
+    (("count", "--all-shapes=yes"), 2),
+    (("count", "--all-shapes="), 2),
+    (("count", "-x"), 2),
+    (("count", "-b", "ethene"), 2),
+    (("count", "--builtin", "ethene", "--"), 2),
+    (("count", "--", "--builtin", "ethene"), 2),
+    (("count", "--builtin", "--", "ethene"), 2),
+    (("--", "count"), 2),
+    (("count", "--help=x"), 2),
+    (("count", "-h=x"), 2),
+    (("count", "--shape", "4", "--all-shapes", "-h"), 2),
+    (("count", "--cap", "x", "-h"), 2),
+    (("count", "--builtin", "-h"), 2),
+    (("count", "-h", "--c", "5"), 2),
+    (("bogus", "-h"), 2),
+    (("--bogus", "count"), 2),
+    # help: exit 0, whatever follows the help flag; a usage error before it still wins
+    (("-h",), 0),
+    (("--help",), 0),
+    (("--he",), 0),
+    (("-h", "count"), 0),
+    (("-h", "bogus"), 0),
+    (("count", "-h"), 0),
+    (("count", "--h"), 0),
+    (("verify", "--he"), 0),
+    (("count", "--builtin", "ethene", "-h"), 0),
+    (("count", "--bogus", "-h"), 0),
+    (("count", "-h", "--shape", "4", "--all-shapes"), 0),
+    (("count", "-h", "--cap", "x"), 0),
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv,expected", PARSE_TABLE, ids=[" ".join(argv) or "(none)" for argv, _ in PARSE_TABLE])
+    def test_parses_as_argparse_did(self, capsys, argv, expected):
+        if isinstance(expected, dict):
+            assert vars(isomers.cli.parse_args(list(argv))) == {**PARSE_DEFAULTS[argv[0]], **expected}
+        elif expected == 0:
+            with pytest.raises(SystemExit) as stop:
+                main(list(argv))
+            assert stop.value.code == 0 and capsys.readouterr().out.startswith("usage: isomers")
+        else:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "") and err.startswith("error[usage]:")
 
 
 GROUP_FILES = {
