@@ -10,7 +10,7 @@ edges and the remaining one-step-shape comparabilities as dashed extras.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .dissections import Dissection, parse_tabloid, tabloid_formatter
 from .orbits import (

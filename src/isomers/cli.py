@@ -3,12 +3,23 @@
 Deterministic by construction: identical invocations produce byte-identical
 output.  Each subcommand takes only the flags it reads.  Errors go to stderr
 with an ``error[<code>]:`` prefix; exit codes are 0 (ok), 1 (verification
-failure), 2 (usage), 3 (resource cap) and 4 (internal error: a bug, never
-bad input).
+failure), 2 (usage, a failed write of the output included), 3 (resource
+cap) and 4 (internal error: a bug, never bad input).
+
+``main(argv)`` runs one request and returns its exit code; tests and library
+callers call it in process.  ``run()`` is the process entry of ``python -m
+isomers.cli`` and of the ``isomers`` script.  A request is one short-lived
+process, so ``run()`` turns the cyclic collector off, calls ``main()``, runs
+the exit handlers, flushes stdout and stderr and ends the process with
+``os._exit``, skipping module teardown and the final collections.  Under a
+tracer or profiler (cProfile, trace, coverage) it exits the normal way, so
+their reports still print.
 """
 
 from __future__ import annotations
 
+import atexit
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -142,14 +153,16 @@ def resolve_theta(args, lam: Partition) -> tuple[tuple[bool, ...] | None, str]:
 
 
 def _emit(text: str, out: str | None):
-    if not out:
-        sys.stdout.write(text)
-        return
+    """Write text to the file out, or to stdout and flush it, so a failed write is a usage error raised here."""
     try:
+        if not out:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
         with open(out, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write {out}: {exc}") from None
+        raise UsageError(f"cannot write {out or '<stdout>'}: {exc}") from None
 
 
 def cmd_count(args) -> int:
@@ -306,7 +319,7 @@ def _switch(flag: str, value: str | None, command: str | None):
     if value is not None:
         raise UsageError(f"{flag} takes no value, got {value!r}")
     if flag == "--help":
-        sys.stdout.write(help_text(command))
+        _emit(help_text(command), None)
         raise SystemExit(EXIT_OK)
 
 
@@ -406,5 +419,32 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
+def run():
+    """Run main() as a one-shot process and end it, without interpreter teardown unless traced.
+
+    A SystemExit from main() (``--help``) gives the exit code and stderr
+    that ``sys.exit`` would.  The exit handlers run and the streams are
+    flushed in the order the interpreter's own shutdown uses.  When that
+    flush fails after main() returned 0, the failure is news: the process
+    exits the normal way, and the interpreter's flush reports it.  After a
+    non-zero code main() has already said what went wrong.
+    """
+    gc.disable()
+    try:
+        code = main()
+    except SystemExit as stop:
+        code = stop.code
+    if not isinstance(code, int) or sys.gettrace() is not None or sys.getprofile() is not None:
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # a stream that is None, failing or closed
+        if code == EXIT_OK:
+            sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import product, repeat
-from typing import TYPE_CHECKING, Sequence
 
 from .orbits import _Record, check_theta_mask, is_character_orbit, orbit_space
 from .partitions import (
@@ -28,11 +28,6 @@ from .partitions import (
     dominance_leq,
 )
 from .perms import DEFAULT_CAP, CapExceeded, LinearCharacter, PermGroup
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-    Rational = int | Fraction
 
 __all__ = [
     "CountReport",
@@ -86,7 +81,7 @@ class RootOfUnitySum:
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs: dict[int, Rational]):
+    def __init__(self, order: int, coeffs: dict[int, int | Fraction]):
         self.order = order
         self.coeffs = {e % order: c for e, c in coeffs.items() if c != 0}
 
@@ -100,7 +95,7 @@ class RootOfUnitySum:
             return value
         return cls(1, {0: value})
 
-    def _lift(self, order: int) -> dict[int, Rational]:
+    def _lift(self, order: int) -> dict[int, int | Fraction]:
         step = order // self.order
         return {e * step: c for e, c in self.coeffs.items()}
 
@@ -118,7 +113,7 @@ class RootOfUnitySum:
         other = RootOfUnitySum.of(other)
         n = math.lcm(self.order, other.order)
         a, b = self._lift(n), other._lift(n)
-        coeffs: dict[int, Rational] = {}
+        coeffs: dict[int, int | Fraction] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
                 e = (ea + eb) % n
@@ -130,14 +125,14 @@ class RootOfUnitySum:
     def conjugate(self) -> "RootOfUnitySum":
         return RootOfUnitySum(self.order, {(-e) % self.order: c for e, c in self.coeffs.items()})
 
-    def _reduced(self) -> list[Rational]:
+    def _reduced(self) -> list[int | Fraction]:
         """The coefficients reduced modulo the cyclotomic polynomial, below its degree."""
         coeffs = [0] * self.order
         for e, c in self.coeffs.items():
             coeffs[e] += c
         return _divmod_monic(coeffs, _cyclotomic(self.order))[1]
 
-    def as_fraction(self) -> Rational | None:
+    def as_fraction(self) -> int | Fraction | None:
         """The rational value, or None when the sum is irrational."""
         red = self._reduced()
         if any(red[1:]):
@@ -167,7 +162,7 @@ def _char_value(chi: LinearCharacter, perm):
     return RootOfUnitySum.root(e, chi.order)
 
 
-def _exactify(value) -> Rational:
+def _exactify(value) -> int | Fraction:
     """Collapse to an int or Fraction, failing loudly if irrational."""
     if isinstance(value, RootOfUnitySum):
         f = value.as_fraction()
@@ -195,7 +190,7 @@ class PowerSumPoly:
 
     __slots__ = ("degree", "coeffs")
 
-    def __init__(self, degree: int, coeffs: dict[tuple[int, ...], Rational | RootOfUnitySum]):
+    def __init__(self, degree: int, coeffs: dict[tuple[int, ...], int | Fraction | RootOfUnitySum]):
         self.degree = degree
         self.coeffs = {k: v for k, v in coeffs.items() if not _is_zero(v)}
 
@@ -291,9 +286,9 @@ def young_character_index(lam: Partition, theta: tuple[bool, ...] | None = None)
     elementary e_n for a masked one.  The group is never built.
     """
     check_scalar_cap([lam])
-    coeffs: dict[tuple[int, ...], Rational] = {(): 1}
+    coeffs: dict[tuple[int, ...], int | Fraction] = {(): 1}
     for part, masked in zip(lam.trimmed(), check_theta_mask(lam, theta)):
-        nxt: dict[tuple[int, ...], Rational] = {}
+        nxt: dict[tuple[int, ...], int | Fraction] = {}
         for key, c in coeffs.items():
             for hkey, hc in _h_or_e(part, masked):
                 merged = tuple(sorted(key + hkey, reverse=True))
@@ -306,7 +301,7 @@ def scalar_product(f: PowerSumPoly, g: PowerSumPoly):
     """Hall pairing: power sums are orthogonal with norm the centralizer order."""
     if f.degree != g.degree:
         raise ValueError("degree mismatch")
-    total: Rational | RootOfUnitySum = 0
+    total: int | Fraction | RootOfUnitySum = 0
     for key, fv in f.coeffs.items():
         gv = g.coeffs.get(key)
         if gv is None:
@@ -383,7 +378,7 @@ def count_classes(
         if not splits:
             continue
         if chi is None or chi.order == 1:
-            class_sum: Rational | RootOfUnitySum = type_count
+            class_sum: int | Fraction | RootOfUnitySum = type_count
         else:
             in_type = (cls for cls in group.classes if cls.cycle_type.trimmed() == census_key)
             class_sum = sum(_char_value(chi, cls.representative) * len(cls) for cls in in_type)

@@ -17,10 +17,10 @@ intervals and raising moves are pointwise readings of that product.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 from itertools import combinations, product
 from operator import itemgetter, le
-from typing import Callable, Iterable, Sequence
 
 from .partitions import Partition, dominance_leq, in_M, raising_pair, shapes_between
 from .perms import Permutation, _gather

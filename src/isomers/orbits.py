@@ -9,10 +9,10 @@ distinguished orbit families, in particular the ones holding chiral pairs.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import reduce
 from itertools import accumulate, chain, compress, repeat
 from operator import and_, attrgetter, itemgetter, le, or_
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .dissections import Dissection, tabloid_words
 from .partitions import Partition, dominance_leq, raising_pair, shapes_between

@@ -9,10 +9,10 @@ coordinates.  All operator indices are 1-based.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import accumulate
 from operator import le
-from typing import Iterable, Sequence
 
 __all__ = [
     "Partition",

@@ -12,8 +12,8 @@ import itertools
 import math
 import re
 from collections import Counter
+from collections.abc import Callable, Iterable, Sequence
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Sequence
 
 from .partitions import Partition
 
@@ -227,9 +227,9 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(generators)
         self.elements = tuple(sorted(elements, key=_images))
-        self._element_set = frozenset(self.elements)
+        self._element_set = frozenset(map(_images, self.elements))  # image tuples, which hash in C
         self._memo: dict = {}  # per-group scratch cache (hash, cycle keys, classes, Cayley walk, gathers, orbit spaces)
-        if Permutation.identity(degree) not in self._element_set:
+        if tuple(range(1, degree + 1)) not in self._element_set:
             raise ValueError("element list lacks the identity")
 
     @property
@@ -237,7 +237,7 @@ class PermGroup:
         return len(self.elements)
 
     def __contains__(self, p: Permutation) -> bool:
-        return p in self._element_set
+        return p.images in self._element_set
 
     def __iter__(self):
         return iter(self.elements)
@@ -361,12 +361,12 @@ class LinearCharacter:
     """A homomorphism from a group into the roots of unity.
 
     Values are exp(2*pi*i*e/order) with the exponent e kept exactly, one
-    per element in ``table``.
+    per element in ``table``, keyed by the element's images.
     """
 
     __slots__ = ("group", "order", "_table", "_cycle_index")
 
-    def __init__(self, group: PermGroup, order: int, table: dict[Permutation, int]):
+    def __init__(self, group: PermGroup, order: int, table: dict[tuple[int, ...], int]):
         self.group = group
         self.order = order
         self._table = table
@@ -374,7 +374,7 @@ class LinearCharacter:
 
     def exponent(self, perm: Permutation) -> int:
         try:
-            return self._table[perm]
+            return self._table[perm.images]
         except KeyError:
             raise ValueError(f"{perm} outside the character's domain") from None
 
@@ -449,7 +449,7 @@ def linear_characters(group: PermGroup) -> list[LinearCharacter]:
         else:
             common = math.gcd(n, *exps)
             values = [exps[k] for k in at]
-            table = dict(zip(group.elements, [e // common for e in values]))
+            table = dict(zip(map(_images, group.elements), [e // common for e in values]))
             found.append((values, LinearCharacter(group, n // common, table)))
     found.sort(key=itemgetter(0))
     return [chi for _, chi in found]
@@ -464,5 +464,5 @@ def relative_sign_character(big: PermGroup, small: PermGroup) -> LinearCharacter
         raise ValueError("small is not a subgroup of big")
     if big.order != 2 * small.order:
         raise ValueError(f"index is {big.order}/{small.order}, need exactly 2")
-    table = {g: (0 if g in small else 1) for g in big.elements}
+    table = {g: (0 if g in small._element_set else 1) for g in map(_images, big.elements)}
     return LinearCharacter(big, 2, table=table)

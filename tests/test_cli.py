@@ -1,4 +1,5 @@
 import ast
+import errno
 import hashlib
 import importlib.util
 import json
@@ -21,12 +22,19 @@ from isomers.dissections import Dissection
 from isomers.verify import VerifyResult
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = str(Path(isomers.cli.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def spawn(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter on args, importing from src, its stdout block-buffered (PYTHONUNBUFFERED unset)."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, *args], env={**env, "PYTHONPATH": SRC}, capture_output=True, timeout=120)
 
 
 class TestCount:
@@ -344,6 +352,71 @@ class TestNoMemberObjects:
         assert Dissection.parse("{1}{2}") == Dissection._trusted((1, 2)) and len(built) == 2  # the hooks count
 
 
+class TestProcessEntry:
+    """``run()``, the process entry, ends the process with ``os._exit``: what a normal exit gives, it must still give.
+
+    Each request is a fresh interpreter with block-buffered stdout, so
+    output left in a buffer at the exit would be lost.
+    """
+
+    LISTING = ("orbits", "--builtin", "naphthalene", "--shape", "2,1^6", "--format", "json")
+
+    def test_listing_past_the_pipe_buffer_as_in_process(self, capsys, tmp_path):
+        _, out, _ = run(capsys, *self.LISTING)
+        assert len(out) > 1_000_000
+        piped = spawn("-m", "isomers.cli", *self.LISTING)
+        assert (piped.returncode, piped.stdout, piped.stderr) == (0, out.encode(), b"")
+        target = tmp_path / "listing.json"
+        written = spawn("-m", "isomers.cli", *self.LISTING, "--out", str(target))
+        assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+        assert target.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize(
+        "argv,planted,expected",
+        [
+            (("count", "--builtin", "benzene", "--shape", "4,2"), False, 0),
+            (("verify", "--builtin", "ethene"), True, 1),
+            (("count", "--builtin", "bogus"), False, 2),
+            (("count", "--builtin", "benzene", "--cap", "11"), False, 3),
+            (("count", "--help"), False, 0),
+        ],
+        ids=["ok", "verify-failure", "usage", "cap", "help"],
+    )
+    def test_exit_code_and_streams_as_in_process(self, capsys, monkeypatch, argv, planted, expected):
+        plant = "isomers.cli.verify_skeleton = lambda spec: VerifyResult(['FAIL planted'], 1)"
+        entry = f"import isomers.cli; from isomers.verify import VerifyResult; {plant if planted else 'pass'}; isomers.cli.run()"
+        done = spawn("-c", entry, *argv)
+        if planted:
+            monkeypatch.setattr(isomers.cli, "verify_skeleton", lambda spec: VerifyResult(["FAIL planted"], 1))
+        try:
+            code = main(list(argv))
+        except SystemExit as stop:  # --help
+            code = stop.code
+        out, err = capsys.readouterr()
+        assert code == expected
+        assert (done.returncode, done.stdout.decode(), done.stderr.decode()) == (code, out, err)
+
+    def test_system_exit_message_as_sys_exit(self):
+        done = spawn("-c", "import sys, isomers.cli; isomers.cli.main = lambda: sys.exit('stopped'); isomers.cli.run()")
+        assert (done.returncode, done.stdout, done.stderr) == (1, b"", b"stopped\n")
+
+    def test_profiler_still_reports(self, capsys):
+        _, out, _ = run(capsys, "poset", "--builtin", "ethene")
+        done = spawn("-m", "cProfile", "-m", "isomers.cli", "poset", "--builtin", "ethene")
+        assert done.returncode == 0 and done.stdout.startswith(out.encode())
+        assert b" function calls " in done.stdout and b"Ordered by: " in done.stdout
+
+    def test_exit_handler_runs_with_collection_off(self):
+        entry = "import atexit, gc, isomers.cli; atexit.register(lambda: print('handler, gc on:', gc.isenabled())); isomers.cli.run()"
+        done = spawn("-c", entry, "poset", "--builtin", "ethene", "--shape", "4")
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"handler, gc on: False\n", b"")
+
+    def test_main_keeps_collection_on(self):
+        entry = "import gc, sys, isomers.cli; code = isomers.cli.main(sys.argv[1:]); print(gc.isenabled(), code)"
+        done = spawn("-c", entry, "poset", "--builtin", "ethene", "--shape", "4")
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"True 0\n", b"")
+
+
 class TestPoset:
     def test_korner_slice(self, capsys):
         code, out, _ = run(capsys, "poset", "--builtin", "benzene", "--shape", "3^2:4,2")
@@ -451,7 +524,7 @@ class TestContract:
             "code = isomers.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
             "print((code, added, 'fractions' in sys.modules), file=sys.stderr)"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(isomers.cli.__file__).resolve().parents[1])}
+        env = {**os.environ, "PYTHONPATH": SRC}
 
         def request(*argv):
             done = subprocess.run([sys.executable, "-S", "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60)
@@ -459,6 +532,7 @@ class TestContract:
 
         code, added, fractions = request()
         unused = {"argparse", "gettext", "locale", "fractions", "decimal", "numbers", "json", "dataclasses", "inspect", "pathlib"}
+        unused.add("typing")  # annotation names come from collections.abc
         assert code == 0 and unused.isdisjoint(added) and not fractions
         probed = {"catalog", "cli", "counting", "dissections", "orbits", "perms", "verify"}  # perfbench's spans
         assert {f"isomers.{name}" for name in probed} <= set(added)
@@ -557,6 +631,24 @@ class TestContract:
         code, out, err = run(capsys, "orbits", "--builtin", "ethene", "--out", str(target))
         assert code == 2 and out == ""
         assert err.startswith(f"error[usage]: cannot write {target}")
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize("argv", [("count", "--builtin", "benzene", "--shape", "4,2"), ("count", "--help")])
+    def test_failed_stdout_is_usage(self, capsys, monkeypatch, argv, failing):
+        # a full disk on stdout is reported like one under --out, not as a bug
+        class FullStdout:
+            def write(self, text):
+                if failing == "write":
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return len(text)
+
+            def flush(self):
+                if failing == "flush":
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        code = main(list(argv))
+        assert (code, capsys.readouterr().err) == (2, "error[usage]: cannot write <stdout>: [Errno 28] No space left on device\n")
 
     def test_readme_examples_run(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)

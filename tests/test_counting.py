@@ -144,7 +144,7 @@ class TestCompleteHomogeneous:
                 blocks = [range(end - part + 1, end + 1) for part, end in zip(lam.trimmed(), ends)]
                 for mask in iproduct((False, True), repeat=len(blocks)):
                     table = {
-                        p: sum(restricted_sign_exponent(p.images, b) for b, flag in zip(blocks, mask) if flag) % 2
+                        p.images: sum(restricted_sign_exponent(p.images, b) for b, flag in zip(blocks, mask) if flag) % 2
                         for p in group.elements
                     }
                     weighted = cycle_index(group, LinearCharacter(group, 2, table))
