@@ -10,7 +10,7 @@ edges and the remaining one-step-shape comparabilities as dashed extras.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .dissections import Dissection, parse_tabloid, tabloid_formatter
 from .orbits import (
@@ -33,10 +33,12 @@ __all__ = [
     "builtin",
     "emit_dot",
     "genetic_diagram",
+    "json_chunks",
     "json_text",
     "kauffmann_count",
     "korner_relations",
     "orbit_listing_json",
+    "orbit_listing_text",
     "orbit_names",
 ]
 
@@ -210,20 +212,62 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def json_chunks(items: Iterable) -> Iterator[str]:
+    """What json_text writes of the list of items, one chunk per item."""
+    head = "[\n"
+    for item in items:
+        yield head + "  " + json_text(item)[:-1].replace("\n", "\n  ")
+        head = ",\n"
+    yield "[]\n" if head == "[\n" else "\n]\n"
+
+
+def _json_string(text: str) -> str:
+    """text as the JSON string json_text writes: quoted here when no character of it needs an escape.
+
+    Orbit names and shape texts are such strings, so a listing of them
+    never loads ``json``; any other string goes through its encoder.
+    """
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(text)
+
+
+# One listing object; a member text holds only digits, braces and commas, so
+# the template and the separator between members quote the member texts.
 _ORBIT_JSON = (
-    '  {\n    "members": [\n      %s\n    ],\n    "name": %s,\n    "representative": %s,\n    "shape": %s,\n    "size": %d\n  }'
+    '  {\n    "members": [\n      "%s"\n    ],\n    "name": %s,\n    "representative": "%s",\n    "shape": %s,\n    "size": %d\n  }'
 )
+_MEMBER_SEP = '",\n      "'
 
 
-def orbit_listing_json(rows: Iterable[tuple[str, Orbit]]) -> str:
-    """What json_text writes of one listing object per (name, orbit) row, built from row-words in that fixed layout."""
-    from json.encoder import encode_basestring_ascii as quote
-
-    items = []
+def orbit_listing_text(rows: Iterable[tuple[str, Orbit]]) -> Iterator[str]:
+    """One line per (name, orbit) row: the name, the size and the representative; one formatter per run of one shape."""
+    shape = None
     for name, orbit in rows:
-        members = list(map(quote, map(tabloid_formatter(orbit.shape), orbit.words)))
-        items.append(_ORBIT_JSON % (",\n      ".join(members), quote(name), members[0], quote(str(orbit.shape)), orbit.size))
-    return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
+        if orbit.shape is not shape:
+            shape, text = orbit.shape, tabloid_formatter(orbit.shape)
+        yield f"{name:>14}  size={orbit.size:<4} rep={text(orbit.words[0])}\n"
+
+
+def orbit_listing_json(rows: Iterable[tuple[str, Orbit]]) -> Iterator[str]:
+    """What json_text writes of one listing object per (name, orbit) row, one chunk per orbit.
+
+    Each chunk is built from the members' readings in that fixed layout;
+    the formatter and the quoted shape text are made once per run of rows
+    with one shape.
+    """
+    shape = None
+    head = "[\n"
+    for name, orbit in rows:
+        if orbit.shape is not shape:
+            shape = orbit.shape
+            text, shape_json = tabloid_formatter(shape), _json_string(str(shape))
+        members = list(map(text, orbit.words))
+        yield head + _ORBIT_JSON % (_MEMBER_SEP.join(members), _json_string(name), members[0], shape_json, len(members))
+        head = ",\n"
+    yield "[]\n" if shape is None else "\n]\n"
 
 
 class DiagramNode(_Record):

@@ -22,10 +22,11 @@ import atexit
 import gc
 import os
 import sys
+from collections.abc import Iterable
 from types import SimpleNamespace
 
-from .catalog import BUILTIN_NAMES, SkeletonSpec, builtin, emit_dot, genetic_diagram, json_text
-from .catalog import orbit_listing_json, orbit_names
+from .catalog import BUILTIN_NAMES, SkeletonSpec, builtin, emit_dot, genetic_diagram, json_chunks, json_text
+from .catalog import orbit_listing_json, orbit_listing_text, orbit_names
 from .counting import build_report, check_scalar_cap
 from .dissections import tabloid_formatter
 from .orbits import check_degree_cap, check_tabloid_cap, classify_chiral, orbit_poset, orbit_space
@@ -152,15 +153,24 @@ def resolve_theta(args, lam: Partition) -> tuple[tuple[bool, ...] | None, str]:
     return tuple(ch == "1" for ch in mask_text), mask_text
 
 
-def _emit(text: str, out: str | None):
-    """Write text to the file out, or to stdout and flush it, so a failed write is a usage error raised here."""
+def _emit(chunks: Iterable[str], out: str | None):
+    """Write the chunks, each as it is made, to the file out, or to stdout and flush it.
+
+    A failed write, or a closed stdout, is a usage error raised here.  The
+    chunks are made only while they are written, so every refusal of a
+    request comes before its first chunk.
+    """
     try:
-        if not out:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+        if out:
+            with open(out, "w") as fh:
+                fh.writelines(chunks)
             return
-        with open(out, "w") as fh:
-            fh.write(text)
+        if sys.stdout is None:
+            raise UsageError("cannot write <stdout>: stdout is closed")
+        write = sys.stdout.write
+        for chunk in chunks:
+            write(chunk)
+        sys.stdout.flush()
     except OSError as exc:
         raise UsageError(f"cannot write {out or '<stdout>'}: {exc}") from None
 
@@ -174,7 +184,7 @@ def cmd_count(args) -> int:
         theta, theta_label = resolve_theta(args, lam)
         reports.append(build_report(group, lam, chi, theta, chi_label, theta_label))
     if args.format == "json":
-        _emit(json_text([r.to_json_dict() for r in reports]), args.out)
+        _emit((json_text([r.to_json_dict() for r in reports]),), args.out)
     else:
         lines = []
         for r in reports:
@@ -183,7 +193,7 @@ def cmd_count(args) -> int:
                 routes += f" types={r.via_types} ruch={r.via_ruch}"
             routes += f" brute={r.via_brute}"
             lines.append(f"{format_partition(r.shape):>12}  n={r.via_scalar}  [{routes}]  {'ok' if r.agree else 'MISMATCH'}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(("\n".join(lines) + "\n",), args.out)
     return EXIT_OK if all(r.agree for r in reports) else EXIT_VERIFY
 
 
@@ -194,11 +204,7 @@ def cmd_orbits(args) -> int:
         space = orbit_space(spec.group, lam)
         names = orbit_names(space, spec.letters)
         named.extend((names[orbit], orbit) for orbit in space)
-    if args.format == "json":
-        _emit(orbit_listing_json(named), args.out)
-    else:
-        lines = [f"{nm:>14}  size={orbit.size:<4} rep={tabloid_formatter(orbit.shape)(orbit.words[0])}" for nm, orbit in named]
-        _emit("\n".join(lines) + "\n", args.out)
+    _emit(orbit_listing_json(named) if args.format == "json" else orbit_listing_text(named), args.out)
     return EXIT_OK
 
 
@@ -209,14 +215,14 @@ def cmd_poset(args) -> int:
     for lam in {orbit.shape for a, b, _ in poset for orbit in (a, b)}:
         names.update(orbit_names(orbit_space(spec.group, lam), spec.letters))
     lines = sorted(f"{names[a]} < {names[b]}  [{'cover' if cover else 'comparable'}]" for a, b, cover in poset)
-    _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
+    _emit(("\n".join(lines) + ("\n" if lines else ""),), args.out)
     return EXIT_OK
 
 
 def cmd_diagram(args) -> int:
     spec, shapes = resolve_skeleton(args, args.cap)
     diagram = genetic_diagram(spec, shapes)
-    _emit(diagram.to_json() if args.format == "json" else emit_dot(diagram), args.out)
+    _emit((diagram.to_json() if args.format == "json" else emit_dot(diagram),), args.out)
     return EXIT_OK
 
 
@@ -226,27 +232,29 @@ def cmd_chiral(args) -> int:
     spec, shapes = resolve_skeleton(args, args.cap)
     if spec.extended is None:
         raise UsageError(f"skeleton {spec.name!r} has no stereoisomerism group")
-    lines = []
-    payload = []
-    for lam in shapes:
-        report = classify_chiral(spec.group, spec.extended, lam)
-        text = tabloid_formatter(lam)
-        for entry in report.entries:
-            kind = "pair" if entry.is_pair else "single"
-            reps = [text(o.words[0]) for o in entry.fine_orbits]
-            lines.append(f"{format_partition(lam):>12}  {kind:<6} chi_e={'1' if entry.chi_e_orbit else '0'}  [{', '.join(reps)}]")
-            payload.append({"shape": str(lam), "kind": kind, "chi_e_orbit": entry.chi_e_orbit, "orbits": reps})
+
+    def entries():  # per coarse orbit, shape by shape: its shape, kind, chi_e flag and fine representatives
+        for lam in shapes:
+            text = tabloid_formatter(lam)
+            for entry in classify_chiral(spec.group, spec.extended, lam).entries:
+                yield lam, "pair" if entry.is_pair else "single", entry.chi_e_orbit, [text(o.words[0]) for o in entry.fine_orbits]
+
     if args.format == "json":
-        _emit(json_text(payload), args.out)
+        rows = ({"shape": str(lam), "kind": kind, "chi_e_orbit": chi_e, "orbits": reps} for lam, kind, chi_e, reps in entries())
+        _emit(json_chunks(rows), args.out)
     else:
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = (
+            f"{format_partition(lam):>12}  {kind:<6} chi_e={'1' if chi_e else '0'}  [{', '.join(reps)}]\n"
+            for lam, kind, chi_e, reps in entries()
+        )
+        _emit(rows, args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     spec, _ = resolve_skeleton(args, args.cap)
     result = verify_skeleton(spec)
-    _emit("\n".join(result.lines) + "\n", args.out)
+    _emit(("\n".join(result.lines) + "\n",), args.out)
     return EXIT_OK if result.ok else EXIT_VERIFY
 
 
@@ -319,7 +327,7 @@ def _switch(flag: str, value: str | None, command: str | None):
     if value is not None:
         raise UsageError(f"{flag} takes no value, got {value!r}")
     if flag == "--help":
-        _emit(help_text(command), None)
+        _emit((help_text(command),), None)
         raise SystemExit(EXIT_OK)
 
 

@@ -5,7 +5,10 @@ shape (optionally filtered by a character pair): the scalar product of the
 generalized cycle index with a product of complete homogeneous and
 elementary symmetric functions, a conjugacy class formula (whose
 unit-character case over cycle types is ``count_types``), Ruch's
-double-coset formula, and definitional brute force.  All arithmetic is
+double-coset formula, and definitional brute force.  The brute route
+walks the shape's tabloids in their one numbering, the walk that forms an
+orbit space; in the unit case it counts the orbits the walk closes and
+forms none, or reads a space the group has memoized.  All arithmetic is
 exact: rationals throughout, sums of roots of unity reduced against
 cyclotomic polynomials, so every integrality assertion is sharp.  Values
 that are integers stay ints; ``fractions`` is imported only where a route
@@ -20,7 +23,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from itertools import product, repeat
 
-from .orbits import _Record, check_theta_mask, is_character_orbit, orbit_space
+from .orbits import _Record, _orbit_positions, check_theta_mask, is_character_orbit, orbit_space
 from .partitions import (
     Partition,
     all_partitions,
@@ -425,11 +428,18 @@ def count_brute(
     chi: LinearCharacter | None = None,
     theta: tuple[bool, ...] | None = None,
 ) -> int:
-    """Definitional count: enumerate tabloids, form orbits, filter by characters."""
-    space = orbit_space(group, lam)
+    """Definitional count: enumerate tabloids, form orbits, filter by characters.
+
+    The unit case (no chi, no theta) reads the orbit space when the group
+    has it memoized; otherwise it counts the orbits of the traversal that
+    forms one, ``_orbit_positions``, and keeps nothing: no member words, no
+    ``Orbit`` and no memoized space.  A character pair is tested on each
+    orbit of the (memoized) space.
+    """
     if chi is None and theta is None:
-        return len(space)
-    return sum(1 for orbit in space if is_character_orbit(orbit, chi, theta))
+        space = group._memo.get(("orbit_space", lam))
+        return len(space) if space is not None else sum(1 for _ in _orbit_positions(group, lam)[1])
+    return sum(1 for orbit in orbit_space(group, lam) if is_character_orbit(orbit, chi, theta))
 
 
 # -- cross-validation and order properties ------------------------------------

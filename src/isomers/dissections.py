@@ -13,6 +13,15 @@ beta_x <= alpha_x at every point x: each prefix union of a lies in that of
 b when no point sits later in b than in a.  Dissections under dominance
 are thus the product of d chains, one per point, and dominance, covers,
 intervals and raising moves are pointwise readings of that product.
+
+The tabloids of one shape have one numbering, canonical order, cached per
+shape: ``tabloid_words`` lists their row-words and ``tabloid_positions``
+maps a word to its number.  Orbit spaces are formed and counted over those
+numbers.  Texts come from a second form, the reading: a tabloid's points
+component by component, each component ascending, which is the order its
+brace text prints them.  ``tabloid_formatter`` builds a shape's readings
+in the same order, fills one template per shape with them and sorts
+nothing; they live as long as the formatter.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ __all__ = [
     "standard_tabloid",
     "substitution_chain",
     "tabloid_formatter",
+    "tabloid_positions",
     "tabloid_words",
 ]
 
@@ -167,6 +177,13 @@ def tabloid_words(lam: Partition) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def tabloid_positions(lam: Partition) -> dict[tuple[int, ...], int]:
+    """Each row-word of ``tabloid_words(lam)`` with its position there: the shape's one numbering, cached per shape."""
+    words = tabloid_words(lam)
+    return dict(zip(words, range(len(words))))
+
+
+@lru_cache(maxsize=None)
 def _shape_words(sizes: tuple[int, ...], first: int) -> tuple[tuple[int, ...], ...]:
     """Row-words of the tabloids whose components, labelled first, first + 1, ..., have these sizes.
 
@@ -191,16 +208,44 @@ def _shape_words(sizes: tuple[int, ...], first: int) -> tuple[tuple[int, ...], .
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+def _shape_readings(sizes: tuple[int, ...], labels: tuple) -> list[tuple]:
+    """The reading of each tabloid of these sizes, in the canonical order of ``_shape_words``, in labels.
+
+    A reading lists a tabloid's points component by component, each
+    component ascending: the order ``format_tabloid`` prints them.  Point x
+    is written labels[x - 1]: its text for a formatter, its 0-based index
+    inside the recursion.  The walk over the combinations is that of the
+    words: the chosen points come first, then a reading of the shape
+    without its first part, whose points are the ones left, in ascending
+    order.  One gather per tail reading, made once, reads the points left
+    and the chosen ones off a tuple holding them in that order.  Nothing is
+    cached: the tails cost a fraction of the shape, and a shape's readings
+    live only as long as its formatter.
+    """
+    d = sum(sizes)
+    if len(sizes) <= 1:
+        return [labels]
+    rest = d - sizes[0]
+    gathers = [itemgetter(*range(rest, d), *r) for r in _shape_readings(sizes[1:], tuple(range(rest)))]
+    out: list[tuple] = []
+    for chosen in combinations(range(d), sizes[0]):
+        points = tuple(map(labels.__getitem__, (*sorted(set(range(d)).difference(chosen)), *chosen)))
+        out.extend([gather(points) for gather in gathers])
+    return out
+
+
 def tabloid_formatter(lam: Partition) -> Callable[[tuple[int, ...]], str]:
     """A function from the row-word of a tabloid of shape lam to its format_tabloid text; builds no Dissection.
 
-    A stable sort of the points by component lists the components in order,
-    so one template with lam[k] fields per component formats them all.
+    The text is one template, lam[k] fields per component, filled with the
+    tabloid's reading in point texts, found at the word's position in the
+    shape's numbering.  The readings of every tabloid of lam are built
+    here and held by the function, so make one per shape listed.  A word
+    that is no tabloid of shape lam raises KeyError.
     """
-    points = range(1, lam.d + 1)
-    template = "".join("{" + ",".join(["%d"] * k) + "}" for k in lam.parts)
-    return lambda w: template % tuple(sorted(points, key=((0,) + w).__getitem__))
+    template = "".join("{" + ",".join(["%s"] * k) + "}" for k in lam.parts)
+    at, readings = tabloid_positions(lam), _shape_readings(lam.trimmed(), tuple(map(str, range(1, lam.d + 1))))
+    return lambda w: template % readings[at[w]]
 
 
 def all_tabloids(lam: Partition) -> list[Dissection]:

@@ -9,12 +9,12 @@ distinguished orbit families, in particular the ones holding chiral pairs.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from functools import reduce
 from itertools import accumulate, chain, compress, repeat
 from operator import and_, attrgetter, itemgetter, le, or_
 
-from .dissections import Dissection, tabloid_words
+from .dissections import Dissection, tabloid_positions, tabloid_words
 from .partitions import Partition, dominance_leq, raising_pair, shapes_between
 from .perms import CapExceeded, LinearCharacter, PermGroup, Permutation, _close, _gather, _generated, relative_sign_character
 
@@ -321,40 +321,52 @@ def _getters(group: PermGroup) -> tuple[Callable[[tuple[int, ...]], tuple[int, .
     return getters
 
 
-def orbit_space(group: PermGroup, lam: Partition) -> OrbitSpace:
-    """Partition the tabloids of shape lam into group orbits (memoized).
+def _orbit_positions(group: PermGroup, lam: Partition) -> tuple[tuple[tuple[int, ...], ...], Iterator[Collection[int]]]:
+    """The tabloid words of shape lam, and a generator of each orbit's positions among them, unsorted.
 
-    Tabloids are row-words on this path, numbered in canonical order.  A
-    group element g sends the word w to the word w∘g.  The first tabloid
-    not yet placed is the least of its orbit, so orbits come out in
-    representative order with sorted members.  No member dissection is
-    built here: an orbit holds the word tuples of ``tabloid_words``, and a
-    member is wrapped around its word only when asked for.  Each orbit is
-    its first word sent through every element (|G| gathers per orbit, at
-    least |G| * ceil(N / |G|) for N tabloids) or, when fewer, walked along
-    generators known to generate (their count per word).
+    Tabloids are row-words on this path, numbered in canonical order
+    (``tabloid_positions``).  A group element g sends the word w to the
+    word w∘g.  The first tabloid not yet placed is the least of its orbit,
+    so orbits come out in representative order.  Each orbit is its first
+    word sent through every element (|G| gathers per orbit, at least
+    |G| * ceil(N / |G|) for N tabloids) or, when fewer, walked along
+    generators known to generate (their count per word).  The degree and
+    the tabloid cap are checked before any tabloid is enumerated.
     """
     if lam.d != group.degree:
         raise ValueError("shape degree differs from group degree")
-    cached = group._memo.get(("orbit_space", lam))
-    if cached is not None:
-        return cached
     check_tabloid_cap([lam])
-    words = tabloid_words(lam)
-    index = dict(zip(words, range(len(words))))
+    words, index = tabloid_words(lam), tabloid_positions(lam)
     gens, n = group.generators, len(words)
     walk = _generated(group) and len(gens) * n < group.order * -(-n // group.order)
     steps = [_gather(g.images) for g in gens] if walk else _getters(group)
-    placed = bytearray(n)
-    orbits = []
-    for k, w in enumerate(words):
-        if placed[k]:
-            continue
-        at = sorted(map(index.__getitem__, _close(w, steps)) if walk else {index[get(w)] for get in steps})
-        for j in at:
-            placed[j] = 1
-        orbits.append(Orbit(group, lam, tuple(map(words.__getitem__, at))))
-    space = OrbitSpace(group, lam, tuple(orbits))
+
+    def runs() -> Iterator[Collection[int]]:
+        placed = bytearray(n)
+        for k, w in enumerate(words):
+            if placed[k]:
+                continue
+            at = list(map(index.__getitem__, _close(w, steps))) if walk else {index[get(w)] for get in steps}
+            for j in at:
+                placed[j] = 1
+            yield at
+
+    return words, runs()
+
+
+def orbit_space(group: PermGroup, lam: Partition) -> OrbitSpace:
+    """Partition the tabloids of shape lam into group orbits (memoized).
+
+    The orbits are those of ``_orbit_positions``, in its order.  No member
+    dissection is built here: an orbit holds the word tuples of
+    ``tabloid_words`` at its positions, sorted, and a member is wrapped
+    around its word only when asked for.
+    """
+    cached = group._memo.get(("orbit_space", lam))
+    if cached is not None:
+        return cached
+    words, runs = _orbit_positions(group, lam)
+    space = OrbitSpace(group, lam, tuple(Orbit(group, lam, tuple(map(words.__getitem__, sorted(at)))) for at in runs))
     group._memo[("orbit_space", lam)] = space
     return space
 

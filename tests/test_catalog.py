@@ -10,6 +10,7 @@ from isomers.catalog import (
     builtin,
     emit_dot,
     genetic_diagram,
+    json_chunks,
     json_text,
     kauffmann_count,
     korner_relations,
@@ -119,6 +120,21 @@ class TestOrbitNames:
         assert names[:3] == ["a_(2,1^3)", "b_(2,1^3)", "c_(2,1^3)"]
         assert names[25:28] == ["z_(2,1^3)", "o26_(2,1^3)", "o27_(2,1^3)"]
         assert names[-1] == "o59_(2,1^3)"
+
+    def test_names_need_no_json_escape(self):
+        # the JSON listing quotes names itself: every builtin letter and every
+        # generated name (past the alphabet too) is one JSON writes unescaped
+        import json
+
+        names = ["o26_(2,1^3)", "o59_(2,1^3)"]
+        for name in BUILTIN_NAMES:
+            spec = builtin(name)
+            for group, letters in [(spec.group, spec.letters), (spec.structural, spec.structural_letters)]:
+                names += [letter for pairs in (letters or {}).values() for letter, _ in pairs]
+                if group is not None:
+                    names += [n for lam in all_partitions(spec.degree) for n in orbit_names(orbit_space(group, lam), letters).values()]
+        assert len(names) > 10_000
+        assert [name for name in names if json.dumps(name) != '"' + name + '"'] == []
 
     def test_two_letters_on_one_orbit(self):
         spec = builtin("benzene")
@@ -312,7 +328,7 @@ class TestOrbitListingJson:
     """orbit_listing_json writes byte for byte what json_text writes of the dict payload."""
 
     def check(self, rows):
-        assert orbit_listing_json(rows) == json_text(listing_payload(rows))
+        assert "".join(orbit_listing_json(rows)) == json_text(listing_payload(rows))
 
     @pytest.mark.parametrize("name", ["ethene", "benzene"])
     def test_builtin_shapes_alone_and_together(self, name):
@@ -336,6 +352,14 @@ class TestOrbitListingJson:
 
     def test_empty(self):
         self.check([])
+
+
+@pytest.mark.parametrize(
+    "items",
+    [[], [{}], [{"b": [], "a": [1, "x\u00e9"]}, {"orbits": ["{1}{2}"], "kind": "pair", "flag": True}], [[1, [2, {}]], "s", None]],
+)
+def test_json_chunks_join_to_json_text(items):
+    assert "".join(json_chunks(items)) == json_text(items)
 
 
 class TestBenzeneDiagram:

@@ -522,7 +522,7 @@ class TestContract:
         probe = (
             "import sys; before = set(sys.modules); import isomers.cli; added = sorted(set(sys.modules) - before); "
             "code = isomers.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
-            "print((code, added, 'fractions' in sys.modules), file=sys.stderr)"
+            "print((code, added, 'fractions' in sys.modules, 'json' in sys.modules), file=sys.stderr)"
         )
         env = {**os.environ, "PYTHONPATH": SRC}
 
@@ -530,14 +530,16 @@ class TestContract:
             done = subprocess.run([sys.executable, "-S", "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60)
             return ast.literal_eval(done.stderr.splitlines()[-1])
 
-        code, added, fractions = request()
+        code, added, fractions, json_loaded = request()
         unused = {"argparse", "gettext", "locale", "fractions", "decimal", "numbers", "json", "dataclasses", "inspect", "pathlib"}
         unused.add("typing")  # annotation names come from collections.abc
-        assert code == 0 and unused.isdisjoint(added) and not fractions
+        assert code == 0 and unused.isdisjoint(added) and not fractions and not json_loaded
         probed = {"catalog", "cli", "counting", "dissections", "orbits", "perms", "verify"}  # perfbench's spans
         assert {f"isomers.{name}" for name in probed} <= set(added)
-        assert request("poset", "--builtin", "ethene") == (0, added, False)
-        assert request("count", "--builtin", "ethene", "--shape", "2,2") == (0, added, True)
+        assert request("poset", "--builtin", "ethene") == (0, added, False, False)
+        assert request("count", "--builtin", "ethene", "--shape", "2,2") == (0, added, True, False)
+        # a JSON orbit listing quotes its names and shape texts itself
+        assert request("orbits", "--builtin", "ethene", "--format", "json") == (0, added, False, False)
 
     def test_every_all_name_resolves(self):
         # a name left in __all__ after its definition is gone would otherwise
@@ -631,6 +633,37 @@ class TestContract:
         code, out, err = run(capsys, "orbits", "--builtin", "ethene", "--out", str(target))
         assert code == 2 and out == ""
         assert err.startswith(f"error[usage]: cannot write {target}")
+
+    @pytest.mark.parametrize("argv", [("count", "--builtin", "benzene", "--shape", "4,2"), ("count", "--help")])
+    def test_closed_stdout_is_usage(self, capsys, monkeypatch, argv):
+        # a process started with stdout closed has sys.stdout None
+        monkeypatch.setattr(sys, "stdout", None)
+        code = main(list(argv))
+        assert (code, capsys.readouterr().err) == (2, "error[usage]: cannot write <stdout>: stdout is closed\n")
+
+    @pytest.mark.parametrize(
+        "argv,chunks",
+        [
+            (("orbits", "--builtin", "benzene"), 144),  # one line per orbit
+            (("orbits", "--builtin", "benzene", "--format", "json"), 145),  # one object per orbit, then the close
+            (("chiral", "--builtin", "ethene"), 14),  # one line per coarse orbit
+            (("chiral", "--builtin", "ethene", "--format", "json"), 15),
+        ],
+    )
+    def test_listings_stream(self, capsys, monkeypatch, argv, chunks):
+        # each orbit's text is written as it is made, and the chunks are the whole output
+        whole = run(capsys, *argv)[1]
+        writes = []
+
+        class Recorder:
+            write = writes.append
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(list(argv)) == 0
+        assert len(writes) == chunks and "".join(writes) == whole
 
     @pytest.mark.parametrize("failing", ["write", "flush"])
     @pytest.mark.parametrize("argv", [("count", "--builtin", "benzene", "--shape", "4,2"), ("count", "--help")])

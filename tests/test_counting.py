@@ -22,6 +22,7 @@ from isomers.counting import (
     young_character_index,
     _cyclotomic,
 )
+from isomers.orbits import orbit_space
 from isomers.partitions import Partition, all_partitions, centralizer_order, parse_partition
 from isomers.perms import LinearCharacter, generate, linear_characters, parse_cycles
 
@@ -311,6 +312,39 @@ class TestCountBrute:
         w = generate([], degree=11)
         with pytest.raises(ValueError):
             count_brute(w, Partition((1,) * 11))
+
+    @staticmethod
+    def unit_groups():
+        """Fresh groups: the three builtins' and small cyclic, dihedral and trivial ones."""
+        from isomers.catalog import BUILTIN_NAMES, builtin
+
+        groups = [builtin(name).group for name in BUILTIN_NAMES]
+        for d in (3, 4, 5, 6):
+            cycle = "(" + "".join(map(str, range(1, d + 1))) + ")"
+            flip = "".join(f"({i}{d + 1 - i})" for i in range(1, d // 2 + 1))
+            groups += [generate([parse_cycles(cycle, d)]), generate([parse_cycles(cycle, d), parse_cycles(flip, d)])]
+            groups.append(generate([], degree=d))
+        return groups
+
+    def test_unit_count_is_the_space_length(self):
+        # counted on a fresh group, with no memoized space, and then formed
+        for w in self.unit_groups():
+            for lam in all_partitions(w.degree):
+                n = count_brute(w, lam)
+                assert ("orbit_space", lam) not in w._memo
+                assert n == len(orbit_space(w, lam)), (w, lam)
+
+    def test_unit_count_reads_a_memoized_space(self, monkeypatch):
+        import isomers.counting
+
+        w = hexagon_group()
+        spaces = {lam: orbit_space(w, lam) for lam in all_partitions(6)}
+
+        def walked(*args):
+            raise AssertionError("a memoized space was traversed again")
+
+        monkeypatch.setattr(isomers.counting, "_orbit_positions", walked)
+        assert [count_brute(w, lam) for lam in spaces] == list(map(len, spaces.values()))
 
 
 class TestFourWayAgreement:

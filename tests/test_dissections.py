@@ -762,11 +762,18 @@ class TestTextFormat:
             assert parse_tabloid(format_tabloid(a), d) == a
 
     def test_formatter_matches_format_tabloid(self):
-        # every tabloid of every shape of degree 0-6, formatted from its row-word alone
-        for d in range(0, 7):
-            for lam in all_partitions(d) if d else [Partition(())]:
-                tabs = all_tabloids(lam)
-                assert [tabloid_formatter(lam)(t.row_word()) for t in tabs] == list(map(format_tabloid, tabs))
+        # every tabloid of every shape of degree 0-8, formatted from its row-word
+        # alone; two-digit points on the shapes of degree 10-12 with at most
+        # 5,000 tabloids (all of them under TABLOID_CAP would be 1.7 million)
+        shapes = [lam for d in range(1, 9) for lam in all_partitions(d)] + [Partition(())]
+        shapes += [
+            lam for d in (10, 11, 12) for lam in all_partitions(d) if math.factorial(d) // math.prod(map(math.factorial, lam.parts)) <= 5000
+        ]
+        for lam in shapes:
+            tabs = all_tabloids(lam)
+            text = tabloid_formatter(lam)
+            assert [text(t.row_word()) for t in tabs] == list(map(format_tabloid, tabs)), lam
+        assert len([lam for lam in shapes if lam.d >= 10]) == 44
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

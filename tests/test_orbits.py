@@ -171,6 +171,21 @@ class TestOrbitSpace:
         assert not [key for key in w._memo if key[0] == "orbit_space"]
         assert len(orbit_space(w, parse_partition("5,1^4", 9))) == math.factorial(9) // math.factorial(5)
 
+    def test_refusals_come_before_enumeration(self, monkeypatch):
+        # the degree and the tabloid cap are read off the shape, for a space and a unit count alike
+        import isomers.orbits
+
+        def enumerated(lam):
+            raise AssertionError("tabloids enumerated")
+
+        monkeypatch.setattr(isomers.orbits, "tabloid_words", enumerated)
+        w = generate([], degree=9)
+        for refuse in (orbit_space, count_brute):
+            with pytest.raises(CapExceeded, match="tabloid cap"):
+                refuse(w, parse_partition("1^9", 9))
+            with pytest.raises(ValueError, match="degree"):
+                refuse(w, parse_partition("1^8", 8))
+
     def test_degree_cap_is_the_finest_shape_cap(self):
         for d in range(1, 13):
             refusals = []
