@@ -7,12 +7,17 @@ elementary symmetric functions, a conjugacy class formula (whose
 unit-character case over cycle types is ``count_types``), Ruch's
 double-coset formula, and definitional brute force.  The brute route
 walks the shape's tabloids in their one numbering, the walk that forms an
-orbit space; in the unit case it counts the orbits the walk closes and
-forms none, or reads a space the group has memoized.  All arithmetic is
-exact: rationals throughout, sums of roots of unity reduced against
-cyclotomic polynomials, so every integrality assertion is sharp.  Values
-that are integers stay ints; ``fractions`` is imported only where a route
-divides, so a command that never counts never loads it.
+orbit space, and reads each orbit off its run of positions: it forms no
+orbit space unless the group has one memoized.  All arithmetic is exact
+and in integers.  Each formula route sums one integer numerator (under a
+character of order above 2, a sum of roots of unity with integer
+coefficients) over one known denominator, |G| or |G| times the product
+of the factorials of the shape's parts, and ends in one exact division.
+That division reduces a sum of roots of unity against the cyclotomic
+polynomial and raises ArithmeticError on an irrational value, a remainder
+or a negative quotient, so every integrality assertion is sharp and
+nothing is rounded.  ``fractions`` is imported only where a library
+caller reads a value that is not an integer, so no CLI request loads it.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import product
 
-from .orbits import _Record, _orbit_positions, check_theta_mask, is_character_orbit, orbit_space
+from .orbits import _Record, _is_character_word, _orbit_positions, check_theta_mask
 from .partitions import (
     Partition,
     all_partitions,
@@ -78,8 +83,9 @@ def _cyclotomic(n: int) -> tuple[int, ...]:
 class RootOfUnitySum:
     """An exact element of the n-th cyclotomic field.
 
-    Stored as rational coefficients over exponents of a primitive n-th root
-    of unity; rationality tests reduce against the cyclotomic polynomial.
+    Stored as coefficients over exponents of a primitive n-th root of
+    unity, integers on every counting route; rationality tests reduce
+    against the cyclotomic polynomial.
     """
 
     __slots__ = ("order", "coeffs")
@@ -113,7 +119,8 @@ class RootOfUnitySum:
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = RootOfUnitySum.of(other)
+        if not isinstance(other, RootOfUnitySum):
+            return RootOfUnitySum(self.order, {e: c * other for e, c in self.coeffs.items()})
         n = math.lcm(self.order, other.order)
         a, b = self._lift(n), other._lift(n)
         coeffs: dict[int, int | Fraction] = {}
@@ -143,9 +150,7 @@ class RootOfUnitySum:
         return red[0]
 
     def __eq__(self, other):
-        from fractions import Fraction
-
-        if not isinstance(other, (RootOfUnitySum, Fraction, int)):
+        if not isinstance(other, RootOfUnitySum) and not hasattr(other, "denominator"):  # a rational, int included
             return NotImplemented
         diff = self + (RootOfUnitySum.of(other) * -1)
         return all(c == 0 for c in diff._reduced())
@@ -157,29 +162,38 @@ class RootOfUnitySum:
         return f"RootOfUnitySum({self.order}, {{{terms}}})"
 
 
-def _char_value(chi: LinearCharacter, perm):
-    """chi's value as an int (orders 1, 2) or RootOfUnitySum."""
-    e = chi.exponent(perm) % chi.order
-    if chi.order <= 2:
-        return -1 if e else 1
-    return RootOfUnitySum.root(e, chi.order)
+def _root_sum(tally: Counter, order: int) -> int | RootOfUnitySum:
+    """The sum of zeta^e over a tally of exponents e of a primitive order-th root zeta: an int for orders 1 and 2."""
+    return tally[0] - tally[1] if order <= 2 else RootOfUnitySum(order, tally)
 
 
-def _exactify(value) -> int | Fraction:
-    """Collapse to an int or Fraction, failing loudly if irrational."""
-    if isinstance(value, RootOfUnitySum):
-        f = value.as_fraction()
-        if f is None:
-            raise ArithmeticError(f"value is not rational: {value!r}")
-        return f
-    return value
+def _over(num, den: int):
+    """num / den: an int when den divides it, else a Fraction; a RootOfUnitySum coefficient by coefficient."""
+    if isinstance(num, RootOfUnitySum):
+        return RootOfUnitySum(num.order, {e: _over(c, den) for e, c in num.coeffs.items()})
+    quot, rem = divmod(num, den)
+    if not rem:
+        return quot
+    from fractions import Fraction
+
+    return Fraction(num, den)
 
 
-def _as_count(value) -> int:
-    f = _exactify(value)
-    if f.denominator != 1 or f < 0:
-        raise ArithmeticError(f"expected a non-negative integer, got {f}")
-    return int(f)
+def _exact_quotient(num, den: int) -> int:
+    """The count num / den, which must be a non-negative integer; ArithmeticError otherwise, never rounded.
+
+    num is an int or, under a character of order above 2, a
+    RootOfUnitySum, whose value is first reduced to a rational one.
+    """
+    if isinstance(num, RootOfUnitySum):
+        value = num.as_fraction()
+        if value is None:
+            raise ArithmeticError(f"value is not rational: {num!r} / {den}")
+        num = value
+    quot, rem = divmod(num, den)
+    if rem or quot < 0:
+        raise ArithmeticError(f"expected a non-negative integer, got {num} / {den}")
+    return quot
 
 
 # -- power-sum polynomials ----------------------------------------------------
@@ -188,23 +202,34 @@ class PowerSumPoly:
     """A sparse polynomial in the power-sum basis, keyed by cycle type.
 
     Keys are trimmed partition tuples; a key of weight d stands for the
-    product of power sums over its parts.
+    product of power sums over its parts.  Values are held as numerators
+    ``nums`` over one positive denominator ``den``, which the counting
+    routes read: ints on every counting route (integer-coefficient
+    RootOfUnitySums under a character of order above 2).  ``coeffs`` and
+    ``coefficient`` give the values themselves, as ints where they are
+    integers.
     """
 
-    __slots__ = ("degree", "coeffs")
+    __slots__ = ("degree", "nums", "den")
 
-    def __init__(self, degree: int, coeffs: dict[tuple[int, ...], int | Fraction | RootOfUnitySum]):
+    def __init__(self, degree: int, coeffs: dict, den: int = 1):
         self.degree = degree
-        self.coeffs = {k: v for k, v in coeffs.items() if not _is_zero(v)}
+        self.den = den
+        self.nums = {k: v for k, v in coeffs.items() if not _is_zero(v)}
+
+    @property
+    def coeffs(self) -> dict:
+        return {k: _over(v, self.den) for k, v in self.nums.items()}
 
     def coefficient(self, key: Sequence[int]):
-        return self.coeffs.get(tuple(sorted((k for k in key if k), reverse=True)), 0)
+        v = self.nums.get(tuple(sorted((k for k in key if k), reverse=True)))
+        return 0 if v is None else _over(v, self.den)
 
     def __eq__(self, other):
         if not isinstance(other, PowerSumPoly) or self.degree != other.degree:
             return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(_is_zero(self.coeffs.get(k, 0) + other.coeffs.get(k, 0) * -1) for k in keys)
+        keys = set(self.nums) | set(other.nums)
+        return all(_is_zero(self.nums.get(k, 0) * other.den + other.nums.get(k, 0) * -self.den) for k in keys)
 
     def __repr__(self):
         terms = " + ".join(f"({v})p_{list(k)}" for k, v in sorted(self.coeffs.items()))
@@ -220,40 +245,30 @@ def _is_zero(v) -> bool:
 def cycle_index(group: PermGroup, chi: LinearCharacter | None = None) -> PowerSumPoly:
     """Character-weighted average of power-sum monomials over the group.
 
-    A sum over the elements, tallied per (cycle key, exponent), one
-    coefficient built per key; memoized on the group for the unit, on chi otherwise.
+    Integer tallies over |G|: per cycle key, the element count for the
+    unit, else the sum of chi over the elements of that key, from a tally
+    per (key, exponent).  Memoized on the group for the unit, on chi
+    otherwise.
     """
     if chi is not None and chi.group != group:
         raise ValueError("character does not live on this group")
     unit = chi is None or chi.order == 1
     index = group._memo.get("cycle_index") if unit else chi._cycle_index
     if index is None:
-        n = 1 if unit else chi.order
-        tallies: dict[tuple[int, ...], Counter] = {}
-        exps = repeat(0) if unit else map(chi.exponent, group.elements)
-        for (key, e), c in Counter(zip(group.cycle_keys(), exps)).items():
-            tallies.setdefault(key, Counter())[e % n] += c
-        from fractions import Fraction
-
-        weight = Fraction(1, group.order)
-        index = PowerSumPoly(
-            group.degree,
-            {k: (t[0] - t[1]) * weight if n <= 2 else RootOfUnitySum(n, t) * weight for k, t in tallies.items()},
-        )
         if unit:
-            group._memo["cycle_index"] = index
+            index = group._memo["cycle_index"] = PowerSumPoly(group.degree, group.cycle_type_census(), group.order)
         else:
-            chi._cycle_index = index
+            tallies: dict[tuple[int, ...], Counter] = {}
+            for (key, e), c in Counter(zip(group.cycle_keys(), map(chi._table.__getitem__, group.images))).items():
+                tallies.setdefault(key, Counter())[e % chi.order] += c
+            sums = {k: _root_sum(t, chi.order) for k, t in tallies.items()}
+            index = chi._cycle_index = PowerSumPoly(group.degree, sums, group.order)
     return index
 
 
-def check_scalar_cap(shapes: Sequence[Partition]):
-    """Refuse, before any expansion, a shape whose scalar route needs more than DEFAULT_CAP power-sum terms.
-
-    The h/e product of a shape multiplies p(n) terms for each part n.  The
-    partition numbers p are built (Euler's pentagonal recurrence) only until
-    one passes the cap, so a huge part costs no more than a small one.
-    """
+@lru_cache(maxsize=None)
+def _partition_numbers() -> tuple[int, ...]:
+    """The partition numbers p(0), p(1), ... up to the first past DEFAULT_CAP (Euler's pentagonal recurrence)."""
     p = [1]
     while p[-1] <= DEFAULT_CAP:
         n, total, k = len(p), 0, 1
@@ -262,6 +277,17 @@ def check_scalar_cap(shapes: Sequence[Partition]):
             total += pair if k % 2 else -pair
             k += 1
         p.append(total)
+    return tuple(p)
+
+
+def check_scalar_cap(shapes: Sequence[Partition]):
+    """Refuse, before any expansion, a shape whose scalar route needs more than DEFAULT_CAP power-sum terms.
+
+    The h/e product of a shape multiplies p(n) terms for each part n.  The
+    partition numbers p are built once, only until one passes the cap, so
+    a huge part costs no more than a small one.
+    """
+    p = _partition_numbers()
     for lam in shapes:
         terms = 1
         for part in lam.trimmed():
@@ -271,12 +297,11 @@ def check_scalar_cap(shapes: Sequence[Partition]):
 
 
 @lru_cache(maxsize=None)
-def _h_or_e(n: int, signed: bool) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """h_n, or e_n when signed, in the power-sum basis: sum of (sign of alpha) p_alpha / z_alpha."""
-    from fractions import Fraction
-
+def _h_or_e(n: int, signed: bool) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """n! h_n, or n! e_n when signed, in the power-sum basis: the class sizes n!/z_alpha, signed by alpha for e_n."""
+    size = math.factorial(n)
     keys = [alpha.trimmed() for alpha in all_partitions(n)]
-    return tuple((k, Fraction(_sign_of_type(k, n) if signed else 1, centralizer_order(k))) for k in keys)
+    return tuple((k, (_sign_of_type(k, n) if signed else 1) * (size // centralizer_order(k))) for k in keys)
 
 
 @lru_cache(maxsize=None)
@@ -286,33 +311,41 @@ def young_character_index(lam: Partition, theta: tuple[bool, ...] | None = None)
     The Young subgroup is a product of symmetric groups on the blocks and
     theta a product of signs on the masked ones, so the index is a product
     over the parts: the complete homogeneous h_n for an unmasked part n, the
-    elementary e_n for a masked one.  The group is never built.
+    elementary e_n for a masked one.  Each factor is scaled by n!, so the
+    product has integer coefficients over the product of the parts'
+    factorials.  The group is never built.
     """
     check_scalar_cap([lam])
-    coeffs: dict[tuple[int, ...], int | Fraction] = {(): 1}
+    coeffs: dict[tuple[int, ...], int] = {(): 1}
+    den = 1
     for part, masked in zip(lam.trimmed(), check_theta_mask(lam, theta)):
-        nxt: dict[tuple[int, ...], int | Fraction] = {}
+        nxt: dict[tuple[int, ...], int] = {}
         for key, c in coeffs.items():
             for hkey, hc in _h_or_e(part, masked):
                 merged = tuple(sorted(key + hkey, reverse=True))
                 nxt[merged] = nxt.get(merged, 0) + c * hc
-        coeffs = nxt
-    return PowerSumPoly(lam.d, coeffs)
+        coeffs, den = nxt, den * math.factorial(part)
+    return PowerSumPoly(lam.d, coeffs, den)
 
 
-def scalar_product(f: PowerSumPoly, g: PowerSumPoly):
-    """Hall pairing: power sums are orthogonal with norm the centralizer order."""
+def _pairing(f: PowerSumPoly, g: PowerSumPoly):
+    """The Hall pairing of f's and g's numerators: power sums are orthogonal with norm the centralizer order."""
     if f.degree != g.degree:
         raise ValueError("degree mismatch")
-    total: int | Fraction | RootOfUnitySum = 0
-    for key, fv in f.coeffs.items():
-        gv = g.coeffs.get(key)
+    total = 0
+    for key, fv in f.nums.items():
+        gv = g.nums.get(key)
         if gv is None:
             continue
         if isinstance(gv, RootOfUnitySum):
             gv = gv.conjugate()
-        total = total + fv * gv * centralizer_order(key)
+        total = total + fv * (gv * centralizer_order(key))
     return total
+
+
+def scalar_product(f: PowerSumPoly, g: PowerSumPoly):
+    """Hall pairing: power sums are orthogonal with norm the centralizer order."""
+    return _over(_pairing(f, g), f.den * g.den)
 
 
 # -- the four counting routes -------------------------------------------------
@@ -326,10 +359,11 @@ def count_scalar(
     """Orbit count as a pairing of generalized cycle indices.
 
     W's cycle index weighted by chi is paired with the Young subgroup's
-    weighted by the sign mask theta (None is the unit).
+    weighted by the sign mask theta (None is the unit): the pairing of
+    their numerators over |G| times the product of lam's part factorials.
     """
-    value = scalar_product(cycle_index(group, chi), young_character_index(lam, theta))
-    return _as_count(value)
+    index, young = cycle_index(group, chi), young_character_index(lam, theta)
+    return _exact_quotient(_pairing(index, young), index.den * young.den)
 
 
 @lru_cache(maxsize=None)
@@ -350,6 +384,16 @@ def _sign_of_type(beta: tuple[int, ...], weight: int) -> int:
     return -1 if (weight - len(beta)) % 2 else 1
 
 
+def _class_sums(group: PermGroup, chi: LinearCharacter | None) -> dict[tuple[int, ...], int | RootOfUnitySum]:
+    """Per cycle type, the sum of chi over the group's elements of that type, read off the conjugacy classes."""
+    if chi is None or chi.order == 1:
+        return group.cycle_type_census()
+    tallies: dict[tuple[int, ...], Counter] = {}
+    for cls in group.classes:
+        tallies.setdefault(cls.cycle_type.trimmed(), Counter())[chi.exponent(cls.representative) % chi.order] += len(cls)
+    return {k: _root_sum(t, chi.order) for k, t in tallies.items()}
+
+
 def count_classes(
     group: PermGroup,
     chi: LinearCharacter | None,
@@ -359,38 +403,24 @@ def count_classes(
     """Orbit count from conjugacy classes and cycle-type splittings.
 
     theta is a sign mask over the parts of lam (None means the unit
-    character).  The leading term handles the all-fixed type; every other
-    common cycle type contributes its class sums weighted by centralizer
-    ratios and block signs.
+    character).  Every cycle type shared with the Young subgroup, the
+    all-fixed one included, contributes its class sum times, per
+    splitting over the blocks, the integer ratio z_alpha / prod z_beta (a
+    product of multinomials) and the block signs; the total is over |G|.
     """
-    from fractions import Fraction
-
-    d = group.degree
-    if lam.d != d:
+    if lam.d != group.degree:
         raise ValueError("shape degree differs from group degree")
     blocks = lam.trimmed()
     mask = check_theta_mask(lam, theta)
-    total: Fraction | RootOfUnitySum = Fraction(
-        math.factorial(d), group.order * math.prod(math.factorial(k) for k in blocks)
-    )
-    identity_type = (1,) * d
-    for census_key, type_count in group.cycle_type_census().items():
-        if census_key == identity_type:
-            continue
-        splits = _split_multiset(census_key, blocks)
-        if not splits:
-            continue
-        if chi is None or chi.order == 1:
-            class_sum: int | Fraction | RootOfUnitySum = type_count
-        else:
-            in_type = (cls for cls in group.classes if cls.cycle_type.trimmed() == census_key)
-            class_sum = sum(_char_value(chi, cls.representative) * len(cls) for cls in in_type)
-        z_alpha = centralizer_order(census_key)
-        for split in splits:
-            ratio = Fraction(z_alpha, math.prod(centralizer_order(b) for b in split))
-            theta_val = math.prod(_sign_of_type(b, weight) for b, weight, flag in zip(split, blocks, mask) if flag)
-            total = total + class_sum * (ratio * theta_val * Fraction(1, group.order))
-    return _as_count(total)
+    total = 0
+    for key, class_sum in _class_sums(group, chi).items():
+        z_alpha, weight = centralizer_order(key), 0
+        for split in _split_multiset(key, blocks):
+            sign = math.prod(_sign_of_type(b, size) for b, size, flag in zip(split, blocks, mask) if flag)
+            weight += sign * (z_alpha // math.prod(map(centralizer_order, split)))
+        if weight:
+            total = total + class_sum * weight
+    return _exact_quotient(total, group.order)
 
 
 def count_types(group: PermGroup, lam: Partition) -> int:
@@ -399,27 +429,23 @@ def count_types(group: PermGroup, lam: Partition) -> int:
 
 
 def count_ruch(group: PermGroup, lam: Partition) -> int:
-    """Double-coset count over cycle types shared with the Young subgroup."""
-    from fractions import Fraction
+    """Double-coset count over cycle types shared with the Young subgroup.
 
-    d = group.degree
-    if lam.d != d:
+    Each shared type adds its element counts in W and in the Young
+    subgroup over its class size in S_d, d!/z; the sum times d!/(|W| |Y|)
+    is one integer numerator over |W| times the product of lam's part
+    factorials.
+    """
+    if lam.d != group.degree:
         raise ValueError("shape degree differs from group degree")
     blocks = lam.trimmed()
-    young_order = math.prod(math.factorial(k) for k in blocks)
     total = 0
     for key, w_count in group.cycle_type_census().items():
         young_count = 0
         for split in _split_multiset(key, blocks):
-            young_count += math.prod(
-                math.factorial(weight) // centralizer_order(b) for b, weight in zip(split, blocks)
-            )
-        if not young_count:
-            continue
-        class_size = math.factorial(d) // centralizer_order(key)
-        total += Fraction(w_count * young_count, class_size)
-    total *= Fraction(math.factorial(d), group.order * young_order)
-    return _as_count(total)
+            young_count += math.prod(math.factorial(size) // centralizer_order(b) for b, size in zip(split, blocks))
+        total += w_count * young_count * centralizer_order(key)
+    return _exact_quotient(total, group.order * math.prod(map(math.factorial, blocks)))
 
 
 def count_brute(
@@ -430,16 +456,25 @@ def count_brute(
 ) -> int:
     """Definitional count: enumerate tabloids, form orbits, filter by characters.
 
-    The unit case (no chi, no theta) reads the orbit space when the group
-    has it memoized; otherwise it counts the orbits of the traversal that
-    forms one, ``_orbit_positions``, and keeps nothing: no member words, no
-    ``Orbit`` and no memoized space.  A character pair is tested on each
-    orbit of the (memoized) space.
+    The orbits are those of a space the group has memoized, or else the
+    runs of the traversal that forms one, ``_orbit_positions``, which keeps
+    nothing: no member words, no ``Orbit`` and no memoized space.  Under a
+    character pair each orbit is tested on its least word, with the
+    stabilizer's order |G| over the run's length.
     """
+    space = group._memo.get(("orbit_space", lam))
     if chi is None and theta is None:
-        space = group._memo.get(("orbit_space", lam))
         return len(space) if space is not None else sum(1 for _ in _orbit_positions(group, lam)[1])
-    return sum(1 for orbit in orbit_space(group, lam) if is_character_orbit(orbit, chi, theta))
+    if chi is not None and chi.group != group:
+        raise ValueError("chi is not a character of the orbit's group")
+    mask = check_theta_mask(lam, theta)
+    if space is not None:
+        orbits = ((orbit.words[0], orbit.size) for orbit in space)
+    else:
+        words, runs = _orbit_positions(group, lam)
+        orbits = ((words[min(at)], len(at)) for at in runs)
+    order = group.order
+    return sum(1 for w, size in orbits if _is_character_word(group, w, order // size, chi, mask))
 
 
 # -- cross-validation and order properties ------------------------------------

@@ -11,12 +11,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from functools import reduce
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import and_, attrgetter, itemgetter, le, or_
 
 from .dissections import Dissection, tabloid_positions, tabloid_words
 from .partitions import Partition, dominance_leq, raising_pair, shapes_between
-from .perms import CapExceeded, LinearCharacter, PermGroup, Permutation, _close, _gather, _generated, relative_sign_character
+from .perms import CapExceeded, LinearCharacter, PermGroup, Permutation, _gather, _generated, relative_sign_character
 
 __all__ = [
     "POSET_PAIR_CAP",
@@ -317,7 +317,7 @@ def _getters(group: PermGroup) -> tuple[Callable[[tuple[int, ...]], tuple[int, .
     """Per element g of group, in element order, the gather sending a row-word w to w∘g (memoized per group)."""
     getters = group._memo.get("getters")
     if getters is None:
-        getters = group._memo["getters"] = tuple(_gather(g.images) for g in group.elements)
+        getters = group._memo["getters"] = tuple(map(_gather, group.images))
     return getters
 
 
@@ -327,28 +327,44 @@ def _orbit_positions(group: PermGroup, lam: Partition) -> tuple[tuple[tuple[int,
     Tabloids are row-words on this path, numbered in canonical order
     (``tabloid_positions``).  A group element g sends the word w to the
     word w∘g.  The first tabloid not yet placed is the least of its orbit,
-    so orbits come out in representative order.  Each orbit is its first
-    word sent through every element (|G| gathers per orbit, at least
-    |G| * ceil(N / |G|) for N tabloids) or, when fewer, walked along
-    generators known to generate (their count per word).  The degree and
-    the tabloid cap are checked before any tabloid is enumerated.
+    so orbits come out in representative order.  An orbit is either its
+    first word sent through every element but the identity, or walked
+    along generators known to generate.  The gathers cost |G| per orbit,
+    at least |G| * ceil(N / |G|) for N tabloids, and |G| more to build
+    when the group has none yet; the walk costs the generator count per
+    tabloid, and is taken unless it costs more.  It first turns each
+    generator into a permutation of the positions, once per shape and in
+    C, and then walks ints.  The degree and the tabloid cap are checked
+    before any tabloid is enumerated.
     """
     if lam.d != group.degree:
         raise ValueError("shape degree differs from group degree")
     check_tabloid_cap([lam])
     words, index = tabloid_words(lam), tabloid_positions(lam)
-    gens, n = group.generators, len(words)
-    walk = _generated(group) and len(gens) * n < group.order * -(-n // group.order)
-    steps = [_gather(g.images) for g in gens] if walk else _getters(group)
+    gens, n, order = group.generators, len(words), group.order
+    if _generated(group) and len(gens) * n <= order * (-(-n // order) + ("getters" not in group._memo)):
+        moves = [list(map(index.__getitem__, map(_gather(g.images), words))) for g in gens]
+    else:
+        moves, others = None, _getters(group)[1:]  # the identity, elements[0], fixes every word
 
     def runs() -> Iterator[Collection[int]]:
         placed = bytearray(n)
         for k, w in enumerate(words):
             if placed[k]:
                 continue
-            at = list(map(index.__getitem__, _close(w, steps))) if walk else {index[get(w)] for get in steps}
-            for j in at:
-                placed[j] = 1
+            if moves is None:
+                at = {index[get(w)] for get in others}
+                at.add(k)
+                for j in at:
+                    placed[j] = 1
+            else:
+                placed[k], at = 1, [k]
+                for x in at:  # breadth-first: the list grows while it is walked
+                    for move in moves:
+                        y = move[x]
+                        if not placed[y]:
+                            placed[y] = 1
+                            at.append(y)
             yield at
 
     return words, runs()
@@ -371,16 +387,16 @@ def orbit_space(group: PermGroup, lam: Partition) -> OrbitSpace:
     return space
 
 
-def _fixing(group: PermGroup, w: tuple[int, ...]) -> Iterator[Permutation]:
-    """The elements of group fixing the row-word w, in element order."""
-    return (g for g, get in zip(group.elements, _getters(group)) if get(w) == w)
+def _fixing(group: PermGroup, w: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The images of the elements of group fixing the row-word w, in element order."""
+    return (x for x, get in zip(group.images, _getters(group)) if get(w) == w)
 
 
 def stabilizer(group: PermGroup, a: Dissection) -> PermGroup:
     """The subgroup fixing the dissection a."""
     if a.degree != group.degree:
         raise ValueError("degree mismatch")
-    fixed = tuple(_fixing(group, a.row_word()))
+    fixed = tuple(map(Permutation._trusted, _fixing(group, a.row_word())))
     return PermGroup(group.degree, fixed, fixed)
 
 
@@ -501,22 +517,36 @@ def is_character_orbit(
 
     Here u carries the standard tabloid onto the orbit representative, and
     theta is a sign mask over the shape's parts (None, like a None chi, is
-    the unit).  sigma fixes the representative, so each of its cycles lies
-    in one component, and u^-1 sigma u restricted to block k is conjugate
-    to sigma restricted to component k: theta(u^-1 sigma u) is the sign of
-    sigma on the masked components, (-1)^sum(len(c) - 1) over its cycles c
-    there.  All arithmetic is on exact root-of-unity exponents.
+    the unit).  The test is ``_is_character_word`` on the representative.
     """
     group = orbit.group
     if chi is not None and chi.group != group:
         raise ValueError("chi is not a character of the orbit's group")
-    w = orbit.words[0]
     mask = check_theta_mask(orbit.shape, theta)
+    return _is_character_word(group, orbit.words[0], group.order // orbit.size, chi, mask)
+
+
+def _is_character_word(
+    group: PermGroup, w: tuple[int, ...], fixers: int, chi: LinearCharacter | None, mask: tuple[bool, ...]
+) -> bool:
+    """Whether chi(sigma) * theta(u^-1 sigma u) is 1 on the stabilizer of the row-word w, of ``fixers`` elements.
+
+    sigma fixes w, so each of its cycles lies in one component, and
+    u^-1 sigma u restricted to block k is conjugate to sigma restricted to
+    component k: theta(u^-1 sigma u) is the sign of sigma on the masked
+    components, (-1)^sum(len(c) - 1) over its cycles c there.  The
+    identity passes, and the test stops once it has seen ``fixers``
+    elements (|G| over the orbit size), so a regular orbit reads no element.
+    All arithmetic is on exact root-of-unity exponents.
+    """
+    if fixers == 1:  # a regular orbit: the identity alone
+        return True
     masked = {x for x, k in enumerate(w, start=1) if mask[k - 1]}
     order = 1 if chi is None else chi.order  # chi(sigma) = zeta^(2e) and -1 = zeta^order, zeta a 2*order-th root
-    for sigma in _fixing(group, w):
-        flips = sum(len(c) - 1 for c in sigma.cycles() if c[0] in masked) if masked else 0
-        e = (0 if chi is None else 2 * chi.exponent(sigma)) + flips * order
+    for sigma in islice(_fixing(group, w), 1, fixers):
+        cycles = Permutation._trusted(sigma).cycles() if masked else ()
+        flips = sum(len(c) - 1 for c in cycles if c[0] in masked)
+        e = (0 if chi is None else 2 * chi._table[sigma]) + flips * order
         if e % (2 * order) != 0:
             return False
     return True

@@ -295,8 +295,9 @@ def covers_above(lam: Partition) -> list[Partition]:
     return sorted(found, key=lambda p: p.parts, reverse=True)
 
 
-def centralizer_order(lam: Partition | Sequence[int]) -> int:
-    """z_lam = prod_k k^{m_k} m_k! over the part multiplicities."""
+@lru_cache(maxsize=None)
+def centralizer_order(lam: Partition | tuple[int, ...]) -> int:
+    """z_lam = prod_k k^{m_k} m_k! over the part multiplicities (memoized: a counting route asks for few keys, often)."""
     counts: dict[int, int] = {}
     for k in _parts(lam):
         if k > 0:

@@ -1,9 +1,10 @@
 """Permutations of [1,d], finite permutation groups, and linear characters.
 
-Points are 1-based throughout.  Groups are materialized as sorted element
-lists (breadth-first closure of their generators), which is all the desk
-scale of this library ever needs.  Character values are kept as exact
-exponents of a primitive root of unity, never as floats.
+Points are 1-based throughout.  Groups are materialized as the sorted
+image tuples of their elements (breadth-first closure of their
+generators), which is all the desk scale of this library ever needs.
+Character values are kept as exact exponents of a primitive root of
+unity, never as floats.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
+from functools import cached_property
 from operator import attrgetter, itemgetter
 
 from .partitions import Partition
@@ -221,20 +223,44 @@ def parse_cycles(text: str, d: int) -> Permutation:
 
 
 class PermGroup:
-    """A permutation group held as a complete, sorted element list."""
+    """A permutation group held as its elements' image tuples, sorted once.
+
+    ``images`` is the sorted tuple of the elements' image tuples, so the
+    identity comes first; cycle keys, per-element gathers and character
+    tables read it directly.  The ``Permutation`` objects (``elements``,
+    in the same order) and the frozenset of image tuples are built on
+    first use.
+    """
 
     def __init__(self, degree: int, generators: Sequence[Permutation], elements: Iterable[Permutation]):
+        self._hold(degree, generators, tuple(sorted(set(map(_images, elements)))))
+
+    @classmethod
+    def _of_images(cls, degree: int, generators: Sequence[Permutation], images: tuple[tuple[int, ...], ...]) -> "PermGroup":
+        """The group of these image tuples, which this package built sorted and distinct, unchecked."""
+        group = cls.__new__(cls)
+        group._hold(degree, generators, images)
+        return group
+
+    def _hold(self, degree: int, generators: Sequence[Permutation], images: tuple[tuple[int, ...], ...]):
         self.degree = degree
         self.generators = tuple(generators)
-        self.elements = tuple(sorted(elements, key=_images))
-        self._element_set = frozenset(map(_images, self.elements))  # image tuples, which hash in C
+        self.images = images
         self._memo: dict = {}  # per-group scratch cache (hash, cycle keys, classes, Cayley walk, gathers, orbit spaces)
-        if tuple(range(1, degree + 1)) not in self._element_set:
+        if not images or images[0] != tuple(range(1, degree + 1)):
             raise ValueError("element list lacks the identity")
+
+    @cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        return tuple(map(Permutation._trusted, self.images))
+
+    @cached_property
+    def _element_set(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.images)  # image tuples, which hash in C
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.images)
 
     def __contains__(self, p: Permutation) -> bool:
         return p.images in self._element_set
@@ -243,24 +269,22 @@ class PermGroup:
         return iter(self.elements)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.images)
 
     def __eq__(self, other):
-        return self is other or (
-            isinstance(other, PermGroup) and self.degree == other.degree and self._element_set == other._element_set
-        )
+        return self is other or (isinstance(other, PermGroup) and self.degree == other.degree and self.images == other.images)
 
     def __hash__(self):
         h = self._memo.get("hash")
         if h is None:
-            h = self._memo["hash"] = hash((self.degree, self._element_set))
+            h = self._memo["hash"] = hash((self.degree, self.images))
         return h
 
     def __repr__(self):
         return f"PermGroup(d={self.degree}, order={self.order})"
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self.degree == other.degree and self._element_set <= other._element_set
+        return self.degree == other.degree and other._element_set.issuperset(self.images)
 
     @property
     def classes(self) -> tuple["ConjugacyClass", ...]:
@@ -274,7 +298,7 @@ class PermGroup:
         keys = self._memo.get("cycle_keys")
         if keys is None:
             shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-            keys = tuple(shared.setdefault(k, k) for k in map(_cycle_key, map(_images, self.elements)))
+            keys = tuple(shared.setdefault(k, k) for k in map(_cycle_key, self.images))
             self._memo["cycle_keys"] = keys
         return keys
 
@@ -325,7 +349,7 @@ def generate(generators: Sequence[Permutation], degree: int | None = None, cap: 
     if any(g.degree != degree for g in gens):
         raise ValueError("generators have mixed degrees")
     elements = _close(tuple(range(1, degree + 1)), [_gather(g.images) for g in gens], cap)
-    group = PermGroup(degree, gens, map(Permutation._trusted, sorted(elements)))
+    group = PermGroup._of_images(degree, gens, tuple(sorted(elements)))
     group._memo["generated"] = True
     return group
 
@@ -345,9 +369,9 @@ def conjugacy_classes(group: PermGroup) -> list[ConjugacyClass]:
     """
     closing = _generated(group)
     conjugators = [_conjugator(g) for g in (group.generators if closing else group.elements)]
-    unassigned = set(map(_images, group.elements))
+    unassigned = set(group.images)
     classes = []
-    for x in map(_images, group.elements):
+    for x in group.images:
         if x not in unassigned:
             continue
         members = _close(x, conjugators) if closing else {c(x) for c in conjugators}
@@ -385,7 +409,7 @@ class LinearCharacter:
         return [g for g in self.group.elements if self.is_one(g)]
 
     def key(self) -> tuple:
-        return (self.order, tuple(self.exponent(g) for g in self.group.elements))
+        return (self.order, tuple(map(self._table.__getitem__, self.group.images)))
 
     def __eq__(self, other):
         return isinstance(other, LinearCharacter) and self.group == other.group and self.key() == other.key()
@@ -432,7 +456,7 @@ def linear_characters(group: PermGroup) -> list[LinearCharacter]:
     exactly when no edge disagrees.  The unit character is always first.
     """
     index, edges = _cayley(group)
-    at = [index[g.images] for g in group.elements]  # walk position of each element
+    at = list(map(index.__getitem__, group.images))  # walk position of each element
     n = math.lcm(*{part for key in group.cycle_type_census() for part in key})  # the group's exponent
     gen_choices = [range(0, n, n // math.gcd(n, g.order())) for g in group.generators]
 
@@ -449,7 +473,7 @@ def linear_characters(group: PermGroup) -> list[LinearCharacter]:
         else:
             common = math.gcd(n, *exps)
             values = [exps[k] for k in at]
-            table = dict(zip(map(_images, group.elements), [e // common for e in values]))
+            table = dict(zip(group.images, [e // common for e in values]))
             found.append((values, LinearCharacter(group, n // common, table)))
     found.sort(key=itemgetter(0))
     return [chi for _, chi in found]
@@ -464,5 +488,5 @@ def relative_sign_character(big: PermGroup, small: PermGroup) -> LinearCharacter
         raise ValueError("small is not a subgroup of big")
     if big.order != 2 * small.order:
         raise ValueError(f"index is {big.order}/{small.order}, need exactly 2")
-    table = {g: (0 if g in small._element_set else 1) for g in map(_images, big.elements)}
+    table = {g: (0 if g in small._element_set else 1) for g in big.images}
     return LinearCharacter(big, 2, table=table)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, combinations, permutations, product
 
 from isomers.dissections import Dissection, _assign_words, interval_dissections
@@ -378,3 +379,73 @@ def _zee(part) -> int:
         m = sum(1 for p in part if p == v)
         z *= v**m * math.factorial(m)
     return z
+
+
+# -- orbit counts in Fractions --------------------------------------------------
+
+def _mobius(n: int) -> int:
+    """The Mobius function, by trial division."""
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def rational_root_sum(coeffs: dict[int, Fraction], n: int) -> Fraction:
+    """The value of sum c_e zeta^e, zeta a primitive n-th root of unity, when that value is rational.
+
+    A rational value equals its average over the Galois conjugates zeta ->
+    zeta^k, k prime to n, and sum_k zeta^(k e) is the Ramanujan sum
+    sum_{d | gcd(e, n)} mu(n / d) d, so no cyclotomic polynomial is used.
+    """
+    def ramanujan(e: int) -> int:
+        g = math.gcd(e, n)
+        return sum(_mobius(n // d) * d for d in range(1, g + 1) if g % d == 0)
+
+    return sum((c * ramanujan(e) for e, c in coeffs.items()), Fraction(0)) / ramanujan(0)
+
+
+@lru_cache(maxsize=None)
+def _young_tally(lam) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+    """Per (cycle type, sign exponent on each block), the element count of the Young subgroup of lam."""
+    parts = lam.trimmed()
+    blocks = [range(end - part + 1, end + 1) for part, end in zip(parts, accumulate(parts))]
+    tally: dict = {}
+    for y in young_subgroup(lam).elements:
+        key = (cycle_lengths(y), tuple(restricted_sign_exponent(y.images, b) for b in blocks))
+        tally[key] = tally.get(key, 0) + 1
+    return tally
+
+
+@lru_cache(maxsize=16)
+def _group_tally(group: PermGroup, chi) -> dict[tuple[tuple[int, ...], int], int]:
+    """Per (cycle type, exponent of chi), the element count of group."""
+    tally: dict = {}
+    for g in group.elements:
+        key = (cycle_lengths(g), 0 if chi is None else chi.exponent(g) % chi.order)
+        tally[key] = tally.get(key, 0) + 1
+    return tally
+
+
+def count_by_fractions(group: PermGroup, lam, chi=None, mask=None) -> Fraction:
+    """The orbit count <Z(G; chi), Z(Y; theta)>, Y the Young subgroup of lam and theta its sign mask, in Fractions.
+
+    (1 / |G| |Y|) times the sum over g in G and y in Y of one cycle type of
+    chi(g) theta(y) z_type, from the elements of both groups; chi is a
+    library LinearCharacter (None is the unit), read only for its exponents.
+    """
+    young: dict[tuple[int, ...], int] = {}
+    for (ctype, signs), count in _young_tally(lam).items():
+        parity = sum(s for s, flag in zip(signs, mask or ()) if flag) % 2
+        young[ctype] = young.get(ctype, 0) + (-count if parity else count)
+    young_order = math.prod(math.factorial(k) for k in lam.trimmed())
+    total: dict[int, Fraction] = {}
+    for (ctype, e), count in _group_tally(group, chi).items():
+        term = Fraction(count * young.get(ctype, 0) * _zee(ctype), group.order * young_order)
+        total[e] = total.get(e, Fraction(0)) + term
+    return rational_root_sum(total, 1 if chi is None else chi.order)

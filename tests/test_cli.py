@@ -515,7 +515,7 @@ class TestDeterminism:
 
 
 class TestContract:
-    def test_import_loads_no_dataclasses_inspect_or_json(self):
+    def test_import_loads_no_dataclasses_inspect_or_json(self, tmp_path):
         # a bare interpreter (no site, so no site hook loads anything) imports
         # the CLI, then runs the argv through main; stderr's last line is the
         # modules the import added and whether fractions is loaded at exit
@@ -537,7 +537,12 @@ class TestContract:
         probed = {"catalog", "cli", "counting", "dissections", "orbits", "perms", "verify"}  # perfbench's spans
         assert {f"isomers.{name}" for name in probed} <= set(added)
         assert request("poset", "--builtin", "ethene") == (0, added, False, False)
-        assert request("count", "--builtin", "ethene", "--shape", "2,2") == (0, added, True, False)
+        # the counting routes divide once, in integers, so counting loads no fractions either
+        assert request("count", "--builtin", "ethene", "--shape", "2,2") == (0, added, False, False)
+        assert request("verify", "--builtin", "ethene") == (0, added, False, False)
+        cyclic = tmp_path / "c12.grp"
+        cyclic.write_text("degree 7\n(1234)(567)\n")  # character 5 has order 12
+        assert request("count", "--group-file", str(cyclic), "--all-shapes", "--chi", "5") == (0, added, False, False)
         # a JSON orbit listing quotes its names and shape texts itself
         assert request("orbits", "--builtin", "ethene", "--format", "json") == (0, added, False, False)
 

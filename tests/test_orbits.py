@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import isomers.orbits
 from isomers.catalog import builtin
 from isomers.counting import count_brute
 from isomers.dissections import (
@@ -247,12 +248,23 @@ class TestDefinitionalOrbits:
             space.orbit_of(standard_tabloid(other))
 
 
+def a5_group():
+    return generate([parse_cycles("(123)", 5), parse_cycles("(12345)", 5)])
+
+
+def with_gathers(group):
+    """The group with its per-element gathers already built."""
+    isomers.orbits._getters(group)
+    return group
+
+
 class TestOrbitSpacePaths:
     """Each side of the gather-count rule gives the definitional orbits, member for member.
 
     A walk along the generators costs their count per tabloid; sending one
-    word per orbit through every element costs at least |G| * ceil(N / |G|).
-    Only the second builds the per-element gathers.
+    word per orbit through every element costs at least |G| * ceil(N / |G|),
+    and |G| more while the per-element gathers are not built.  Only the
+    second reads the gathers.
     """
 
     @pytest.mark.parametrize(
@@ -262,18 +274,27 @@ class TestOrbitSpacePaths:
             (lambda: symmetric_group(7), "4,3", True),
             (lambda: symmetric_group(5), "3,1,1", True),
             (lambda: generate([], degree=1), "1", True),
-            (lambda: symmetric_group(5), "1^5", False),
+            (lambda: symmetric_group(5), "1^5", True),
             (klein_group, "1^4", False),
-            (lambda: generate([parse_cycles("(1234)", 5)]), "2,1^3", False),
+            (lambda: generate([parse_cycles("(1234)", 5)]), "2,1^3", True),
             (lambda: stabilizer(symmetric_group(5), T("{1,2}{3,4,5}", 5)), "2,2,1", False),
+            (a5_group, "1^5", False),
+            (lambda: with_gathers(symmetric_group(5)), "1^5", False),
+            (lambda: with_gathers(symmetric_group(5)), "3,1,1", True),
         ],
-        ids=["S7-7", "S7-4,3", "S5-3,1,1", "trivial-1", "S5-1^5", "klein-1^4", "C4-2,1^3", "stabilizer-2,2,1"],
+        ids=[
+            "S7-7", "S7-4,3", "S5-3,1,1", "trivial-1", "S5-1^5", "klein-1^4", "C4-2,1^3", "stabilizer-2,2,1",
+            "A5-1^5", "S5-built-1^5", "S5-built-3,1,1",
+        ],
     )
-    def test_matches_raw_orbits(self, make, shape, walks):
+    def test_matches_raw_orbits(self, make, shape, walks, monkeypatch):
         w = make()
+        gathered = []
+        getters = isomers.orbits._getters
+        monkeypatch.setattr(isomers.orbits, "_getters", lambda group: gathered.append(group) or getters(group))
         lam = parse_partition(shape, w.degree)
         got = [tuple(m.components for m in o.members) for o in orbit_space(w, lam)]
-        assert ("getters" not in w._memo) == walks
+        assert (not gathered) == walks
         assert got == [tuple(sorted(o)) for o in raw_orbits(w, raw_tabloids_of_shape(lam.trimmed()))]
 
 
