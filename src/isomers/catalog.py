@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 
-from .dissections import Dissection, parse_tabloid, tabloid_formatter
+from .dissections import Dissection, parse_tabloid, tabloid_formatter, word_formatter
 from .orbits import (
     Orbit,
     OrbitSpace,
@@ -247,7 +247,7 @@ def orbit_listing_text(rows: Iterable[tuple[str, Orbit]]) -> Iterator[str]:
     shape = None
     for name, orbit in rows:
         if orbit.shape is not shape:
-            shape, text = orbit.shape, tabloid_formatter(orbit.shape)
+            shape, text = orbit.shape, word_formatter(orbit.shape)
         yield f"{name:>14}  size={orbit.size:<4} rep={text(orbit.words[0])}\n"
 
 

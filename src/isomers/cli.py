@@ -28,7 +28,7 @@ from types import SimpleNamespace
 from .catalog import BUILTIN_NAMES, SkeletonSpec, builtin, emit_dot, genetic_diagram, json_chunks, json_text
 from .catalog import orbit_listing_json, orbit_listing_text, orbit_names
 from .counting import build_report, check_scalar_cap
-from .dissections import tabloid_formatter
+from .dissections import word_formatter
 from .orbits import check_degree_cap, check_tabloid_cap, classify_chiral, orbit_poset, orbit_space
 from .partitions import Partition, all_partitions, format_partition, parse_partition
 from .perms import DEFAULT_CAP, CapExceeded, LinearCharacter, PermGroup, generate, linear_characters, parse_cycles
@@ -235,7 +235,7 @@ def cmd_chiral(args) -> int:
 
     def entries():  # per coarse orbit, shape by shape: its shape, kind, chi_e flag and fine representatives
         for lam in shapes:
-            text = tabloid_formatter(lam)
+            text = word_formatter(lam)
             for entry in classify_chiral(spec.group, spec.extended, lam).entries:
                 yield lam, "pair" if entry.is_pair else "single", entry.chi_e_orbit, [text(o.words[0]) for o in entry.fine_orbits]
 

@@ -3,9 +3,11 @@
 Four independent routes compute the number of group orbits of tabloids per
 shape (optionally filtered by a character pair): the scalar product of the
 generalized cycle index with a product of complete homogeneous and
-elementary symmetric functions, a conjugacy class formula (whose
-unit-character case over cycle types is ``count_types``), Ruch's
-double-coset formula, and definitional brute force.  The brute route
+elementary symmetric functions, the conjugacy class formula (its unit case
+is ``count_types``), Ruch's double-coset formula, and definitional brute
+force.  The three formula routes read one per-group tally, the cycle
+index's sum of the character per cycle type: a character is constant on
+a class, so the classes themselves are never formed.  The brute route
 walks the shape's tabloids in their one numbering, the walk that forms an
 orbit space, and reads each orbit off its run of positions: it forms no
 orbit space unless the group has one memoized.  All arithmetic is exact
@@ -247,8 +249,8 @@ def cycle_index(group: PermGroup, chi: LinearCharacter | None = None) -> PowerSu
 
     Integer tallies over |G|: per cycle key, the element count for the
     unit, else the sum of chi over the elements of that key, from a tally
-    per (key, exponent).  Memoized on the group for the unit, on chi
-    otherwise.
+    per (key, exponent).  Every formula route reads them.  Memoized on the
+    group for the unit, on chi otherwise.
     """
     if chi is not None and chi.group != group:
         raise ValueError("character does not live on this group")
@@ -256,7 +258,7 @@ def cycle_index(group: PermGroup, chi: LinearCharacter | None = None) -> PowerSu
     index = group._memo.get("cycle_index") if unit else chi._cycle_index
     if index is None:
         if unit:
-            index = group._memo["cycle_index"] = PowerSumPoly(group.degree, group.cycle_type_census(), group.order)
+            index = group._memo["cycle_index"] = PowerSumPoly(group.degree, Counter(group.cycle_keys()), group.order)
         else:
             tallies: dict[tuple[int, ...], Counter] = {}
             for (key, e), c in Counter(zip(group.cycle_keys(), map(chi._table.__getitem__, group.images))).items():
@@ -384,27 +386,17 @@ def _sign_of_type(beta: tuple[int, ...], weight: int) -> int:
     return -1 if (weight - len(beta)) % 2 else 1
 
 
-def _class_sums(group: PermGroup, chi: LinearCharacter | None) -> dict[tuple[int, ...], int | RootOfUnitySum]:
-    """Per cycle type, the sum of chi over the group's elements of that type, read off the conjugacy classes."""
-    if chi is None or chi.order == 1:
-        return group.cycle_type_census()
-    tallies: dict[tuple[int, ...], Counter] = {}
-    for cls in group.classes:
-        tallies.setdefault(cls.cycle_type.trimmed(), Counter())[chi.exponent(cls.representative) % chi.order] += len(cls)
-    return {k: _root_sum(t, chi.order) for k, t in tallies.items()}
-
-
 def count_classes(
     group: PermGroup,
     chi: LinearCharacter | None,
     lam: Partition,
     theta: tuple[bool, ...] | None = None,
 ) -> int:
-    """Orbit count from conjugacy classes and cycle-type splittings.
+    """Orbit count from the class formula over cycle types, and cycle-type splittings.
 
     theta is a sign mask over the parts of lam (None means the unit
     character).  Every cycle type shared with the Young subgroup, the
-    all-fixed one included, contributes its class sum times, per
+    all-fixed one included, contributes its cycle-index sum of chi times, per
     splitting over the blocks, the integer ratio z_alpha / prod z_beta (a
     product of multinomials) and the block signs; the total is over |G|.
     """
@@ -413,7 +405,7 @@ def count_classes(
     blocks = lam.trimmed()
     mask = check_theta_mask(lam, theta)
     total = 0
-    for key, class_sum in _class_sums(group, chi).items():
+    for key, class_sum in cycle_index(group, chi).nums.items():
         z_alpha, weight = centralizer_order(key), 0
         for split in _split_multiset(key, blocks):
             sign = math.prod(_sign_of_type(b, size) for b, size, flag in zip(split, blocks, mask) if flag)
@@ -440,7 +432,7 @@ def count_ruch(group: PermGroup, lam: Partition) -> int:
         raise ValueError("shape degree differs from group degree")
     blocks = lam.trimmed()
     total = 0
-    for key, w_count in group.cycle_type_census().items():
+    for key, w_count in cycle_index(group).nums.items():
         young_count = 0
         for split in _split_multiset(key, blocks):
             young_count += math.prod(math.factorial(size) // centralizer_order(b) for b, size in zip(split, blocks))
@@ -536,10 +528,10 @@ def build_report(
 
 
 def combinatorially_equivalent(w1: PermGroup, w2: PermGroup) -> bool:
-    """Equality of cycle-type censuses; equivalent to equal counts at every shape."""
+    """Equality of cycle-type censuses (the unit cycle indices' numerators); equivalent to equal counts at every shape."""
     if w1.degree != w2.degree:
         raise ValueError("degree mismatch")
-    return w1.cycle_type_census() == w2.cycle_type_census()
+    return cycle_index(w1).nums == cycle_index(w2).nums
 
 
 def monotonicity_check(group: PermGroup, chi: LinearCharacter | None = None) -> list[tuple[Partition, Partition]]:

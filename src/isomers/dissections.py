@@ -21,7 +21,8 @@ numbers.  Texts come from a second form, the reading: a tabloid's points
 component by component, each component ascending, which is the order its
 brace text prints them.  ``tabloid_formatter`` builds a shape's readings
 in the same order, fills one template per shape with them and sorts
-nothing; they live as long as the formatter.
+nothing; they live as long as the formatter.  ``word_formatter`` instead
+sorts one word's points, for listings that print only representatives.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "tabloid_formatter",
     "tabloid_positions",
     "tabloid_words",
+    "word_formatter",
 ]
 
 
@@ -243,9 +245,20 @@ def tabloid_formatter(lam: Partition) -> Callable[[tuple[int, ...]], str]:
     here and held by the function, so make one per shape listed.  A word
     that is no tabloid of shape lam raises KeyError.
     """
-    template = "".join("{" + ",".join(["%s"] * k) + "}" for k in lam.parts)
+    template = _template(lam)
     at, readings = tabloid_positions(lam), _shape_readings(lam.trimmed(), tuple(map(str, range(1, lam.d + 1))))
     return lambda w: template % readings[at[w]]
+
+
+def word_formatter(lam: Partition) -> Callable[[tuple[int, ...]], str]:
+    """``tabloid_formatter(lam)``'s text of each word from the word alone, its points sorted stably by component."""
+    template, texts, points = _template(lam), tuple(map(str, range(1, lam.d + 1))), range(lam.d)
+    return lambda w: template % tuple(map(texts.__getitem__, sorted(points, key=w.__getitem__)))
+
+
+def _template(lam: Partition) -> str:
+    """The brace text of a tabloid of shape lam with a %s field per point: lam[k] fields in component k."""
+    return "".join("{" + ",".join(["%s"] * k) + "}" for k in lam.parts)
 
 
 def all_tabloids(lam: Partition) -> list[Dissection]:

@@ -19,6 +19,7 @@ from .partitions import Partition, dominance_leq, raising_pair, shapes_between
 from .perms import CapExceeded, LinearCharacter, PermGroup, Permutation, _gather, _generated, relative_sign_character
 
 __all__ = [
+    "CELL_CAP",
     "POSET_PAIR_CAP",
     "TABLOID_CAP",
     "ChiralReport",
@@ -44,6 +45,9 @@ __all__ = [
 POSET_PAIR_CAP = 250_000
 # orbit_space refuses shapes with more tabloids than this
 TABLOID_CAP = 100_000
+# ... and shapes with more cells than this: tabloids times degree, the row-word
+# entries their space holds and the points their listing prints
+CELL_CAP = 4_000_000
 
 
 class _Record:
@@ -283,10 +287,13 @@ def _tabloids(parts: Iterable[int], d: int) -> int:
 
 
 def check_tabloid_cap(shapes: Sequence[Partition]):
-    """Refuse, before any enumeration, a shape with more than TABLOID_CAP tabloids."""
+    """Refuse, before any enumeration, a shape with more than TABLOID_CAP tabloids or CELL_CAP cells."""
     for lam in shapes:
-        if _tabloids(lam.trimmed(), lam.d) > TABLOID_CAP:
+        tabloids = _tabloids(lam.trimmed(), lam.d)
+        if tabloids > TABLOID_CAP:
             raise CapExceeded(f"shape {lam} has more than {TABLOID_CAP} tabloids, the tabloid cap")
+        if tabloids * lam.d > CELL_CAP:
+            raise CapExceeded(f"shape {lam} has {tabloids} tabloids of degree {lam.d}, more than {CELL_CAP} cells, the cell cap")
 
 
 def check_degree_cap(d: int):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, groupby
 from operator import le
 
 __all__ = [
@@ -45,15 +45,15 @@ class Partition:
 
     def __init__(self, parts: Iterable[int], d: int | None = None):
         p = tuple(parts)
-        if d is not None:
-            if len(p) > d:
-                raise ValueError(f"more than {d} parts: {p}")
-            p = p + (0,) * (d - len(p))
+        n = len(p) if d is None else d
+        # checked on the parts as given, before the padding, which no message prints
+        if len(p) > n:
+            raise ValueError(f"more than {n} parts: {_runs(p)}")
         if sorted(p, reverse=True) != list(p):
-            raise ValueError(f"parts not weakly decreasing: {p}")
-        if p and (p[-1] < 0 or sum(p) != len(p)):
-            raise ValueError(f"not a partition of {len(p)}: {p}")
-        object.__setattr__(self, "parts", p)
+            raise ValueError(f"parts not weakly decreasing: {_runs(p)}")
+        if (p and p[-1] < 0) or sum(p) != n:
+            raise ValueError(f"not a partition of {n}: {_runs(p) or 'no parts'}")
+        object.__setattr__(self, "parts", p + (0,) * (n - len(p)))
 
     def __setattr__(self, *a):
         raise AttributeError("Partition is immutable")
@@ -100,18 +100,14 @@ class Partition:
             return self._text
 
 
+def _runs(parts: Iterable[int]) -> str:
+    """The parts in order, a run of one value written ``value^length``: no longer than the exponent form they were parsed from."""
+    return ",".join(f"{k}^{n}" if (n := sum(1 for _ in run)) > 1 else str(k) for k, run in groupby(parts))
+
+
 def format_partition(lam: Partition | Sequence[int]) -> str:
     """Render with exponents for repeated parts, e.g. ``2^2,1^2``."""
-    parts = list(filter(None, _parts(lam)))
-    out = []
-    i = 0
-    while i < len(parts):
-        j = i
-        while j < len(parts) and parts[j] == parts[i]:
-            j += 1
-        out.append(f"{parts[i]}^{j - i}" if j - i > 1 else str(parts[i]))
-        i = j
-    return ",".join(out) if out else "0"
+    return _runs(filter(None, _parts(lam))) or "0"
 
 
 def parse_partition(text: str, d: int | None = None) -> Partition:

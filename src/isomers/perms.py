@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
 from operator import attrgetter, itemgetter
@@ -246,7 +245,7 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(generators)
         self.images = images
-        self._memo: dict = {}  # per-group scratch cache (hash, cycle keys, classes, Cayley walk, gathers, orbit spaces)
+        self._memo: dict = {}  # per-group scratch cache (hash, cycle keys, unit cycle index, Cayley walk, gathers, orbit spaces)
         if not images or images[0] != tuple(range(1, degree + 1)):
             raise ValueError("element list lacks the identity")
 
@@ -286,13 +285,6 @@ class PermGroup:
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and other._element_set.issuperset(self.images)
 
-    @property
-    def classes(self) -> tuple["ConjugacyClass", ...]:
-        classes = self._memo.get("classes")
-        if classes is None:
-            classes = self._memo["classes"] = tuple(conjugacy_classes(self))
-        return classes
-
     def cycle_keys(self) -> tuple[tuple[int, ...], ...]:
         """Each element's cycle type as a trimmed part tuple, in element order (one pass per group)."""
         keys = self._memo.get("cycle_keys")
@@ -301,13 +293,6 @@ class PermGroup:
             keys = tuple(shared.setdefault(k, k) for k in map(_cycle_key, self.images))
             self._memo["cycle_keys"] = keys
         return keys
-
-    def cycle_type_census(self) -> dict[tuple[int, ...], int]:
-        """Count of elements per cycle type (trimmed part tuples)."""
-        census = self._memo.get("census")
-        if census is None:
-            census = self._memo["census"] = dict(Counter(self.cycle_keys()))
-        return dict(census)
 
 
 def _generated(group: PermGroup) -> bool:
@@ -366,6 +351,8 @@ def conjugacy_classes(group: PermGroup) -> list[ConjugacyClass]:
 
     Each class is closed under conjugation by the generators when they are
     known to generate the group, else found by conjugating by every element.
+    No counting route reads it (the class formula reads ``cycle_index``); it
+    stays for library callers and the benchmark's layer probe.
     """
     closing = _generated(group)
     conjugators = [_conjugator(g) for g in (group.generators if closing else group.elements)]
@@ -457,7 +444,7 @@ def linear_characters(group: PermGroup) -> list[LinearCharacter]:
     """
     index, edges = _cayley(group)
     at = list(map(index.__getitem__, group.images))  # walk position of each element
-    n = math.lcm(*{part for key in group.cycle_type_census() for part in key})  # the group's exponent
+    n = math.lcm(*{part for key in set(group.cycle_keys()) for part in key})  # the group's exponent
     gen_choices = [range(0, n, n // math.gcd(n, g.order())) for g in group.generators]
 
     # a character is fixed by its generator values, so no two assignments give the same one

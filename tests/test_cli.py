@@ -840,6 +840,9 @@ GROUP_FILES = {
     "d1000000badcycle.grp": "degree 1000000\n(12\n",
     "d1e6.grp": "degree 1e6\n",
     "d300.grp": "degree 300\n",
+    "d250.grp": "degree 250\n",
+    "d447.grp": "degree 447\n",
+    "d1000.grp": "degree 1000\n",
 }
 
 # (argv, exit code): the probes of malformed input, the flags a subcommand
@@ -905,6 +908,16 @@ CORPUS = [
     (("chiral", "--group-file", "d60.grp"), 2),
     (("chiral", "--group-file", "d60.grp", "--shape", "60"), 2),
     (("orbits", "--builtin", "ethene", "--out", "missing/x"), 2),
+    # two-part shapes near the degree pass the tabloid cap, but their cells
+    # (tabloids times degree) pass the cell cap; 999,1:1000 is 10^6 cells
+    (("poset", "--group-file", "d447.grp", "--shape", "445,2:447"), 3),
+    (("orbits", "--group-file", "d447.grp", "--shape", "445,2"), 3),
+    (("orbits", "--group-file", "d447.grp", "--shape", "445,2", "--format", "json"), 3),
+    (("orbits", "--group-file", "d250.grp", "--shape", "248,2"), 3),
+    (("poset", "--group-file", "d1000.grp", "--shape", "999,1:1000"), 0),
+    # no partition of 10^6: the message prints the shape given, not its padding
+    (("count", "--group-file", "d1000000.grp", "--shape", "5,2"), 2),
+    (("count", "--group-file", "d1000000.grp", "--shape", "1^999999"), 2),
 ]
 
 
@@ -919,5 +932,6 @@ def test_robustness_corpus(capsys, monkeypatch, tmp_path, argv, expected):
     assert time.perf_counter() - start < 5.0
     assert code == expected and code in (0, 1, 2, 3)
     assert "Traceback" not in out + err
+    assert len(err) <= len(" ".join(argv)) + 200  # a message prints the input given, never more
     if code:
         assert err.startswith("error[") and out == ""

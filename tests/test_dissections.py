@@ -20,6 +20,7 @@ from isomers.dissections import (
     standard_tabloid,
     substitution_chain,
     tabloid_formatter,
+    word_formatter,
     tabloid_words,
 )
 from isomers.partitions import Partition, all_partitions, dominance_leq, parse_partition
@@ -763,7 +764,7 @@ class TestTextFormat:
 
     def test_formatter_matches_format_tabloid(self):
         # every tabloid of every shape of degree 0-8, formatted from its row-word
-        # alone; two-digit points on the shapes of degree 10-12 with at most
+        # alone by each formatter; two-digit points on the shapes of degree 10-12 with at most
         # 5,000 tabloids (all of them under TABLOID_CAP would be 1.7 million)
         shapes = [lam for d in range(1, 9) for lam in all_partitions(d)] + [Partition(())]
         shapes += [
@@ -771,8 +772,8 @@ class TestTextFormat:
         ]
         for lam in shapes:
             tabs = all_tabloids(lam)
-            text = tabloid_formatter(lam)
-            assert [text(t.row_word()) for t in tabs] == list(map(format_tabloid, tabs)), lam
+            for text in (tabloid_formatter(lam), word_formatter(lam)):
+                assert [text(t.row_word()) for t in tabs] == list(map(format_tabloid, tabs)), lam
         assert len([lam for lam in shapes if lam.d >= 10]) == 44
 
     def test_rejects_bad_input(self):

@@ -79,12 +79,12 @@ class TestIntegerRoutes:
                 _exact_quotient(num, den)
 
     def test_planted_numerators_are_refused(self):
-        # a cycle index worth 6/4 at 1^3, and a census that leaves out one 3-cycle of C3
+        # a cycle index worth 6/4 at 1^3, and one that leaves out one 3-cycle of C3
         w = generate([parse_cycles("(123)", 3)])
         w._memo["cycle_index"] = PowerSumPoly(3, {(1, 1, 1): 1}, 4)
         with pytest.raises(ArithmeticError):
             count_scalar(w, None, Partition((1, 1, 1)))
-        w._memo["census"] = {(1, 1, 1): 1, (3,): 1}
+        w._memo["cycle_index"] = PowerSumPoly(3, {(1, 1, 1): 1, (3,): 1}, 3)
         for route in (count_types, count_ruch):
             with pytest.raises(ArithmeticError):
                 route(w, parse_partition("3", 3))

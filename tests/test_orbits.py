@@ -20,6 +20,7 @@ from isomers.dissections import (
     tabloid_words,
 )
 from isomers.orbits import (
+    CELL_CAP,
     TABLOID_CAP,
     ChiralEntry,
     Orbit,
@@ -171,6 +172,14 @@ class TestOrbitSpace:
             orbit_space(w, parse_partition("1^9", 9))
         assert not [key for key in w._memo if key[0] == "orbit_space"]
         assert len(orbit_space(w, parse_partition("5,1^4", 9))) == math.factorial(9) // math.factorial(5)
+        # 445,2 has under TABLOID_CAP tabloids, but each is a 447-point word;
+        # 999,1 at degree 1000 is 10^6 cells, the most any test sends
+        wide = generate([], degree=447)
+        assert math.comb(447, 2) <= TABLOID_CAP and 1000 * 1000 < CELL_CAP < math.comb(447, 2) * 447
+        with pytest.raises(CapExceeded, match="cell cap"):
+            orbit_space(wide, parse_partition("445,2", 447))
+        assert not [key for key in wide._memo if key[0] == "orbit_space"]
+        check_tabloid_cap([parse_partition("999,1", 1000), parse_partition("198,2", 200)])
 
     def test_refusals_come_before_enumeration(self, monkeypatch):
         # the degree and the tabloid cap are read off the shape, for a space and a unit count alike

@@ -310,6 +310,23 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             Partition((1, 2, 1))
 
+    def test_messages_print_the_parts_given(self):
+        # checked before the padding to the degree, so no message prints it
+        cases = [
+            ((5, 2), 10**6, "not a partition of 1000000: 5,2"),
+            ((1,) * 999_999, 10**6, "not a partition of 1000000: 1^999999"),
+            ((2, 4), 6, "parts not weakly decreasing: 2,4"),
+            ((3, 0, 1), None, "parts not weakly decreasing: 3,0,1"),
+            ((1,) * 7, 6, "more than 6 parts: 1^7"),
+            ((), 3, "not a partition of 3: no parts"),
+            ((3, -1), 2, "not a partition of 2: 3,-1"),
+        ]
+        for parts, d, message in cases:
+            with pytest.raises(ValueError) as refusal:
+                Partition(parts, d)
+            assert str(refusal.value) == message
+        assert Partition((5, 2), 7).parts == (5, 2, 0, 0, 0, 0, 0)
+
     def test_refuses_a_long_exponent_before_expanding_it(self):
         with pytest.raises(ValueError, match=r"more than 6 parts in partition '3,1\^9999999'"):
             parse_partition("3,1^9999999", 6)

@@ -190,10 +190,10 @@ class TestGroupsAgainstValidatingOracles:
 class TestConjugacyClasses:
     def test_abelian_group_singletons(self):
         klein = generate([parse_cycles("(12)(34)", 4), parse_cycles("(13)(24)", 4)])
-        assert [len(c) for c in klein.classes] == [1, 1, 1, 1]
+        assert [len(c) for c in conjugacy_classes(klein)] == [1, 1, 1, 1]
 
     def test_trivial(self):
-        assert len(generate([], degree=3).classes) == 1
+        assert len(conjugacy_classes(generate([], degree=3))) == 1
 
     def test_hexagon_group_class_count(self):
         # frozen from a brute-force conjugation scan over all 12 elements
@@ -206,7 +206,7 @@ class TestConjugacyClasses:
 
     def test_class_members_conjugate_and_same_type(self):
         g = symmetric_group(4)
-        for cls in g.classes:
+        for cls in conjugacy_classes(g):
             types = {p.cycle_type() for p in cls.members}
             assert types == {cls.cycle_type}
             rep = cls.representative
@@ -288,8 +288,8 @@ class TestLinearCharacters:
                 for a in w.elements:
                     for b in w.elements:
                         assert chi.exponent(a * b) % n == (chi.exponent(a) + chi.exponent(b)) % n
-                for cls in w.classes:
-                    assert len({chi.exponent(p) for p in cls.members}) == 1
+                for cls in conjugacy_partition(w):
+                    assert len({chi.exponent(p) for p in cls}) == 1
 
     def test_count_equals_commutator_index(self):
         rng = random.Random(29)
