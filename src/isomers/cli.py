@@ -19,6 +19,7 @@ their reports still print.
 from __future__ import annotations
 
 import atexit
+import errno
 import gc
 import os
 import sys
@@ -151,6 +152,20 @@ def resolve_theta(args, lam: Partition) -> tuple[tuple[bool, ...] | None, str]:
     if len(mask_text) != t:
         raise UsageError(f"--theta mask length {len(mask_text)} differs from part count {t} of {lam}")
     return tuple(ch == "1" for ch in mask_text), mask_text
+
+
+def _check_out(out: str):
+    """Refuse, in ``_emit``'s words and creating or truncating nothing, an --out path that cannot be opened for writing."""
+    parent = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise UsageError(f"cannot write {out}: {OSError(code, os.strerror(code), out)}")
 
 
 def _emit(chunks: Iterable[str], out: str | None):
@@ -415,6 +430,8 @@ def help_text(command: str | None) -> str:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args.out:
+            _check_out(args.out)
         return COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)

@@ -452,14 +452,14 @@ def count_brute(
     runs of the traversal that forms one, ``_orbit_positions``, which keeps
     nothing: no member words, no ``Orbit`` and no memoized space.  Under a
     character pair each orbit is tested on its least word, with the
-    stabilizer's order |G| over the run's length.
+    stabilizer's order |G| over the run's length; the unit pair counts them all.
     """
-    space = group._memo.get(("orbit_space", lam))
-    if chi is None and theta is None:
-        return len(space) if space is not None else sum(1 for _ in _orbit_positions(group, lam)[1])
     if chi is not None and chi.group != group:
         raise ValueError("chi is not a character of the orbit's group")
     mask = check_theta_mask(lam, theta)
+    space = group._memo.get(("orbit_space", lam))
+    if (chi is None or chi.order == 1) and not any(mask):
+        return len(space) if space is not None else sum(1 for _ in _orbit_positions(group, lam)[1])
     if space is not None:
         orbits = ((orbit.words[0], orbit.size) for orbit in space)
     else:

@@ -16,7 +16,7 @@ from operator import and_, attrgetter, itemgetter, le, or_
 
 from .dissections import Dissection, tabloid_positions, tabloid_words
 from .partitions import Partition, dominance_leq, raising_pair, shapes_between
-from .perms import CapExceeded, LinearCharacter, PermGroup, Permutation, _gather, _generated, relative_sign_character
+from .perms import CapExceeded, LinearCharacter, PermGroup, Permutation, _gather, _generated, _runs, _tables, relative_sign_character
 
 __all__ = [
     "CELL_CAP",
@@ -329,20 +329,19 @@ def _getters(group: PermGroup) -> tuple[Callable[[tuple[int, ...]], tuple[int, .
 
 
 def _orbit_positions(group: PermGroup, lam: Partition) -> tuple[tuple[tuple[int, ...], ...], Iterator[Collection[int]]]:
-    """The tabloid words of shape lam, and a generator of each orbit's positions among them, unsorted.
+    """The tabloid words of shape lam, and a generator of each orbit's positions among them (``perms._runs``).
 
     Tabloids are row-words on this path, numbered in canonical order
-    (``tabloid_positions``).  A group element g sends the word w to the
-    word w∘g.  The first tabloid not yet placed is the least of its orbit,
-    so orbits come out in representative order.  An orbit is either its
-    first word sent through every element but the identity, or walked
-    along generators known to generate.  The gathers cost |G| per orbit,
-    at least |G| * ceil(N / |G|) for N tabloids, and |G| more to build
-    when the group has none yet; the walk costs the generator count per
-    tabloid, and is taken unless it costs more.  It first turns each
-    generator into a permutation of the positions, once per shape and in
-    C, and then walks ints.  The degree and the tabloid cap are checked
-    before any tabloid is enumerated.
+    (``tabloid_positions``), and g sends w to w∘g.  The first tabloid not
+    yet placed is the least of its orbit, so orbits come out in
+    representative order.  An orbit is its first word sent through every
+    element but the identity, or walked along generators known to
+    generate, as permutations of the positions built once per shape in C.
+    The gathers cost |G| per orbit, at least |G| * ceil(N / |G|) for N
+    tabloids, and |G| more to build when the group has none yet; the walk
+    costs the generator count per tabloid, and is taken unless it costs
+    more.  The degree and the tabloid cap are checked before any tabloid
+    is enumerated.
     """
     if lam.d != group.degree:
         raise ValueError("shape degree differs from group degree")
@@ -350,31 +349,8 @@ def _orbit_positions(group: PermGroup, lam: Partition) -> tuple[tuple[tuple[int,
     words, index = tabloid_words(lam), tabloid_positions(lam)
     gens, n, order = group.generators, len(words), group.order
     if _generated(group) and len(gens) * n <= order * (-(-n // order) + ("getters" not in group._memo)):
-        moves = [list(map(index.__getitem__, map(_gather(g.images), words))) for g in gens]
-    else:
-        moves, others = None, _getters(group)[1:]  # the identity, elements[0], fixes every word
-
-    def runs() -> Iterator[Collection[int]]:
-        placed = bytearray(n)
-        for k, w in enumerate(words):
-            if placed[k]:
-                continue
-            if moves is None:
-                at = {index[get(w)] for get in others}
-                at.add(k)
-                for j in at:
-                    placed[j] = 1
-            else:
-                placed[k], at = 1, [k]
-                for x in at:  # breadth-first: the list grows while it is walked
-                    for move in moves:
-                        y = move[x]
-                        if not placed[y]:
-                            placed[y] = 1
-                            at.append(y)
-            yield at
-
-    return words, runs()
+        return words, _runs(words, index, _tables(words, index, [_gather(g.images) for g in gens]), ())
+    return words, _runs(words, index, None, _getters(group)[1:])  # the identity, elements[0], fixes every word
 
 
 def orbit_space(group: PermGroup, lam: Partition) -> OrbitSpace:

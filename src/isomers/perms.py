@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from operator import attrgetter, itemgetter
 
@@ -72,6 +72,37 @@ def _close(start: tuple, maps: Sequence[Callable[[tuple], tuple]], cap: float = 
                 raise CapExceeded(f"closure exceeds cap of {cap} elements")
         frontier = nxt
     return seen
+
+
+def _tables(items: Sequence, index: Mapping, maps: Iterable[Callable]) -> list[list[int]]:
+    """Each map as a permutation of positions: the position in ``index`` of every item's image, built in C."""
+    return [list(map(index.__getitem__, map(f, items))) for f in maps]
+
+
+def _runs(items: Sequence, index: Mapping, tables: list[list[int]] | None, others: Sequence[Callable]) -> Iterator[Collection[int]]:
+    """The package's one orbit traversal: each orbit's positions among the items, from the first item not yet placed.
+
+    An orbit is walked breadth-first along ``tables`` (from ``_tables``), a list in walk order, or, when tables is
+    None, is the set of its first item's images under every map of ``others`` (the identity may be left out).
+    """
+    placed = bytearray(len(items))
+    for k, w in enumerate(items):
+        if placed[k]:
+            continue
+        if tables is None:
+            at = {index[get(w)] for get in others}
+            at.add(k)
+            for j in at:
+                placed[j] = 1
+        else:
+            placed[k], at = 1, [k]
+            for x in at:  # breadth-first: the list grows while it is walked
+                for move in tables:
+                    y = move[x]
+                    if not placed[y]:
+                        placed[y] = 1
+                        at.append(y)
+        yield at
 
 
 class Permutation:
@@ -245,7 +276,7 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(generators)
         self.images = images
-        self._memo: dict = {}  # per-group scratch cache (hash, cycle keys, unit cycle index, Cayley walk, gathers, orbit spaces)
+        self._memo: dict = {}  # per-group scratch cache (hash, cycle keys, unit cycle index, gathers, orbit spaces)
         if not images or images[0] != tuple(range(1, degree + 1)):
             raise ValueError("element list lacks the identity")
 
@@ -296,7 +327,7 @@ class PermGroup:
 
 
 def _generated(group: PermGroup) -> bool:
-    """Whether the generators are known to generate the group: ``generate`` or the Cayley walk closed them."""
+    """Whether the generators are known to generate the group: ``generate`` or ``linear_characters`` closed them."""
     return group._memo.get("generated", False)
 
 
@@ -349,21 +380,17 @@ def _conjugator(g: Permutation) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
 def conjugacy_classes(group: PermGroup) -> list[ConjugacyClass]:
     """Partition of the group into conjugacy classes, deterministically ordered.
 
-    Each class is closed under conjugation by the generators when they are
+    Each class is walked along conjugation by the generators when they are
     known to generate the group, else found by conjugating by every element.
     No counting route reads it (the class formula reads ``cycle_index``); it
     stays for library callers and the benchmark's layer probe.
     """
-    closing = _generated(group)
-    conjugators = [_conjugator(g) for g in (group.generators if closing else group.elements)]
-    unassigned = set(group.images)
-    classes = []
-    for x in group.images:
-        if x not in unassigned:
-            continue
-        members = _close(x, conjugators) if closing else {c(x) for c in conjugators}
-        unassigned -= members
-        classes.append(ConjugacyClass(map(Permutation._trusted, members)))
+    images, elements, index = group.images, group.elements, dict(zip(group.images, range(group.order)))
+    if _generated(group):
+        tables, others = _tables(images, index, map(_conjugator, group.generators)), ()
+    else:
+        tables, others = None, list(map(_conjugator, elements[1:]))  # the identity, elements[0], fixes every element
+    classes = [ConjugacyClass(map(elements.__getitem__, at)) for at in _runs(images, index, tables, others)]
     classes.sort(key=lambda c: (c.cycle_type.trimmed(), c.representative.images))
     return classes
 
@@ -408,49 +435,29 @@ class LinearCharacter:
         return f"LinearCharacter(order={self.order}, group={self.group!r})"
 
 
-def _cayley(group: PermGroup) -> tuple[dict[tuple[int, ...], int], list[tuple[int, int, int]]]:
-    """Walk positions of the elements' images and edges (a, i, b) along x -> x*g_i (memoized per group).
-
-    Raises unless the breadth-first walk reaches every element.
-    """
-    walk = group._memo.get("cayley")
-    if walk is None:
-        steps = [_gather(g.images) for g in group.generators]
-        elements = [tuple(range(1, group.degree + 1))]
-        index = {elements[0]: 0}
-        edges = []
-        for a, x in enumerate(elements):  # breadth-first: the list grows while it is walked
-            for i, step in enumerate(steps):
-                y = step(x)
-                b = index.get(y)
-                if b is None:
-                    b = index[y] = len(elements)
-                    elements.append(y)
-                edges.append((a, i, b))
-        if len(elements) != group.order:
-            raise ValueError("stored generators do not generate the group")
-        walk = group._memo["cayley"] = (index, edges)
-        group._memo["generated"] = True
-    return walk
-
-
 def linear_characters(group: PermGroup) -> list[LinearCharacter]:
     """All homomorphisms into roots of unity, found on the Cayley graph.
 
     Candidate exponents are assigned to the generators (each consistent
     with its element order) and spread from the identity along the edges
-    x -> x*g_i as e(x*g_i) = e(x) + e_i; an assignment is a character
-    exactly when no edge disagrees.  The unit character is always first.
+    x -> x*g_i of a breadth-first walk, which raises unless it reaches every
+    element, as e(x*g_i) = e(x) + e_i; an assignment is a character exactly
+    when no edge disagrees.  The unit character is always first.
     """
-    index, edges = _cayley(group)
-    at = list(map(index.__getitem__, group.images))  # walk position of each element
+    images, index = group.images, dict(zip(group.images, range(group.order)))
+    steps = _tables(images, index, [_gather(g.images) for g in group.generators])
+    walk = next(_runs(images, index, steps, ()))  # the identity is position 0
+    if len(walk) != group.order:
+        raise ValueError("stored generators do not generate the group")
+    group._memo["generated"] = True
+    edges = [(a, i, step[a]) for a in walk for i, step in enumerate(steps)]
     n = math.lcm(*{part for key in set(group.cycle_keys()) for part in key})  # the group's exponent
     gen_choices = [range(0, n, n // math.gcd(n, g.order())) for g in group.generators]
 
     # a character is fixed by its generator values, so no two assignments give the same one
     found: list[tuple[list[int], LinearCharacter]] = []
     for assign in itertools.product(*gen_choices):
-        exps = [0] + [None] * (len(index) - 1)
+        exps = [0] + [None] * (len(images) - 1)
         for a, i, b in edges:
             e = (exps[a] + assign[i]) % n
             if exps[b] is None:
@@ -459,9 +466,8 @@ def linear_characters(group: PermGroup) -> list[LinearCharacter]:
                 break
         else:
             common = math.gcd(n, *exps)
-            values = [exps[k] for k in at]
-            table = dict(zip(group.images, [e // common for e in values]))
-            found.append((values, LinearCharacter(group, n // common, table)))
+            table = dict(zip(images, [e // common for e in exps]))
+            found.append((exps, LinearCharacter(group, n // common, table)))
     found.sort(key=itemgetter(0))
     return [chi for _, chi in found]
 

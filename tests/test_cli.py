@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import isomers.cli
+import isomers.orbits
 from isomers.catalog import builtin
 from isomers.cli import main
 from isomers.dissections import Dissection
@@ -482,6 +483,15 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out and "ok " in out
 
+    def test_benzene_references(self, capsys):
+        code, out, _ = run(capsys, "verify", "--builtin", "benzene")
+        assert code == 0 and "FAIL" not in out
+        assert out.endswith(
+            "ok   the six genetic relations, exactly\n"
+            "ok   di-substitution orbit sizes 3,6,6\n"
+            "ok   tri-substitution orbit sizes 2,6,12\n"
+        )
+
     def test_symmetric_six_group_file(self, capsys, tmp_path):
         path = tmp_path / "s6.grp"
         path.write_text("degree 6\n(123456)\n(12)\n")
@@ -633,11 +643,19 @@ class TestContract:
         code, out, _ = run(capsys, "poset", "--builtin", "benzene", "--shape", "3^2:4,2:6")
         assert code == 0 and "a_(3^2) < a_(4,2)  [cover]" in out and "_(6)  [" in out
 
-    def test_unwritable_out(self, capsys, tmp_path):
-        target = tmp_path / "missing" / "x"
-        code, out, err = run(capsys, "orbits", "--builtin", "ethene", "--out", str(target))
-        assert code == 2 and out == ""
-        assert err.startswith(f"error[usage]: cannot write {target}")
+    def test_unwritable_out(self, capsys, monkeypatch, tmp_path):
+        # refused before the skeleton is read: no orbit space is built and no file is made or truncated
+        built = []
+        for module in (isomers.cli, isomers.orbits):
+            monkeypatch.setattr(module, "orbit_space", lambda group, lam: built.append(lam))
+        (tmp_path / "file").write_text("kept")
+        for target in (tmp_path / "missing" / "x", tmp_path / "file" / "x", tmp_path, tmp_path / "file"):
+            if target == tmp_path / "file":  # unwritable by os.access, not by mode bits, which root passes
+                monkeypatch.setattr(os, "access", lambda path, mode: False)
+            code, out, err = run(capsys, "orbits", "--builtin", "ethene", "--out", str(target))
+            assert (code, out, built) == (2, "", [])
+            assert err.startswith(f"error[usage]: cannot write {target}: [Errno ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"] and (tmp_path / "file").read_text() == "kept"
 
     @pytest.mark.parametrize("argv", [("count", "--builtin", "benzene", "--shape", "4,2"), ("count", "--help")])
     def test_closed_stdout_is_usage(self, capsys, monkeypatch, argv):
@@ -850,6 +868,9 @@ GROUP_FILES = {
 CORPUS = [
     (("count", "--builtin", "ethene", "--shape", "2^2", "--theta", "12"), 2),
     (("count", "--builtin", "ethene", "--shape", "2^2", "--chi", "9"), 2),
+    (("count", "--builtin", "ethene", "--shape", "2^2", "--chi", "kernel:(19)"), 2),  # bad kernel spec
+    (("count", "--builtin", "ethene", "--shape", "2^2", "--chi", "kernel:(12)"), 2),  # no linear character has it
+    (("count", "--builtin", "ethene", "--shape", "2^2", "--chi", "x"), 2),  # neither an index nor a kernel
     (("count", "--builtin", "benzene", "--shape", "4;2"), 2),
     (("count", "--builtin", "benzene", "--shape", "4,3"), 2),
     (("count", "--builtin", "benzene", "--shape", "2,4"), 2),

@@ -346,6 +346,22 @@ class TestCountBrute:
         monkeypatch.setattr(isomers.counting, "_orbit_positions", walked)
         assert [count_brute(w, lam) for lam in spaces] == list(map(len, spaces.values()))
 
+    def test_unit_character_tests_no_stabilizer(self, monkeypatch):
+        # --chi 0 and an all-zero --theta name the unit pair: every orbit counts
+        import isomers.counting
+
+        def tested(*args):
+            raise AssertionError("a unit pair tested an orbit's stabilizer")
+
+        monkeypatch.setattr(isomers.counting, "_is_character_word", tested)
+        for w in self.unit_groups():
+            unit = linear_characters(w)[0]
+            assert unit.order == 1
+            for lam in all_partitions(w.degree):
+                zero = (False,) * len(lam.trimmed())
+                n = count_brute(w, lam)
+                assert count_brute(w, lam, unit) == count_brute(w, lam, None, zero) == count_brute(w, lam, unit, zero) == n
+
 
 class TestFourWayAgreement:
     def test_builtin_groups_all_shapes(self):

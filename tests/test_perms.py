@@ -307,6 +307,7 @@ class TestLinearCharacters:
         start = time.perf_counter()
         chars = linear_characters(s7)
         assert time.perf_counter() - start < 5.0
+        assert set(s7._memo) == {"generated", "cycle_keys"}  # the walk and its edges are not kept on the group
         assert [c.order for c in chars] == [1, 2]
         assert all(chars[0].exponent(g) == 0 for g in s7.elements)
         assert all(chars[1].exponent(g) == (0 if g.sign() == 1 else 1) for g in s7.elements)
