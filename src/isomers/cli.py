@@ -127,8 +127,9 @@ def resolve_chi(args, group: PermGroup) -> tuple[LinearCharacter | None, str]:
             gens = [parse_cycles(t, group.degree) for t in sel[len("kernel:") :].split(";") if t.strip()]
         except ValueError as exc:
             raise UsageError(f"bad kernel spec: {exc}") from None
-        kernel = generate(gens, degree=group.degree, cap=args.cap)
-        matches = [c for c in linear_characters(group) if set(c.kernel_elements()) == set(kernel.elements)]
+        kernel = generate(gens, degree=group.degree, cap=args.cap).images  # sorted, as the group's are
+        kernels = ((c, tuple(x for x, e in zip(group.images, c.exponents) if e % c.order == 0)) for c in linear_characters(group))
+        matches = [c for c, images in kernels if images == kernel]
         if not matches:
             raise UsageError(f"no linear character has kernel {sel[len('kernel:'):]!r}")
         return matches[0], sel

@@ -261,7 +261,7 @@ def cycle_index(group: PermGroup, chi: LinearCharacter | None = None) -> PowerSu
             index = group._memo["cycle_index"] = PowerSumPoly(group.degree, Counter(group.cycle_keys()), group.order)
         else:
             tallies: dict[tuple[int, ...], Counter] = {}
-            for (key, e), c in Counter(zip(group.cycle_keys(), map(chi._table.__getitem__, group.images))).items():
+            for (key, e), c in Counter(zip(group.cycle_keys(), chi.exponents)).items():
                 tallies.setdefault(key, Counter())[e % chi.order] += c
             sums = {k: _root_sum(t, chi.order) for k, t in tallies.items()}
             index = chi._cycle_index = PowerSumPoly(group.degree, sums, group.order)
@@ -448,25 +448,21 @@ def count_brute(
 ) -> int:
     """Definitional count: enumerate tabloids, form orbits, filter by characters.
 
-    The orbits are those of a space the group has memoized, or else the
-    runs of the traversal that forms one, ``_orbit_positions``, which keeps
-    nothing: no member words, no ``Orbit`` and no memoized space.  Under a
-    character pair each orbit is tested on its least word, with the
-    stabilizer's order |G| over the run's length; the unit pair counts them all.
+    The unit pair counts the orbits of a space the group has memoized.
+    Otherwise the orbits are the runs of the traversal that forms one,
+    ``_orbit_positions``, which keeps nothing: no member words, no ``Orbit``
+    and no memoized space.  Under a character pair each orbit is tested on
+    its least word, with the stabilizer's order |G| over the run's length.
     """
     if chi is not None and chi.group != group:
         raise ValueError("chi is not a character of the orbit's group")
     mask = check_theta_mask(lam, theta)
-    space = group._memo.get(("orbit_space", lam))
     if (chi is None or chi.order == 1) and not any(mask):
+        space = group._memo.get(("orbit_space", lam))
         return len(space) if space is not None else sum(1 for _ in _orbit_positions(group, lam)[1])
-    if space is not None:
-        orbits = ((orbit.words[0], orbit.size) for orbit in space)
-    else:
-        words, runs = _orbit_positions(group, lam)
-        orbits = ((words[min(at)], len(at)) for at in runs)
+    words, runs = _orbit_positions(group, lam)
     order = group.order
-    return sum(1 for w, size in orbits if _is_character_word(group, w, order // size, chi, mask))
+    return sum(1 for at in runs if _is_character_word(group, words[min(at)], order // len(at), chi, mask))
 
 
 # -- cross-validation and order properties ------------------------------------

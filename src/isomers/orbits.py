@@ -370,16 +370,16 @@ def orbit_space(group: PermGroup, lam: Partition) -> OrbitSpace:
     return space
 
 
-def _fixing(group: PermGroup, w: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The images of the elements of group fixing the row-word w, in element order."""
-    return (x for x, get in zip(group.images, _getters(group)) if get(w) == w)
+def _fixing(group: PermGroup, w: tuple[int, ...]) -> Iterator[int]:
+    """The positions in element order of the elements of group fixing the row-word w."""
+    return (k for k, get in enumerate(_getters(group)) if get(w) == w)
 
 
 def stabilizer(group: PermGroup, a: Dissection) -> PermGroup:
     """The subgroup fixing the dissection a."""
     if a.degree != group.degree:
         raise ValueError("degree mismatch")
-    fixed = tuple(map(Permutation._trusted, _fixing(group, a.row_word())))
+    fixed = tuple(Permutation._trusted(group.images[k]) for k in _fixing(group, a.row_word()))
     return PermGroup(group.degree, fixed, fixed)
 
 
@@ -526,10 +526,10 @@ def _is_character_word(
         return True
     masked = {x for x, k in enumerate(w, start=1) if mask[k - 1]}
     order = 1 if chi is None else chi.order  # chi(sigma) = zeta^(2e) and -1 = zeta^order, zeta a 2*order-th root
-    for sigma in islice(_fixing(group, w), 1, fixers):
-        cycles = Permutation._trusted(sigma).cycles() if masked else ()
+    for k in islice(_fixing(group, w), 1, fixers):
+        cycles = Permutation._trusted(group.images[k]).cycles() if masked else ()
         flips = sum(len(c) - 1 for c in cycles if c[0] in masked)
-        e = (0 if chi is None else 2 * chi._table[sigma]) + flips * order
+        e = (0 if chi is None else 2 * chi.exponents[k]) + flips * order
         if e % (2 * order) != 0:
             return False
     return True

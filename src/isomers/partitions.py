@@ -119,6 +119,8 @@ def parse_partition(text: str, d: int | None = None) -> Partition:
             raise ValueError(f"empty part in partition {text!r}")
         if "^" in tok:
             base, _, exp = tok.partition("^")
+            if int(exp) < 1:
+                raise ValueError(f"exponent below 1 in partition {text!r}")
             if d is not None and len(parts) + int(exp) > d:  # refuse 1^(10^9) before building it
                 raise ValueError(f"more than {d} parts in partition {text!r}")
             parts.extend([int(base)] * int(exp))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from bisect import bisect_left
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from operator import attrgetter, itemgetter
@@ -57,21 +58,6 @@ def _cycle_key(images: tuple[int, ...]) -> tuple[int, ...]:
             n, y = n + 1, pad[y]
         lengths.append(n)
     return tuple(sorted(lengths, reverse=True))
-
-
-def _close(start: tuple, maps: Sequence[Callable[[tuple], tuple]], cap: float = math.inf) -> set[tuple]:
-    """The least set holding start and closed under every map, breadth-first; CapExceeded past ``cap`` members."""
-    seen, frontier = {start}, [start]
-    while frontier:
-        nxt: list[tuple] = []
-        for f in maps:
-            new = set(map(f, frontier)) - seen
-            seen |= new
-            nxt.extend(new)
-            if len(seen) > cap:
-                raise CapExceeded(f"closure exceeds cap of {cap} elements")
-        frontier = nxt
-    return seen
 
 
 def _tables(items: Sequence, index: Mapping, maps: Iterable[Callable]) -> list[list[int]]:
@@ -171,8 +157,8 @@ class Permutation:
         """g * self * g^{-1}."""
         return g * self * g.inverse()
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycles, each starting at its minimum, sorted by minimum."""
+    def cycles(self) -> list[tuple[int, ...]]:
+        """Disjoint cycles of length at least 2, each starting at its minimum, sorted by minimum."""
         images, seen, out = self.images, set(), []
         for start in range(1, len(images) + 1):
             if start not in seen:
@@ -180,7 +166,7 @@ class Permutation:
                 while (nxt := images[cyc[-1] - 1]) != start:
                     cyc.append(nxt)
                 seen.update(cyc)
-                if len(cyc) > 1 or include_fixed:
+                if len(cyc) > 1:
                     out.append(tuple(cyc))
         return out
 
@@ -257,7 +243,7 @@ class PermGroup:
 
     ``images`` is the sorted tuple of the elements' image tuples, so the
     identity comes first; cycle keys, per-element gathers and character
-    tables read it directly.  The ``Permutation`` objects (``elements``,
+    exponents follow its order.  The ``Permutation`` objects (``elements``,
     in the same order) and the frozenset of image tuples are built on
     first use.
     """
@@ -364,8 +350,18 @@ def generate(generators: Sequence[Permutation], degree: int | None = None, cap: 
         degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValueError("generators have mixed degrees")
-    elements = _close(tuple(range(1, degree + 1)), [_gather(g.images) for g in gens], cap)
-    group = PermGroup._of_images(degree, gens, tuple(sorted(elements)))
+    identity = tuple(range(1, degree + 1))
+    seen, frontier, maps = {identity}, [identity], [_gather(g.images) for g in gens]
+    while frontier:
+        nxt: list[tuple] = []
+        for f in maps:
+            new = set(map(f, frontier)) - seen
+            seen |= new
+            nxt.extend(new)
+            if len(seen) > cap:
+                raise CapExceeded(f"closure exceeds cap of {cap} elements")
+        frontier = nxt
+    group = PermGroup._of_images(degree, gens, tuple(sorted(seen)))
     group._memo["generated"] = True
     return group
 
@@ -398,32 +394,35 @@ def conjugacy_classes(group: PermGroup) -> list[ConjugacyClass]:
 class LinearCharacter:
     """A homomorphism from a group into the roots of unity.
 
-    Values are exp(2*pi*i*e/order) with the exponent e kept exactly, one
-    per element in ``table``, keyed by the element's images.
+    Values are exp(2*pi*i*e/order) with the exponent e kept exactly:
+    ``exponents`` holds one per element, in the group's element order.
     """
 
-    __slots__ = ("group", "order", "_table", "_cycle_index")
+    __slots__ = ("group", "order", "exponents", "_cycle_index")
 
-    def __init__(self, group: PermGroup, order: int, table: dict[tuple[int, ...], int]):
+    def __init__(self, group: PermGroup, order: int, exponents: Iterable[int]):
         self.group = group
         self.order = order
-        self._table = table
+        self.exponents = tuple(exponents)
+        if len(self.exponents) != group.order:
+            raise ValueError(f"{len(self.exponents)} exponents for a group of order {group.order}")
         self._cycle_index = None  # counting.cycle_index(group, self), built on first use
 
     def exponent(self, perm: Permutation) -> int:
-        try:
-            return self._table[perm.images]
-        except KeyError:
-            raise ValueError(f"{perm} outside the character's domain") from None
+        images = self.group.images
+        k = bisect_left(images, perm.images)
+        if k == len(images) or images[k] != perm.images:
+            raise ValueError(f"{perm} outside the character's domain")
+        return self.exponents[k]
 
     def is_one(self, perm: Permutation) -> bool:
         return self.exponent(perm) % self.order == 0
 
     def kernel_elements(self) -> list[Permutation]:
-        return [g for g in self.group.elements if self.is_one(g)]
+        return [g for g, e in zip(self.group.elements, self.exponents) if e % self.order == 0]
 
     def key(self) -> tuple:
-        return (self.order, tuple(map(self._table.__getitem__, self.group.images)))
+        return (self.order, self.exponents)
 
     def __eq__(self, other):
         return isinstance(other, LinearCharacter) and self.group == other.group and self.key() == other.key()
@@ -442,7 +441,9 @@ def linear_characters(group: PermGroup) -> list[LinearCharacter]:
     with its element order) and spread from the identity along the edges
     x -> x*g_i of a breadth-first walk, which raises unless it reaches every
     element, as e(x*g_i) = e(x) + e_i; an assignment is a character exactly
-    when no edge disagrees.  The unit character is always first.
+    when no edge disagrees.  Every value is a product of generator values,
+    so exponents modulo the lcm of the generators' orders suffice.  The
+    unit character is always first.
     """
     images, index = group.images, dict(zip(group.images, range(group.order)))
     steps = _tables(images, index, [_gather(g.images) for g in group.generators])
@@ -451,8 +452,9 @@ def linear_characters(group: PermGroup) -> list[LinearCharacter]:
         raise ValueError("stored generators do not generate the group")
     group._memo["generated"] = True
     edges = [(a, i, step[a]) for a in walk for i, step in enumerate(steps)]
-    n = math.lcm(*{part for key in set(group.cycle_keys()) for part in key})  # the group's exponent
-    gen_choices = [range(0, n, n // math.gcd(n, g.order())) for g in group.generators]
+    orders = [g.order() for g in group.generators]
+    n = math.lcm(*orders)
+    gen_choices = [range(0, n, n // m) for m in orders]
 
     # a character is fixed by its generator values, so no two assignments give the same one
     found: list[tuple[list[int], LinearCharacter]] = []
@@ -466,8 +468,7 @@ def linear_characters(group: PermGroup) -> list[LinearCharacter]:
                 break
         else:
             common = math.gcd(n, *exps)
-            table = dict(zip(images, [e // common for e in exps]))
-            found.append((exps, LinearCharacter(group, n // common, table)))
+            found.append((exps, LinearCharacter(group, n // common, [e // common for e in exps])))
     found.sort(key=itemgetter(0))
     return [chi for _, chi in found]
 
@@ -481,5 +482,4 @@ def relative_sign_character(big: PermGroup, small: PermGroup) -> LinearCharacter
         raise ValueError("small is not a subgroup of big")
     if big.order != 2 * small.order:
         raise ValueError(f"index is {big.order}/{small.order}, need exactly 2")
-    table = {g: (0 if g in small._element_set else 1) for g in big.images}
-    return LinearCharacter(big, 2, table=table)
+    return LinearCharacter(big, 2, [0 if g in small._element_set else 1 for g in big.images])

@@ -37,9 +37,9 @@ class VerifyResult:
         return self.failures == 0
 
 
-def verify_counts(group: PermGroup, result: VerifyResult, shapes: list[Partition] | None = None):
+def verify_counts(group: PermGroup, result: VerifyResult):
     """All counting routes agree on every shape."""
-    for lam in shapes or all_partitions(group.degree):
+    for lam in all_partitions(group.degree):
         report = build_report(group, lam)
         result.check(f"count agreement at {lam}: {report.via_scalar}", report.agree)
 

@@ -20,6 +20,7 @@ import isomers.orbits
 from isomers.catalog import builtin
 from isomers.cli import main
 from isomers.dissections import Dissection
+from isomers.perms import generate, linear_characters, parse_cycles
 from isomers.verify import VerifyResult
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -90,6 +91,11 @@ class TestCount:
         code, out, err = run(capsys, "count", "--builtin", "benzene", "--shape", "4;2")
         assert code == 2
         assert err.startswith("error[usage]:")
+
+    def test_shape_exponent_below_one_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "count", "--builtin", "benzene", "--shape", "6,2^-1")
+        assert (code, out) == (2, "")
+        assert err == "error[usage]: bad shape '6,2^-1': exponent below 1 in partition '6,2^-1'\n"
 
     def test_unknown_builtin(self, capsys):
         code, _, err = run(capsys, "count", "--builtin", "methane")
@@ -232,6 +238,14 @@ class TestGroupFile:
         code, out, err = run(capsys, "count", "--group-file", str(path), "--shape", "2,2", "--chi", kernel, "--cap", "10")
         assert code == 3 and out == ""
         assert err.startswith("error[cap]: closure exceeds cap of 10")
+
+    def test_kernel_match_builds_no_permutation_per_element(self):
+        s8 = generate([parse_cycles("(12345678)", 8), parse_cycles("(12)", 8)])
+        spec = "kernel:(123);(2345678)"  # generates A8
+        args = isomers.cli.parse_args(["count", "--all-shapes", "--group-file", "s8.grp", "--chi", spec])
+        chi, label = isomers.cli.resolve_chi(args, s8)
+        assert (chi.key(), label) == (linear_characters(s8)[1].key(), spec)
+        assert "elements" not in s8.__dict__
 
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.grp"

@@ -144,11 +144,10 @@ class TestCompleteHomogeneous:
                 ends = list(accumulate(lam.trimmed()))
                 blocks = [range(end - part + 1, end + 1) for part, end in zip(lam.trimmed(), ends)]
                 for mask in iproduct((False, True), repeat=len(blocks)):
-                    table = {
-                        p.images: sum(restricted_sign_exponent(p.images, b) for b, flag in zip(blocks, mask) if flag) % 2
-                        for p in group.elements
-                    }
-                    weighted = cycle_index(group, LinearCharacter(group, 2, table))
+                    exponents = tuple(
+                        sum(restricted_sign_exponent(x, b) for b, flag in zip(blocks, mask) if flag) % 2 for x in group.images
+                    )
+                    weighted = cycle_index(group, LinearCharacter(group, 2, exponents))
                     assert young_character_index(lam, mask) == weighted, (lam, mask)
 
 

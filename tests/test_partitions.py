@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -307,6 +308,9 @@ class TestTextFormat:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_partition("4,,2", 6)
+        for text, d in (("6,2^-1", 6), ("2^2,1^0", 4), ("2^0,3", 3)):  # once shortened to 6, 2^2 and 3
+            with pytest.raises(ValueError, match=f"exponent below 1 in partition {re.escape(repr(text))}"):
+                parse_partition(text, d)
         with pytest.raises(ValueError):
             Partition((1, 2, 1))
 

@@ -10,6 +10,7 @@ from isomers.orbits import is_character_orbit, orbit_space, stabilizer
 from isomers.partitions import parse_partition
 from isomers.perms import (
     CapExceeded,
+    LinearCharacter,
     PermGroup,
     Permutation,
     conjugacy_classes,
@@ -307,10 +308,30 @@ class TestLinearCharacters:
         start = time.perf_counter()
         chars = linear_characters(s7)
         assert time.perf_counter() - start < 5.0
-        assert set(s7._memo) == {"generated", "cycle_keys"}  # the walk and its edges are not kept on the group
+        assert set(s7._memo) == {"generated"}  # no walk, edges or cycle keys are kept on the group
         assert [c.order for c in chars] == [1, 2]
         assert all(chars[0].exponent(g) == 0 for g in s7.elements)
         assert all(chars[1].exponent(g) == (0 if g.sign() == 1 else 1) for g in s7.elements)
+
+    def test_exponents_follow_element_order(self):
+        d4 = generate([parse_cycles("(1234)", 4), parse_cycles("(13)", 4)])
+        klein = generate([parse_cycles("(12)(34)", 4), parse_cycles("(13)(24)", 4)])
+        chars = [chi for w in _generated_groups() for chi in linear_characters(w)]
+        chars += [relative_sign_character(symmetric_group(3), generate([parse_cycles("(123)", 3)]))]
+        chars += [relative_sign_character(d4, klein)]
+        for chi in chars:
+            elements = chi.group.elements
+            assert len(chi.exponents) == len(elements)
+            assert all(chi.exponents[k] == chi.exponent(g) for k, g in enumerate(elements)), chi
+
+    def test_exponent_refuses_a_permutation_outside_the_group(self):
+        a3 = generate([parse_cycles("(123)", 3)])
+        chi = linear_characters(a3)[1]
+        for outside in (parse_cycles("(12)", 3), parse_cycles("(13)", 3), Permutation.identity(4)):  # between elements, past the last, another degree
+            with pytest.raises(ValueError, match="outside the character's domain"):
+                chi.exponent(outside)
+        with pytest.raises(ValueError, match="2 exponents for a group of order 3"):
+            LinearCharacter(a3, 1, (0, 0))
 
     def test_generators_must_generate_the_group(self):
         s3 = generate([parse_cycles("(123)", 3), parse_cycles("(12)", 3)])
