@@ -33,7 +33,6 @@ __all__ = [
     "builtin",
     "emit_dot",
     "genetic_diagram",
-    "json_chunks",
     "json_text",
     "kauffmann_count",
     "korner_relations",
@@ -210,15 +209,6 @@ def json_text(payload) -> str:
     import json  # here, not at the top: commands that write no JSON never load it
 
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def json_chunks(items: Iterable) -> Iterator[str]:
-    """What json_text writes of the list of items, one chunk per item."""
-    head = "[\n"
-    for item in items:
-        yield head + "  " + json_text(item)[:-1].replace("\n", "\n  ")
-        head = ",\n"
-    yield "[]\n" if head == "[\n" else "\n]\n"
 
 
 def _json_string(text: str) -> str:

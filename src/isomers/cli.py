@@ -26,7 +26,7 @@ import sys
 from collections.abc import Iterable
 from types import SimpleNamespace
 
-from .catalog import BUILTIN_NAMES, SkeletonSpec, builtin, emit_dot, genetic_diagram, json_chunks, json_text
+from .catalog import BUILTIN_NAMES, SkeletonSpec, builtin, emit_dot, genetic_diagram, json_text
 from .catalog import orbit_listing_json, orbit_listing_text, orbit_names
 from .counting import build_report, check_scalar_cap
 from .dissections import word_formatter
@@ -256,8 +256,8 @@ def cmd_chiral(args) -> int:
                 yield lam, "pair" if entry.is_pair else "single", entry.chi_e_orbit, [text(o.words[0]) for o in entry.fine_orbits]
 
     if args.format == "json":
-        rows = ({"shape": str(lam), "kind": kind, "chi_e_orbit": chi_e, "orbits": reps} for lam, kind, chi_e, reps in entries())
-        _emit(json_chunks(rows), args.out)
+        rows = [{"shape": str(lam), "kind": kind, "chi_e_orbit": chi_e, "orbits": reps} for lam, kind, chi_e, reps in entries()]
+        _emit((json_text(rows),), args.out)
     else:
         rows = (
             f"{format_partition(lam):>12}  {kind:<6} chi_e={'1' if chi_e else '0'}  [{', '.join(reps)}]\n"

@@ -168,11 +168,8 @@ class _OrbitIndex:
 
     def below(self, beta: tuple[int, ...]) -> int:
         """The tabloids at or below the one with row-word beta: no point sits in an earlier component."""
-        top = max(beta)
-        if top > self.levels:
-            return 0
         bits = (1 << self.size) - 1
-        for k in range(2, top + 1):
+        for k in range(2, max(beta) + 1):
             bits = reduce(and_, self._columns(k, list(compress(range(len(beta)), map(k.__eq__, beta)))), bits)
         return bits
 

@@ -68,9 +68,6 @@ class Partition:
     def __iter__(self):
         return iter(self.parts)
 
-    def __len__(self):
-        return len(self.parts)
-
     def __getitem__(self, i):
         return self.parts[i]
 
@@ -84,9 +81,6 @@ class Partition:
         except AttributeError:
             object.__setattr__(self, "_hash", hash(("Partition", self.parts)))
             return self._hash
-
-    def __lt__(self, other):  # lexicographic, for deterministic sorting only
-        return self.parts < other.parts
 
     def __repr__(self):
         return f"Partition({list(self.trimmed())}, d={self.d})"

@@ -218,8 +218,6 @@ def parse_cycles(text: str, d: int) -> Permutation:
     body = _CYCLE_RE.sub("", stripped)
     if body.strip():
         raise ValueError(f"malformed cycle text: {text!r}")
-    if stripped.count("(") != len(_CYCLE_RE.findall(stripped)):
-        raise ValueError(f"unbalanced parentheses: {text!r}")
     cycles: list[list[int]] = []
     for inner in _CYCLE_RE.findall(stripped):
         inner = inner.strip()
@@ -243,9 +241,9 @@ class PermGroup:
 
     ``images`` is the sorted tuple of the elements' image tuples, so the
     identity comes first; cycle keys, per-element gathers and character
-    exponents follow its order.  The ``Permutation`` objects (``elements``,
-    in the same order) and the frozenset of image tuples are built on
-    first use.
+    exponents follow its order, and an element is found in it by bisection.
+    The ``Permutation`` objects (``elements``, in the same order) are built
+    on first use.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation], elements: Iterable[Permutation]):
@@ -270,22 +268,14 @@ class PermGroup:
     def elements(self) -> tuple[Permutation, ...]:
         return tuple(map(Permutation._trusted, self.images))
 
-    @cached_property
-    def _element_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.images)  # image tuples, which hash in C
-
     @property
     def order(self) -> int:
         return len(self.images)
 
-    def __contains__(self, p: Permutation) -> bool:
-        return p.images in self._element_set
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.images)
+    def _position(self, images: tuple[int, ...]) -> int | None:
+        """The position in ``images`` of the element with these images, by bisection; None for a non-element."""
+        k = bisect_left(self.images, images)
+        return k if k < len(self.images) and self.images[k] == images else None
 
     def __eq__(self, other):
         return self is other or (isinstance(other, PermGroup) and self.degree == other.degree and self.images == other.images)
@@ -300,7 +290,7 @@ class PermGroup:
         return f"PermGroup(d={self.degree}, order={self.order})"
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self.degree == other.degree and other._element_set.issuperset(self.images)
+        return self.degree == other.degree and None not in map(other._position, self.images)
 
     def cycle_keys(self) -> tuple[tuple[int, ...], ...]:
         """Each element's cycle type as a trimmed part tuple, in element order (one pass per group)."""
@@ -333,9 +323,6 @@ class ConjugacyClass:
 
     def __len__(self):
         return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
 
     def __repr__(self):
         return f"ConjugacyClass({self.representative}, size={len(self.members)})"
@@ -409,9 +396,8 @@ class LinearCharacter:
         self._cycle_index = None  # counting.cycle_index(group, self), built on first use
 
     def exponent(self, perm: Permutation) -> int:
-        images = self.group.images
-        k = bisect_left(images, perm.images)
-        if k == len(images) or images[k] != perm.images:
+        k = self.group._position(perm.images)
+        if k is None:
             raise ValueError(f"{perm} outside the character's domain")
         return self.exponents[k]
 
@@ -482,4 +468,4 @@ def relative_sign_character(big: PermGroup, small: PermGroup) -> LinearCharacter
         raise ValueError("small is not a subgroup of big")
     if big.order != 2 * small.order:
         raise ValueError(f"index is {big.order}/{small.order}, need exactly 2")
-    return LinearCharacter(big, 2, [0 if g in small._element_set else 1 for g in big.images])
+    return LinearCharacter(big, 2, [1 if small._position(g) is None else 0 for g in big.images])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -10,7 +11,6 @@ from isomers.catalog import (
     builtin,
     emit_dot,
     genetic_diagram,
-    json_chunks,
     json_text,
     kauffmann_count,
     korner_relations,
@@ -19,7 +19,7 @@ from isomers.catalog import (
 )
 from isomers.counting import count_brute, count_scalar, count_types
 from isomers.dissections import format_tabloid, parse_tabloid
-from isomers.orbits import orbit_space
+from isomers.orbits import classify_chiral, orbit_space
 from isomers.partitions import all_partitions, parse_partition
 from isomers.perms import generate, parse_cycles
 
@@ -354,14 +354,6 @@ class TestOrbitListingJson:
         self.check([])
 
 
-@pytest.mark.parametrize(
-    "items",
-    [[], [{}], [{"b": [], "a": [1, "x\u00e9"]}, {"orbits": ["{1}{2}"], "kind": "pair", "flag": True}], [[1, [2, {}]], "s", None]],
-)
-def test_json_chunks_join_to_json_text(items):
-    assert "".join(json_chunks(items)) == json_text(items)
-
-
 class TestBenzeneDiagram:
     def test_korner_slice(self):
         spec = builtin("benzene")
@@ -419,6 +411,21 @@ class TestEmitDot:
         assert dot.count("style=dashed") == len(diagram.extra_relations)
         assert dot.count("dir=both") == len(diagram.merges)
 
+    def test_chiral_pairs_drawn_double(self):
+        # the rotations of a square inside its dihedral group: index 2, so the diagram marks chiral pairs
+        rotations = generate([parse_cycles("(1234)", 4)])
+        dihedral = generate([parse_cycles("(1234)", 4), parse_cycles("(13)", 4)])
+        diagram = genetic_diagram(SkeletonSpec("square", 4, rotations, extended=dihedral))
+        pairs = set()
+        for lam in all_partitions(4):
+            names = orbit_names(orbit_space(rotations, lam), None)
+            pairs |= {names[o] for e in classify_chiral(rotations, dihedral, lam).entries if e.is_pair for o in e.fine_orbits}
+        assert (len(pairs), len(diagram.nodes)) == (8, 13)
+        doubled = {line.split('"')[1] for line in emit_dot(diagram).splitlines() if "peripheries=2" in line}
+        assert doubled == pairs
+        nodes = json.loads(diagram.to_json())["nodes"]
+        assert {n["name"]: n["chiral_pair"] for n in nodes} == {n.name: n.name in pairs for n in diagram.nodes}
+
     def test_balanced_braces_and_quotes(self):
         dot = emit_dot(genetic_diagram(builtin("ethene")))
         assert dot.count("{") == dot.count("}")
@@ -433,7 +440,5 @@ class TestEmitDot:
         a = genetic_diagram(builtin("ethene")).to_json()
         b = genetic_diagram(builtin("ethene")).to_json()
         assert a == b
-        import json
-
         payload = json.loads(a)
         assert len(payload["nodes"]) == 14

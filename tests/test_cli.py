@@ -253,6 +253,15 @@ class TestGroupFile:
         code, _, err = run(capsys, "count", "--group-file", str(path), "--shape", "3")
         assert code == 2 and err.startswith("error[usage]:")
 
+    def test_empty_cycle_on_a_generator_line(self, capsys, tmp_path):
+        # "()" adds no cycle, so (12)() generates what (12) does
+        outs = []
+        for line in ("(12)()", "(12)"):
+            path = tmp_path / "g.grp"
+            path.write_text(f"degree 4\n{line}\n")
+            outs.append(run(capsys, "count", "--group-file", str(path), "--all-shapes"))
+        assert outs[0] == outs[1] and outs[0][0] == 0 and "2,1^2  n=7" in outs[0][1]
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "count", "--group-file", "/nonexistent.grp", "--shape", "3")
         assert code == 2 and err.startswith("error[usage]:")
@@ -684,11 +693,11 @@ class TestContract:
             (("orbits", "--builtin", "benzene"), 144),  # one line per orbit
             (("orbits", "--builtin", "benzene", "--format", "json"), 145),  # one object per orbit, then the close
             (("chiral", "--builtin", "ethene"), 14),  # one line per coarse orbit
-            (("chiral", "--builtin", "ethene", "--format", "json"), 15),
+            (("chiral", "--builtin", "ethene", "--format", "json"), 1),  # 14 rows, written whole
         ],
     )
     def test_listings_stream(self, capsys, monkeypatch, argv, chunks):
-        # each orbit's text is written as it is made, and the chunks are the whole output
+        # each orbit's text is written as it is made (chiral JSON in one write), and the chunks are the whole output
         whole = run(capsys, *argv)[1]
         writes = []
 

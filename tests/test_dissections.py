@@ -755,6 +755,14 @@ class TestTextFormat:
     def test_parse_trailing_empties_optional(self):
         assert T("{1,2}{3,4}", 4) == T("{1,2}{3,4}{}{}", 4)
 
+    def test_parse_without_degree_drops_trailing_empties(self):
+        # the degree is the number of points; empty components past it go, non-empty ones are refused
+        assert parse_tabloid("{1,2}{3}{}{}{}") == parse_tabloid("{1,2}{3}") == T("{1,2}{3}", 3)
+        assert parse_tabloid("{}{1,2}{3}{}").components == ((), (1, 2), (3,))
+        for text in ("{}{}{1}", "{1}{}{}{2}{}"):
+            with pytest.raises(ValueError, match="components"):
+                parse_tabloid(text)
+
     def test_roundtrip(self):
         rng = random.Random(16)
         for _ in range(50):

@@ -1,5 +1,6 @@
 """The integer counting routes against a Fraction oracle, position walks, and brute counts under characters."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -15,9 +16,12 @@ from isomers.counting import (
     count_ruch,
     count_scalar,
     count_types,
+    cycle_index,
+    scalar_product,
+    young_character_index,
 )
 from isomers.orbits import is_character_orbit, orbit_space
-from isomers.partitions import Partition, all_partitions, parse_partition
+from isomers.partitions import Partition, all_partitions, centralizer_order, parse_partition
 from isomers.perms import PermGroup, generate, linear_characters, parse_cycles
 
 from oracles import (
@@ -70,6 +74,25 @@ class TestIntegerRoutes:
     def test_characters_above_order_two_are_covered(self):
         orders = {c.order for name in ("A4", "C5", "C6", "C7", "C12") for c in linear_characters(GROUPS[name]())}
         assert {3, 4, 5, 6, 7, 12} <= orders
+
+    @pytest.mark.parametrize("name", ["C5", "C12"])
+    def test_public_power_sums_above_order_two(self, name):
+        # values off the cycle index under chi are root-of-unity sums with Fraction coefficients,
+        # and the Hall pairing with the Young index puts chi on the conjugated side
+        w = GROUPS[name]()
+        for chi in (c for c in linear_characters(w) if c.order > 2):
+            z = cycle_index(w, chi)
+            values = z.coeffs
+            assert values and all(isinstance(v, RootOfUnitySum) for v in values.values())
+            for lam in all_partitions(w.degree):
+                young = young_character_index(lam)
+                expected = count_by_fractions(w, lam, chi)
+                pairing = sum(v * young.coefficient(key + (0,)) * centralizer_order(key) for key, v in values.items())
+                assert pairing == scalar_product(young, z) == scalar_product(z, young) == expected, (lam, chi.order)
+            assert z.coefficient((1,) * w.degree) == RootOfUnitySum.of(Fraction(1, w.order))
+        # g and its inverse share a cycle type, so every value above is real; the conjugation shows on a complex one
+        omega = PowerSumPoly(3, {(3,): RootOfUnitySum.root(1, 3)})
+        assert scalar_product(omega, omega) == centralizer_order((3,))
 
     def test_exact_division_refuses_what_is_not_a_count(self):
         assert _exact_quotient(12, 4) == 3

@@ -40,6 +40,10 @@ class TestParseCycles:
     def test_empty_is_identity(self):
         assert parse_cycles("", 4) == Permutation.identity(4)
 
+    def test_empty_cycles_are_skipped(self):
+        assert parse_cycles("()", 4) == Permutation.identity(4)
+        assert parse_cycles("(12)()( )", 4) == parse_cycles("()(12)", 4) == parse_cycles("(12)", 4)
+
     def test_double_transpositions(self):
         p = parse_cycles("(12)(34)(56)(78)", 8)
         assert p(1) == 2 and p(2) == 1 and p(7) == 8
