@@ -428,17 +428,22 @@ def orbit_cover(a: Orbit, b: Orbit) -> bool:
 
 
 def orbit_interval(a: Orbit, b: Orbit) -> list[Orbit]:
-    """All orbits c with a <= c <= b, across every intermediate shape.
+    """All orbits c with a <= c <= b, across every intermediate shape: b, the middle shapes' orbits, then a.
 
-    Per shape, one AND of the index's orbits below b and orbits above a.
+    Two comparable tabloids of one shape are equal, so b's shape holds b
+    alone and a's holds a alone.  Per strict middle shape, from b's down to
+    a's, one AND of the index's orbits below b and orbits above a.
     """
     if not orbit_leq(a, b):
         raise ValueError("a does not precede b in the orbit order")
-    out = []
-    for lam in shapes_between(a.shape, b.shape):
+    if a.shape == b.shape:
+        return [a]
+    out = [b]
+    for lam in shapes_between(a.shape, b.shape)[1:-1]:
         index = orbit_space(a.group, lam).index
         text = f"{index.under(b) & index.over(a):0{len(index.orbits)}b}"
         out.extend(compress(index.orbits, map("1".__eq__, text)))
+    out.append(a)
     return out
 
 

@@ -21,7 +21,6 @@ from .partitions import Partition
 
 __all__ = [
     "CapExceeded",
-    "ConjugacyClass",
     "LinearCharacter",
     "PermGroup",
     "Permutation",
@@ -189,7 +188,7 @@ class Permutation:
         return self.images < other.images
 
     def __repr__(self):
-        return f"Permutation.parse({str(self)!r}, d={self.degree})"
+        return f"parse_cycles({str(self)!r}, {self.degree})"
 
     def __str__(self):
         cycs = self.cycles()
@@ -198,10 +197,6 @@ class Permutation:
         if self.degree <= 9:
             return "".join("(" + "".join(map(str, c)) + ")" for c in cycs)
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
-
-    @staticmethod
-    def parse(text: str, d: int) -> "Permutation":
-        return parse_cycles(text, d)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -307,27 +302,6 @@ def _generated(group: PermGroup) -> bool:
     return group._memo.get("generated", False)
 
 
-class ConjugacyClass:
-    """An orbit of the group acting on itself by conjugation."""
-
-    __slots__ = ("representative", "members", "cycle_type")
-
-    def __init__(self, members: Iterable[Permutation]):
-        ms = tuple(sorted(members, key=_images))
-        object.__setattr__(self, "members", ms)
-        object.__setattr__(self, "representative", ms[0])
-        object.__setattr__(self, "cycle_type", ms[0].cycle_type())
-
-    def __setattr__(self, *a):
-        raise AttributeError("ConjugacyClass is immutable")
-
-    def __len__(self):
-        return len(self.members)
-
-    def __repr__(self):
-        return f"ConjugacyClass({self.representative}, size={len(self.members)})"
-
-
 def generate(generators: Sequence[Permutation], degree: int | None = None, cap: int = DEFAULT_CAP) -> PermGroup:
     """Breadth-first closure of the generators on image tuples; errors past ``cap`` elements."""
     gens = list(generators)
@@ -360,11 +334,12 @@ def _conjugator(g: Permutation) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     return lambda x: tuple(map(after, before(x)))
 
 
-def conjugacy_classes(group: PermGroup) -> list[ConjugacyClass]:
-    """Partition of the group into conjugacy classes, deterministically ordered.
+def conjugacy_classes(group: PermGroup) -> list[tuple[Permutation, ...]]:
+    """Partition of the group into conjugacy classes, each a tuple of its members sorted by images.
 
     Each class is walked along conjugation by the generators when they are
     known to generate the group, else found by conjugating by every element.
+    Classes are ordered by their first member's cycle key, then its images.
     No counting route reads it (the class formula reads ``cycle_index``); it
     stays for library callers and the benchmark's layer probe.
     """
@@ -373,8 +348,8 @@ def conjugacy_classes(group: PermGroup) -> list[ConjugacyClass]:
         tables, others = _tables(images, index, map(_conjugator, group.generators)), ()
     else:
         tables, others = None, list(map(_conjugator, elements[1:]))  # the identity, elements[0], fixes every element
-    classes = [ConjugacyClass(map(elements.__getitem__, at)) for at in _runs(images, index, tables, others)]
-    classes.sort(key=lambda c: (c.cycle_type.trimmed(), c.representative.images))
+    classes = [tuple(map(elements.__getitem__, sorted(at))) for at in _runs(images, index, tables, others)]  # images are sorted
+    classes.sort(key=lambda c: (_cycle_key(c[0].images), c[0].images))
     return classes
 
 

@@ -91,6 +91,21 @@ def orbit_cover_by_witness(a, b) -> bool:
     return bool(below) and not any(_assign_words(w, beta, nu.parts) is not None for nu in inner for w in below)
 
 
+def orbit_interval_by_definition(a, b, spaces) -> list:
+    """The orbits c with a <= c <= b among the given orbit spaces, in their order.
+
+    x <= y when some member of x, a translate of its representative, lies
+    at or below y's representative: in the pointwise word order, no point
+    sits in an earlier component of the member than of y's representative.
+    """
+
+    def leq(x, y):
+        top = y.words[0]
+        return any(all(t <= w for t, w in zip(top, word)) for word in x.words)
+
+    return [c for space in spaces for c in space if leq(a, c) and leq(c, b)]
+
+
 # -- raw enumerations ----------------------------------------------------------
 
 def raw_compositions(d):

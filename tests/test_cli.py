@@ -253,6 +253,11 @@ class TestGroupFile:
         code, _, err = run(capsys, "count", "--group-file", str(path), "--shape", "3")
         assert code == 2 and err.startswith("error[usage]:")
 
+    def test_bad_cycle_entry(self, capsys, tmp_path):
+        path = tmp_path / "bad.grp"
+        path.write_text("degree 3\n(1a)\n")
+        assert run(capsys, "count", "--group-file", str(path)) == (2, "", f"error[usage]: {path}: bad cycle entry '1a'\n")
+
     def test_empty_cycle_on_a_generator_line(self, capsys, tmp_path):
         # "()" adds no cycle, so (12)() generates what (12) does
         outs = []

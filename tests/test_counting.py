@@ -25,6 +25,7 @@ from isomers.counting import (
 from isomers.orbits import orbit_space
 from isomers.partitions import Partition, all_partitions, centralizer_order, parse_partition
 from isomers.perms import LinearCharacter, generate, linear_characters, parse_cycles
+from isomers.verify import VerifyResult, verify_monotonicity
 
 from oracles import monomial_h_coefficient, random_subgroup, restricted_sign_exponent, symmetric_group, young_subgroup
 
@@ -456,6 +457,15 @@ class TestMonotonicity:
         s3 = symmetric_group(3)
         sign = next(c for c in linear_characters(s3) if c.order == 2)
         assert monotonicity_check(s3, sign) == []
+
+    def test_planted_violation_is_reported(self):
+        # a cycle index of p_2 alone on the trivial group of degree 2 gives n(2) = 1 above n(1^2) = 0
+        w = generate([], degree=2)
+        w._memo["cycle_index"] = PowerSumPoly(2, {(2,): 1}, 1)
+        assert monotonicity_check(w) == [(parse_partition("1^2", 2), parse_partition("2", 2))]
+        result = VerifyResult()
+        verify_monotonicity(w, result)
+        assert (result.lines, result.failures) == (["FAIL monotone counts for character 0 (order 1)"], 1)
 
 
 class TestCountReport:

@@ -55,6 +55,7 @@ from oracles import (
     leq_composition,
     leq_dissection_raw,
     orbit_cover_by_witness,
+    orbit_interval_by_definition,
     random_permutation,
     random_subgroup,
     raw_orbits,
@@ -653,7 +654,8 @@ class TestIndexMatchesDefinitions:
     orbit_poset's pairs are the orbit_leq scan over every orbit pair of a
     shape step, in its order, and each pair's flag is orbit_cover and the
     witness search over comparable member words; orbit_interval is
-    orbit_leq on both sides over every orbit of every shape in the interval.
+    the pointwise word order on both sides over every orbit of every shape
+    in the interval.
     """
 
     # a step with at most ALL_PAIRS orbit pairs also checks that its
@@ -688,9 +690,10 @@ class TestIndexMatchesDefinitions:
                         assert not orbit_cover(a, b) and not orbit_cover(b, a), (a, b)
                         assert not orbit_cover_by_witness(a, b), (a, b)
         for a, b in pairs[:: -(-len(pairs) // intervals) or 1]:
-            spaces = [orbit_space(group, nu) for nu in between]
             interval = orbit_interval(a, b)
-            assert interval == [c for space in spaces for c in space if orbit_leq(a, c) and orbit_leq(c, b)]
+            assert interval == orbit_interval_by_definition(a, b, [orbit_space(group, nu) for nu in between])
+            # b and a are the only orbits of their shapes, and a step with no middle shape holds nothing else
+            assert interval[0] == b and interval[-1] == a and (len(between) > 2 or len(interval) == 2)
             # a middle shape whose AND came out empty
             seen.add(("gap", len({c.shape for c in interval}) < len(between)))
 
@@ -816,8 +819,8 @@ class TestOrbitInterval:
     def test_singleton(self):
         g = klein_group()
         space = orbit_space(g, parse_partition("2,2", 4))
-        o = space.orbits[0]
-        assert orbit_interval(o, o) == [o]
+        for o in space:
+            assert orbit_interval(o, o) == [o] == orbit_interval_by_definition(o, o, [space])
 
     def test_chain_through_middle_shapes(self):
         g = klein_group()

@@ -73,6 +73,17 @@ class TestParseCycles:
             p = Permutation(images)
             assert parse_cycles(str(p), d) == p
 
+    def test_repr_evaluates_back(self):
+        # digits run together up to degree 9 and are spaced beyond it
+        rng = random.Random(5)
+        perms = [Permutation.identity(1), Permutation.identity(12)]
+        for d in (9, 12):
+            images = list(range(1, d + 1))
+            rng.shuffle(images)
+            perms.append(Permutation(images))
+        for p in perms:
+            assert eval(repr(p), {"parse_cycles": parse_cycles}) == p, repr(p)
+
 
 class TestComposition:
     def test_constructor_validates(self):
@@ -186,10 +197,10 @@ class TestGroupsAgainstValidatingOracles:
         assert stab.order == 12 and not _generated(stab) and not _generated(partial)  # classes by every element
         for w in groups + [stab, partial]:
             classes = conjugacy_classes(w)
-            assert {frozenset(c.members) for c in classes} == conjugacy_partition(w), w
-            keys = [(c.cycle_type.trimmed(), c.representative.images) for c in classes]
+            assert {frozenset(c) for c in classes} == conjugacy_partition(w), w
+            keys = [(c[0].cycle_type().trimmed(), c[0].images) for c in classes]
             assert keys == sorted(keys)
-            assert all(list(c.members) == sorted(c.members) for c in classes)
+            assert all(list(c) == sorted(c) for c in classes)
 
 
 class TestConjugacyClasses:
@@ -206,17 +217,16 @@ class TestConjugacyClasses:
         classes = conjugacy_classes(g)
         assert len(classes) == 6
         assert sorted(len(c) for c in classes) == [1, 1, 2, 2, 3, 3]
-        union = [p for c in classes for p in c.members]
+        union = [p for c in classes for p in c]
         assert sorted(union) == list(g.elements)
 
     def test_class_members_conjugate_and_same_type(self):
         g = symmetric_group(4)
         for cls in conjugacy_classes(g):
-            types = {p.cycle_type() for p in cls.members}
-            assert types == {cls.cycle_type}
-            rep = cls.representative
+            rep = cls[0]
+            assert {p.cycle_type() for p in cls} == {rep.cycle_type()}
             reachable = {rep.conjugated_by(t) for t in g.elements}
-            assert reachable == set(cls.members)
+            assert reachable == set(cls)
 
 
 class TestElementsOfCycleType:
