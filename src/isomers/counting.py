@@ -159,8 +159,8 @@ class RootOfUnitySum:
 
     def __repr__(self):
         if (f := self.as_fraction()) is not None:
-            return f"RootOfUnitySum.of({f})"
-        terms = ", ".join(f"{e}: {c}" for e, c in sorted(self.coeffs.items()))
+            return f"RootOfUnitySum.of({f!r})"
+        terms = ", ".join(f"{e}: {c!r}" for e, c in sorted(self.coeffs.items()))
         return f"RootOfUnitySum({self.order}, {{{terms}}})"
 
 
@@ -234,8 +234,7 @@ class PowerSumPoly:
         return all(_is_zero(self.nums.get(k, 0) * other.den + other.nums.get(k, 0) * -self.den) for k in keys)
 
     def __repr__(self):
-        terms = " + ".join(f"({v})p_{list(k)}" for k, v in sorted(self.coeffs.items()))
-        return f"PowerSumPoly<{terms or '0'}>"
+        return f"PowerSumPoly({self.degree}, {self.nums!r}, {self.den})"
 
 
 def _is_zero(v) -> bool:

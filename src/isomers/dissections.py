@@ -139,14 +139,10 @@ class Dissection:
         return self.components <= other.components
 
     def __repr__(self):
-        return f"Dissection.parse({str(self)!r})"
+        return f"parse_tabloid({str(self)!r})"
 
     def __str__(self):
         return format_tabloid(self)
-
-    @staticmethod
-    def parse(text: str, d: int | None = None) -> "Dissection":
-        return parse_tabloid(text, d)
 
 
 def format_tabloid(a: Dissection) -> str:

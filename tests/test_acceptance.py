@@ -17,6 +17,7 @@ from isomers.dissections import (
     is_cover_dissection,
     is_cover_tabloid,
     leq_dissection,
+    parse_tabloid,
     raise_into,
     substitution_chain,
 )
@@ -105,7 +106,7 @@ def test_criterion_2_benzene_orbit_structure():
         "{1,3,5}{2,4,6}{}{}{}{}": 2,
     }
     for text, size in listed.items():
-        tab = Dissection.parse(text, 6)
+        tab = parse_tabloid(text, 6)
         space = disub if tab.shape()[0] == 4 else trisub
         assert space.orbit_of(tab).size == size
     print("\nPASS criterion 2: benzene orbit sizes {3,6,6} and {12,6,2} with the listed tabloids")
